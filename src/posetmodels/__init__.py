@@ -33,6 +33,7 @@ from .classes import (
     lifts,
     proper_factorizations,
     right_complement,
+    subcategory_check,
 )
 from .dot import export_dot
 from .equivalence import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .classes import MorphClass
 from .errors import InternalCheckFailed, S2OF3Failed
 from .lattice import Pair, iter_bits
-from .relative import RelStruct, check_s2of3
+from .relative import RelStruct, check_s2of3, _pushout_stable_part
 from .report import Check, Report
 
 
@@ -203,72 +203,21 @@ def compute_Jchi(rel: RelStruct, chi: CenterMap) -> MorphClass:
 
 
 def compute_Qchi(rel: RelStruct, chi: CenterMap) -> MorphClass:
-    """W-morphisms whose center sits below the domain."""
-    lat = rel.lattice
-    mask = 0
-    for i in iter_bits(rel.weq.mask):
-        a = lat.pairs[i].src
-        if lat.leq(chi.chi[a], a):
-            mask |= 1 << i
-    return MorphClass(lat, mask)
+    """W-morphisms whose center sits below the domain: J_chi of the
+    opposite structure (:func:`compute_Jchi`)."""
+    return compute_Jchi(rel.op(), chi).op()
 
 
 def compute_Wc_chi(rel: RelStruct, chi: CenterMap) -> MorphClass:
     """W-morphisms all of whose nondegenerate pushouts stay in W and avoid Q_chi."""
-    lat = rel.lattice
-    qmask = compute_Qchi(rel, chi).mask
-    idx = lat.pair_index
-    mask = 0
-    for i in iter_bits(rel.weq.mask):
-        a, b = lat.pairs[i]
-        good = True
-        for c in iter_bits(lat.up_mask(a)):
-            j = lat.join(b, c)
-            if j == c:
-                continue
-            t = idx.get(Pair(c, j))
-            if (rel.weq.mask >> t) & 1 == 0 or (qmask >> t) & 1:
-                good = False
-                break
-        if good:
-            mask |= 1 << i
-    out = MorphClass(lat, mask)
-    _require_subcat(out, "W_c^chi")
-    return out
+    allowed = rel.weq.mask & ~compute_Qchi(rel, chi).mask | rel.lattice.identity_mask
+    return _pushout_stable_part(rel, allowed, "W_c^chi")
 
 
 def compute_Wf_chi(rel: RelStruct, chi: CenterMap) -> MorphClass:
-    """W-morphisms all of whose nondegenerate pullbacks stay in W and avoid J_chi."""
-    lat = rel.lattice
-    jmask = compute_Jchi(rel, chi).mask
-    idx = lat.pair_index
-    mask = 0
-    for i in iter_bits(rel.weq.mask):
-        x, y = lat.pairs[i]
-        good = True
-        for z in iter_bits(lat.down_mask(y)):
-            m = lat.meet(x, z)
-            if m == z:
-                continue
-            t = idx.get(Pair(m, z))
-            if (rel.weq.mask >> t) & 1 == 0 or (jmask >> t) & 1:
-                good = False
-                break
-        if good:
-            mask |= 1 << i
-    out = MorphClass(lat, mask)
-    _require_subcat(out, "W_f^chi")
-    return out
-
-
-def _require_subcat(s: MorphClass, label: str) -> None:
-    from .classes import is_composition_closed
-
-    if not s.has_identities():
-        raise InternalCheckFailed(f"{label} lost an identity")
-    closed = is_composition_closed(s)
-    if not closed:
-        raise InternalCheckFailed(f"{label} not composition-closed, witness {closed.witness}")
+    """W-morphisms all of whose nondegenerate pullbacks stay in W and avoid
+    J_chi: W_c^chi of the opposite structure (:func:`compute_Wc_chi`)."""
+    return compute_Wc_chi(rel.op(), chi).op()
 
 
 def product_centers(rel: RelStruct, chi1: CenterMap, chi2: CenterMap) -> CenterMap:

@@ -3,19 +3,20 @@
 A :class:`MorphClass` is a set of comparable pairs of one fixed lattice,
 stored as a bitmask over the lattice's lex-sorted pair list.  All scans
 iterate in pair order, so reported witnesses are lexicographically least.
+Dual checks run their primal on ``s.op()``, the same mask in the opposite lattice.
 """
 
 from __future__ import annotations
 
 from .errors import NoFactorization, NotComparable, NotPushoutClosed
-from .lattice import FiniteLattice, Pair, iter_bits
+from .lattice import Dualizable, FiniteLattice, Pair, iter_bits
 from .report import Check, Report
 
 
-class MorphClass:
+class MorphClass(Dualizable):
     """An immutable class of morphisms over a fixed finite lattice."""
 
-    __slots__ = ("lattice", "mask", "_pushout_closed", "_rows", "_cols")
+    __slots__ = ("lattice", "mask", "_pushout_closed", "_rows", "_cols", "_op", "__weakref__")
 
     def __init__(self, lattice: FiniteLattice, mask: int):
         self.lattice = lattice
@@ -23,6 +24,13 @@ class MorphClass:
         self._pushout_closed: bool | None = None
         self._rows: list[int] | None = None
         self._cols: list[int] | None = None
+        self._op = None
+
+    def _reversed(self) -> "MorphClass":
+        """The same morphisms in the opposite lattice; rows and cols swap."""
+        o = MorphClass(self.lattice.op(), self.mask)
+        o._rows, o._cols = self._cols, self._rows
+        return o
 
     @classmethod
     def from_pairs(cls, lattice, pairs, add_identities: bool = False) -> "MorphClass":
@@ -64,7 +72,7 @@ class MorphClass:
         return self.lattice == other.lattice and self.mask == other.mask
 
     def __hash__(self):
-        return hash((id(self.lattice), self.mask))
+        return hash((self.lattice, self.mask))
 
     def __or__(self, other: "MorphClass") -> "MorphClass":
         return MorphClass(self.lattice, self.mask | other.mask)
@@ -179,15 +187,14 @@ def is_pushout_closed(s: MorphClass) -> Check:
     return Check("pushout_closed", True)
 
 
+def _from_op(check: Check, name: str) -> Check:
+    """A check run in the opposite lattice, renamed, its witness pairs read back."""
+    return Check(name, check.ok, check.witness and tuple(p.op() for p in check.witness))
+
+
 def is_pullback_closed(s: MorphClass) -> Check:
-    lat = s.lattice
-    ps = lat.pairs
-    targets = lat.pullback_targets
-    for i in iter_bits(s.mask):
-        for t in targets[i]:
-            if (s.mask >> t) & 1 == 0:
-                return Check("pullback_closed", False, (ps[i], ps[t]))
-    return Check("pullback_closed", True)
+    """:func:`is_pushout_closed` in the opposite lattice."""
+    return _from_op(is_pushout_closed(s.op()), "pullback_closed")
 
 
 def is_composition_closed(s: MorphClass) -> Check:
@@ -212,13 +219,18 @@ def is_binary_coproduct_closed(s: MorphClass) -> Check:
 
 
 def is_binary_product_closed(s: MorphClass) -> Check:
-    members = s.pairs()
-    for f in members:
-        for g in members:
-            prod = Pair(s.lattice.meet(f.src, g.src), s.lattice.meet(f.dst, g.dst))
-            if prod not in s:
-                return Check("binary_product_closed", False, (f, g, prod))
-    return Check("binary_product_closed", True)
+    """:func:`is_binary_coproduct_closed` in the opposite lattice."""
+    return _from_op(is_binary_coproduct_closed(s.op()), "binary_product_closed")
+
+
+def subcategory_check(s: MorphClass, name: str) -> Check:
+    """Identities plus composition closure.  The witness is the least missing
+    identity ``(Pair(x, x),)``, else the least (a, b, c) missing (a, c)."""
+    missing = s.lattice.identity_mask & ~s.mask
+    if missing:
+        return Check(name, False, (s.lattice.pairs[next(iter_bits(missing))],))
+    closed = is_composition_closed(s)
+    return Check(name, closed.ok, closed.witness)
 
 
 def _lifting_check(lc: MorphClass, rc: MorphClass) -> Check:

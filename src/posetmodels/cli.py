@@ -15,13 +15,7 @@ import time
 from . import equivalence, fixtures, models, oracle
 from .centers import enumerate_centers, find_centers
 from .dot import export_dot
-from .errors import (
-    HypothesisFailed,
-    MismatchedBase,
-    PosetModelError,
-    RecognitionFailed,
-    S2OF3Failed,
-)
+from .errors import HypothesisFailed, PosetModelError, RecognitionFailed, S2OF3Failed
 from .formats import (
     ReportFile,
     build_relative,
@@ -51,8 +45,11 @@ def _read_instance(ns, path):
 
 def _emit(ns, text: str) -> None:
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise PosetModelError(f"cannot write {ns.out}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -155,8 +152,7 @@ def cmd_synthesize(ns) -> int:
             rel = build_relative(inst)
             if not ns.generators:
                 raise PosetModelError("--generators FILE is required for the genmc method")
-            with open(ns.generators, encoding="utf-8") as fh:
-                gen_inst = parse_instance(fh.read())
+            gen_inst = _read_instance(ns, ns.generators)
             from .classes import MorphClass
 
             j = MorphClass.from_pairs(rel.lattice, gen_inst.weq, add_identities=True)
@@ -284,8 +280,6 @@ def _common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="auto-complete the weak equivalences with all identities")
     parser.add_argument("--timings", action="store_true", default=default(False),
                         help="attach wall-clock timings to the report (breaks byte-determinism)")
-    parser.add_argument("--seed", type=int, default=default(0),
-                        help="seed for any randomized work (reserved; current commands are deterministic)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,9 +360,6 @@ def run_cli(argv=None) -> int:
     ns.echo = list(argv) if argv is not None else list(sys.argv[1:])
     try:
         return ns.func(ns)
-    except MismatchedBase as e:
-        print(f"error: MismatchedBase: {e}", file=sys.stderr)
-        return 2
     except PosetModelError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

@@ -5,10 +5,17 @@ Elements are integer indices into a name list.  The order convention is
 and pullbacks are meets, the initial object is the bottom and the terminal
 object is the top.  Element subsets and morphism sets are represented as
 integer bitmasks throughout, which keeps the exhaustive scans cheap.
+
+Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
+pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
+order, so a class mask names the same morphisms on both sides and witnesses
+stay the same least pairs.  Orientation is part of equality: ``L.op()`` is
+not equal to the lattice built from the reversed order.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -31,19 +38,39 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class Dualizable:
+    """A cached, write-once ``op()`` built by ``_reversed()``; ``x.op().op() is x``.
+
+    x holds its opposite, which refers back weakly: the pair forms no
+    reference cycle and is freed with x.  Subclasses set ``_op = None``.
+    """
+
+    __slots__ = ()
+
+    def op(self):
+        o = self._op() if type(self._op) is weakref.ref else self._op
+        if o is None:
+            o = self._reversed()
+            self._op, o._op = o, weakref.ref(self)
+        return o
+
+
 class Pair(NamedTuple):
     """A morphism src -> dst; only valid when src <= dst."""
 
     src: int
     dst: int
 
+    def op(self) -> "Pair":
+        return Pair(self.dst, self.src)
 
-class FiniteLattice:
+
+class FiniteLattice(Dualizable):
     """A validated finite bounded lattice.
 
     Immutable after construction (caches are write-once), safe to share
     between threads for read-only use.  Build instances with
-    :func:`build_lattice`, never directly.
+    :func:`build_lattice`, never directly; ``op()`` gives the opposite.
     """
 
     def __init__(self, names, up, down, join_table, meet_table, bottom, top):
@@ -56,14 +83,20 @@ class FiniteLattice:
         self.bottom = bottom
         self.top = top
         self._index = {name: i for i, name in enumerate(self.names)}
+        self.opposite = False  # True for the lattice returned by build_lattice(...).op()
+        self._op = None
         # morphism bookkeeping, filled lazily
         self._pairs: tuple[Pair, ...] | None = None
         self._pair_index: dict[Pair, int] | None = None
         self._identity_mask: int | None = None
         self._nonlift_left: list[int] | None = None
-        self._nonlift_right: list[int] | None = None
         self._pushout_targets: list[tuple[int, ...]] | None = None
-        self._pullback_targets: list[tuple[int, ...]] | None = None
+
+    def _reversed(self) -> "FiniteLattice":
+        """The opposite lattice, sharing this one's tables, swapped."""
+        o = FiniteLattice(self.names, self._down, self._up, self._meet, self._join, self.top, self.bottom)
+        o.opposite = not self.opposite
+        return o
 
     # -- order ---------------------------------------------------------
 
@@ -109,10 +142,10 @@ class FiniteLattice:
     def __eq__(self, other):
         if not isinstance(other, FiniteLattice):
             return NotImplemented
-        return self.names == other.names and self._up == other._up
+        return self.names == other.names and self._up == other._up and self.opposite == other.opposite
 
     def __hash__(self):
-        return hash((self.names, tuple(self._up)))
+        return hash((self.names, tuple(self._up), self.opposite))
 
     def __repr__(self):
         return f"FiniteLattice({self.n} elements, bottom={self.names[self.bottom]!r}, top={self.names[self.top]!r})"
@@ -132,20 +165,18 @@ class FiniteLattice:
 
     @property
     def pairs(self) -> tuple[Pair, ...]:
-        """All comparable pairs (morphisms), sorted lexicographically."""
+        """All comparable pairs (morphisms), sorted lexicographically; in op(), by their primal reading."""
         if self._pairs is None:
-            ps = []
-            for a in range(self.n):
-                for b in iter_bits(self._up[a]):
-                    ps.append(Pair(a, b))
-            ps.sort()
-            self._pairs = tuple(ps)
-            self._pair_index = {p: i for i, p in enumerate(ps)}
+            ps = sorted((Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a])),
+                        key=Pair.op if self.opposite else None)
             ident = 0
             for i, p in enumerate(ps):
                 if p.src == p.dst:
                     ident |= 1 << i
+            # publish the derived fields before `_pairs`, which readers test
+            self._pair_index = {p: i for i, p in enumerate(ps)}
             self._identity_mask = ident
+            self._pairs = tuple(ps)
         return self._pairs
 
     @property
@@ -179,7 +210,7 @@ class FiniteLattice:
                     left[i] |= 1 << j
                     right[j] |= 1 << i
         self._nonlift_left = left
-        self._nonlift_right = right
+        self.op()._nonlift_left = right  # f lifts left of g iff g lifts left of f in op
 
     @property
     def nonlift_left(self) -> list[int]:
@@ -189,9 +220,7 @@ class FiniteLattice:
 
     @property
     def nonlift_right(self) -> list[int]:
-        if self._nonlift_right is None:
-            self._build_lift_tables()
-        return self._nonlift_right
+        return self.op().nonlift_left
 
     @property
     def pushout_targets(self) -> list[tuple[int, ...]]:
@@ -207,15 +236,8 @@ class FiniteLattice:
 
     @property
     def pullback_targets(self) -> list[tuple[int, ...]]:
-        """For each pair index i=(a,b): indices of (a ^ c, c) over all c <= b."""
-        if self._pullback_targets is None:
-            idx = self.pair_index
-            out = []
-            for (a, b) in self.pairs:
-                targets = {idx[Pair(self._meet[a][c], c)] for c in iter_bits(self._down[b])}
-                out.append(tuple(sorted(targets)))
-            self._pullback_targets = out
-        return self._pullback_targets
+        """For each pair index i=(a,b): indices of (a ^ c, c) over all c <= b; op's pushout targets."""
+        return self.op().pushout_targets
 
 
 def _transitive_closure(n: int, up: list[int]) -> list[int]:
@@ -317,11 +339,8 @@ def join_all(lattice: FiniteLattice, elems: Iterable[int]) -> int:
 
 
 def meet_all(lattice: FiniteLattice, elems: Iterable[int]) -> int:
-    """Greatest lower bound of a set; the empty meet is the top."""
-    acc = None
-    for e in elems:
-        acc = e if acc is None else lattice.meet(acc, e)
-    return lattice.top if acc is None else acc
+    """Greatest lower bound of a set; the empty meet is the top.  Dual of :func:`join_all`."""
+    return join_all(lattice.op(), elems)
 
 
 def pushout_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:

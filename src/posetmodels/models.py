@@ -4,17 +4,18 @@ A structure is a (weak equivalences, cofibrations, fibrations) triple over
 one relative structure.  `verify_model` is always exhaustive; it is the
 correctness anchor every construction is checked against.  Constructions
 whose defining results guarantee success raise InternalCheckFailed if the
-guarantee ever fails, so a miscomputation cannot go unnoticed.
+guarantee ever fails, so a miscomputation cannot go unnoticed.  Each dual
+construction is its primal run on the opposite structure (``op()``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .centers import (
     CenterMap,
     compute_Jchi,
-    compute_Qchi,
     compute_Wc_chi,
     compute_Wf_chi,
     validate_centers,
@@ -22,11 +23,11 @@ from .centers import (
 from .classes import (
     MorphClass,
     factorize,
-    is_composition_closed,
     is_wfs,
     left_complement,
     lifts,
     right_complement,
+    subcategory_check,
 )
 from .errors import (
     HypothesisFailed,
@@ -38,17 +39,23 @@ from .errors import (
     RecognitionFailed,
     S2OF3Failed,
 )
-from .lattice import Pair, iter_bits
+from .lattice import Dualizable, Pair, iter_bits
 from .relative import RelStruct, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
 
 @dataclass(eq=False)
-class ModelStruct:
+class ModelStruct(Dualizable):
     rel: RelStruct
     cof: MorphClass
     fib: MorphClass
     report: Report | None = field(default=None, repr=False)
+    _op: object = field(default=None, init=False, repr=False)
+
+    def _reversed(self) -> "ModelStruct":
+        """The opposite structure: cof and fib swap.  A passing report carries
+        over, since the axioms are self-dual and it has no witnesses."""
+        return ModelStruct(self.rel.op(), self.fib.op(), self.cof.op(), self.report if self.verified else None)
 
     @property
     def lattice(self):
@@ -93,15 +100,6 @@ class ModelStruct:
         return f"ModelStruct(acyclic cof={self.acyclic_cofibrations().name_pairs()}, acyclic fib={self.acyclic_fibrations().name_pairs()})"
 
 
-def _subcategory_check(s: MorphClass, name: str) -> Check:
-    if not s.has_identities():
-        missing = s.lattice.identity_mask & ~s.mask
-        i = next(iter_bits(missing))
-        return Check(name, False, (s.lattice.pairs[i],))
-    closed = is_composition_closed(s)
-    return Check(name, closed.ok, closed.witness)
-
-
 def _two_of_three_check(m: ModelStruct) -> Check:
     lat = m.lattice
     rows = m.we.rows
@@ -122,9 +120,9 @@ def _two_of_three_check(m: ModelStruct) -> Check:
 def verify_model(m: ModelStruct) -> Report:
     """Exhaustively verify all model-structure axioms; attaches the report."""
     checks = [
-        _subcategory_check(m.we, "we_subcategory"),
-        _subcategory_check(m.cof, "cof_subcategory"),
-        _subcategory_check(m.fib, "fib_subcategory"),
+        subcategory_check(m.we, "we_subcategory"),
+        subcategory_check(m.cof, "cof_subcategory"),
+        subcategory_check(m.fib, "fib_subcategory"),
     ]
     for prefix, (lc, rc) in (
         ("cof_afib", (m.cof, m.acyclic_fibrations())),
@@ -153,6 +151,21 @@ def _verified(rel: RelStruct, cof: MorphClass, fib: MorphClass, context: str) ->
     return m
 
 
+@contextmanager
+def _witnesses_from_op(rel: RelStruct, chi: CenterMap | None = None):
+    """Re-raise a failure of a construction run on ``rel.op()`` with its witness on `rel`."""
+    try:
+        yield
+    except JNotInW as e:
+        raise JNotInW(e.pair.op()) from None
+    except HypothesisFailed as e:
+        raise HypothesisFailed(e.which, e.witness.op()) from None
+    except S2OF3Failed:  # the least triple is not op-conjugate: recompute it
+        raise S2OF3Failed(check_s2of3(rel).witness) from None
+    except InvalidCenters:
+        raise InvalidCenters(validate_centers(rel, chi)) from None
+
+
 def construct_terminal(rel: RelStruct) -> ModelStruct:
     """The terminal structure: fibrations are the right complement of W_c."""
     report = recognition_report(rel)
@@ -179,11 +192,11 @@ def construct_from_centers(rel: RelStruct, chi: CenterMap) -> ModelStruct:
 
 
 def construct_from_centers_dual(rel: RelStruct, chi: CenterMap) -> ModelStruct:
-    """The dual center structure: cofibrations are the left complement of Q_chi."""
-    _require_valid_centers(rel, chi)
-    cof = left_complement(compute_Qchi(rel, chi))
-    fib = right_complement(cof & rel.weq)
-    return _verified(rel, cof, fib, "dual center construction")
+    """The dual center structure: :func:`construct_from_centers` on the
+    opposite structure.  Cofibrations are the left complement of W_f^chi,
+    which is also the left complement of Q_chi."""
+    with _witnesses_from_op(rel, chi):
+        return construct_from_centers(rel.op(), chi).op()
 
 
 def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
@@ -212,22 +225,10 @@ def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
 
 
 def construct_genMC_dual(rel: RelStruct, q: MorphClass) -> ModelStruct:
-    """Dual generated structure: cofibrations are the left complement of Q <= W."""
-    extra = q.mask & ~rel.weq.mask
-    if extra:
-        raise JNotInW(rel.lattice.pairs[next(iter_bits(extra))])
-    s2 = check_s2of3(rel)
-    if not s2.ok:
-        raise S2OF3Failed(s2.witness)
-    cof = left_complement(q)
-    fib = right_complement(rel.weq & cof)
-    bad = left_complement(fib).mask & ~rel.weq.mask
-    if bad:
-        raise HypothesisFailed(2, rel.lattice.pairs[next(iter_bits(bad))])
-    bad = right_complement(cof).mask & ~rel.weq.mask
-    if bad:
-        raise HypothesisFailed(3, rel.lattice.pairs[next(iter_bits(bad))])
-    return _verified(rel, cof, fib, "dual generated construction")
+    """Dual generated structure: :func:`construct_genMC` on the opposite
+    structure, so cofibrations are the left complement of Q <= W."""
+    with _witnesses_from_op(rel):
+        return construct_genMC(rel.op(), q.op()).op()
 
 
 def construct_newcofib(m: ModelStruct, chi: CenterMap) -> ModelStruct:
@@ -246,14 +247,11 @@ def construct_newcofib(m: ModelStruct, chi: CenterMap) -> ModelStruct:
 
 
 def construct_newfib_dual(m: ModelStruct, chi: CenterMap) -> ModelStruct:
-    """Dually enlarge the acyclic fibrations of a verified structure by Q_chi."""
+    """Dually enlarge the acyclic fibrations of a verified structure by
+    Q_chi: :func:`construct_newcofib` on the opposite structure."""
     _require_verified(m)
-    _require_valid_centers(m.rel, chi)
-    q = m.acyclic_fibrations() | compute_Qchi(m.rel, chi)
-    out = construct_genMC_dual(m.rel, q)
-    if not m.fib <= out.fib:
-        raise InternalCheckFailed("enlarged structure does not contain the old fibrations")
-    return out
+    with _witnesses_from_op(m.rel, chi):
+        return construct_newcofib(m.op(), chi).op()
 
 
 def cofibrant_objects(m: ModelStruct) -> tuple[int, ...]:
@@ -263,9 +261,9 @@ def cofibrant_objects(m: ModelStruct) -> tuple[int, ...]:
 
 
 def fibrant_objects(m: ModelStruct) -> tuple[int, ...]:
+    """:func:`cofibrant_objects` of the opposite structure."""
     _require_verified(m)
-    lat = m.lattice
-    return tuple(a for a in range(lat.n) if (a, lat.top) in m.fib)
+    return cofibrant_objects(m.op())
 
 
 def extract_centers(m: ModelStruct) -> CenterMap:
@@ -294,30 +292,25 @@ def replacement(m: ModelStruct, a: int, side: str) -> int:
     """Cofibrant or fibrant replacement of an object.
 
     The unique middle of factoring bottom -> a as a cofibration followed by
-    an acyclic fibration (resp. a -> top as an acyclic cofibration followed
-    by a fibration).  The replacement is one zigzag step from a and one
-    from a's center; both memberships are asserted.
+    an acyclic fibration.  The replacement is one zigzag step from a and one
+    from a's center; both memberships are asserted.  Fibrant replacement is
+    cofibrant replacement in the opposite structure: the middle of a -> top
+    as an acyclic cofibration followed by a fibration.
     """
     _require_verified(m)
+    if side == "fibrant":
+        return replacement(m.op(), a, "cofibrant")
+    if side != "cofibrant":
+        raise InvalidInput(f"side must be 'cofibrant' or 'fibrant', got {side!r}")
     lat = m.lattice
     chi = extract_centers(m)
-    if side == "cofibrant":
-        middles = factorize(m.cof, m.acyclic_fibrations(), Pair(lat.bottom, a))
-        if len(middles) != 1:
-            raise InternalCheckFailed(f"cofibrant replacement of {lat.name(a)} not unique: {middles}")
-        g = middles[0]
-        if (g, a) not in m.acyclic_fibrations() or (g, chi.chi[a]) not in m.acyclic_cofibrations():
-            raise InternalCheckFailed("cofibrant replacement zigzag broken")
-        return g
-    if side == "fibrant":
-        middles = factorize(m.acyclic_cofibrations(), m.fib, Pair(a, lat.top))
-        if len(middles) != 1:
-            raise InternalCheckFailed(f"fibrant replacement of {lat.name(a)} not unique: {middles}")
-        g = middles[0]
-        if (a, g) not in m.acyclic_cofibrations() or (chi.chi[a], g) not in m.acyclic_fibrations():
-            raise InternalCheckFailed("fibrant replacement zigzag broken")
-        return g
-    raise InvalidInput(f"side must be 'cofibrant' or 'fibrant', got {side!r}")
+    middles = factorize(m.cof, m.acyclic_fibrations(), Pair(lat.bottom, a))
+    if len(middles) != 1:
+        raise InternalCheckFailed(f"cofibrant replacement of {lat.name(a)} not unique: {middles}")
+    g = middles[0]
+    if (g, a) not in m.acyclic_fibrations() or (g, chi.chi[a]) not in m.acyclic_cofibrations():
+        raise InternalCheckFailed("cofibrant replacement zigzag broken")
+    return g
 
 
 def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:

@@ -6,20 +6,22 @@ subclasses of W, and the finite recognition decision.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
-from .classes import MorphClass, is_binary_coproduct_closed, is_composition_closed
+from .classes import MorphClass, is_binary_coproduct_closed, subcategory_check
 from .errors import InternalCheckFailed, MissingIdentities, NotCompositionClosed
-from .lattice import FiniteLattice, Pair, iter_bits
+from .lattice import Dualizable, FiniteLattice, Pair, iter_bits
 from .report import Check, Report
 
 
-class RelStruct:
+class RelStruct(Dualizable):
     """A finite bounded lattice plus a subcategory of weak equivalences.
 
     `components` are the equivalence classes of the symmetric-transitive
     closure of W (zigzag connectivity), each sorted, listed by least
-    element.  W-derived classes are cached write-once.
+    element.  W-derived classes are cached write-once.  ``op()`` is the
+    same W over the opposite lattice, with the same components.
     """
 
     def __init__(self, lattice: FiniteLattice, weq: MorphClass):
@@ -48,9 +50,16 @@ class RelStruct:
             for x in range(lattice.n)
         )
         self._wc: MorphClass | None = None
-        self._wf: MorphClass | None = None
         self._s2of3: Report | None = None
         self._cw: Report | None = None
+        self._op = None
+
+    def _reversed(self) -> "RelStruct":
+        """W over the opposite lattice, sharing the components."""
+        o = copy.copy(self)
+        o.lattice, o.weq = self.lattice.op(), self.weq.op()
+        o._wc = o._s2of3 = o._cw = None
+        return o
 
     def __eq__(self, other):
         if not isinstance(other, RelStruct):
@@ -74,14 +83,11 @@ def validate_relative(lattice: FiniteLattice, pairs, add_identities: bool = Fals
     identity is an error.  Composition closure is verified, never repaired.
     """
     weq = MorphClass.from_pairs(lattice, pairs, add_identities=add_identities)
-    if not weq.has_identities():
-        missing = lattice.identity_mask & ~weq.mask
-        i = next(iter_bits(missing))
-        raise MissingIdentities(lattice.name(lattice.pairs[i].src))
-    closed = is_composition_closed(weq)
-    if not closed:
-        a, b, c = closed.witness
-        raise NotCompositionClosed((lattice.name(a), lattice.name(b), lattice.name(c)))
+    sub = subcategory_check(weq, "weq")
+    if not sub:
+        if len(sub.witness) == 1:  # (Pair(x, x),): a missing identity
+            raise MissingIdentities(lattice.name(sub.witness[0].src))
+        raise NotCompositionClosed(tuple(lattice.name(x) for x in sub.witness))
     return RelStruct(lattice, weq)
 
 
@@ -111,42 +117,35 @@ def check_s2of3(rel: RelStruct) -> Report:
     return rel._s2of3
 
 
+def _pushout_stable_part(rel: RelStruct, allowed: int, label: str) -> MorphClass:
+    """The W-morphisms all of whose pushouts lie in the pair mask `allowed`.
+
+    The theory guarantees a subcategory; that is asserted, naming `label`.
+    """
+    lat = rel.lattice
+    targets = lat.pushout_targets
+    mask = 0
+    for i in iter_bits(rel.weq.mask):
+        if all((allowed >> t) & 1 for t in targets[i]):
+            mask |= 1 << i
+    out = MorphClass(lat, mask)
+    sub = subcategory_check(out, label)
+    if not sub:
+        raise InternalCheckFailed(f"{label} is not a subcategory, witness {sub.witness}")
+    return out
+
+
 def compute_Wc(rel: RelStruct) -> MorphClass:
     """Largest subcategory of W all of whose pushouts stay in W."""
     if rel._wc is None:
-        lat = rel.lattice
-        mask = 0
-        targets = lat.pushout_targets
-        for i in iter_bits(rel.weq.mask):
-            if all((rel.weq.mask >> t) & 1 for t in targets[i]):
-                mask |= 1 << i
-        wc = MorphClass(lat, mask)
-        _require_subcategory(wc, "W_c")
-        rel._wc = wc
+        rel._wc = _pushout_stable_part(rel, rel.weq.mask, "W_c")
     return rel._wc
 
 
 def compute_Wf(rel: RelStruct) -> MorphClass:
-    """Largest subcategory of W all of whose pullbacks stay in W."""
-    if rel._wf is None:
-        lat = rel.lattice
-        mask = 0
-        targets = lat.pullback_targets
-        for i in iter_bits(rel.weq.mask):
-            if all((rel.weq.mask >> t) & 1 for t in targets[i]):
-                mask |= 1 << i
-        wf = MorphClass(lat, mask)
-        _require_subcategory(wf, "W_f")
-        rel._wf = wf
-    return rel._wf
-
-
-def _require_subcategory(s: MorphClass, label: str) -> None:
-    if not s.has_identities():
-        raise InternalCheckFailed(f"{label} lost an identity")
-    closed = is_composition_closed(s)
-    if not closed:
-        raise InternalCheckFailed(f"{label} is not composition-closed, witness {closed.witness}")
+    """Largest subcategory of W all of whose pullbacks stay in W: W_c of
+    the opposite structure (:func:`compute_Wc`)."""
+    return compute_Wc(rel.op()).op()
 
 
 def check_cw_factorization(rel: RelStruct) -> Report:

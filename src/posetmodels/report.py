@@ -21,9 +21,12 @@ class Check:
 class Report:
     checks: tuple[Check, ...]
 
+    def __post_init__(self):  # once: a verified structure's report is re-read by every guard on it
+        object.__setattr__(self, "_ok", all(c.ok for c in self.checks))
+
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return self._ok
 
     def __bool__(self) -> bool:
         return self.ok

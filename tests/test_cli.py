@@ -270,3 +270,34 @@ def test_trunc_fixture_recognize(tmp_path):
     path = write_fixture(tmp_path, "trunc-2")
     code, out = run(["recognize", path])
     assert code == 0 and parse_report(out).decision == "yes"
+
+
+def test_missing_generators_file_is_an_input_error(tmp_path, capsys):
+    path = write_fixture(tmp_path, "two-structures")
+    capsys.readouterr()
+    missing = tmp_path / "no-such-generators.json"
+    code, out = run(["synthesize", "--method", "genmc", "--generators", str(missing), path])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: PosetModelError: cannot read {missing}: ")
+
+
+def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
+    path = write_fixture(tmp_path, "two-structures")
+    capsys.readouterr()
+    target = tmp_path / "no-such-dir" / "report.json"
+    code, out = run(["--out", str(target), "recognize", path])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: PosetModelError: cannot write {target}: ")
+
+
+def test_mismatched_base_diagnostic(tmp_path, capsys, two_structures):
+    from posetmodels import enumerate_model_structures, load
+
+    left = write_structure(tmp_path, "two-structures", left_printed(two_structures), "l.json")
+    other = write_structure(tmp_path, "forced", enumerate_model_structures(load("forced"))[0], "f.json")
+    capsys.readouterr()
+    code, _ = run(["zigzag", left, other])
+    assert code == 2
+    assert capsys.readouterr().err == "error: MismatchedBase: structures live on different lattices\n"
