@@ -37,7 +37,10 @@ def center_square(rel: RelStruct, a: int, c: int) -> tuple[Pair, Pair, Pair, Pai
 
 
 def _square_in_weq(rel: RelStruct, a: int, c: int) -> bool:
-    return all(p in rel.weq for p in center_square(rel, a, c))
+    """Whether all four edges of the comparison square of a with c lie in W."""
+    lat = rel.lattice
+    ac = 1 << a | 1 << c
+    return (rel.weq.rows[lat.meet(a, c)] & ac) == ac and (rel.weq.cols[lat.join(a, c)] & ac) == ac
 
 
 def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
@@ -75,9 +78,10 @@ def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
     checks.append(Check("center_in_component", witness is None, witness))
 
     witness = None
+    rows = rel.weq.rows
     for a in range(n):
         for p in center_square(rel, a, chi.chi[a]):
-            if p not in rel.weq:
+            if not rows[p.src] >> p.dst & 1:
                 witness = (a, p)
                 break
         if witness:

@@ -177,6 +177,8 @@ def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> li
 
 
 def is_pushout_closed(s: MorphClass) -> Check:
+    """Every pushout of a member is a member; the witness is the least
+    member f and its least escaping pushout, ``(f, pushout)``."""
     lat = s.lattice
     ps = lat.pairs
     targets = lat.pushout_targets
@@ -209,6 +211,12 @@ def is_composition_closed(s: MorphClass) -> Check:
 
 
 def is_binary_coproduct_closed(s: MorphClass) -> Check:
+    """The join of any two members is a member, by a direct O(|s|^2) scan.
+
+    For a subcategory this follows from :func:`is_pushout_closed`, since a
+    binary coproduct is a composite of two pushouts; the recognition guard
+    checks that instead, and this scan remains as an independent oracle.
+    """
     members = s.pairs()
     for f in members:
         for g in members:

@@ -51,10 +51,12 @@ class ModelStruct(Dualizable):
     fib: MorphClass
     report: Report | None = field(default=None, repr=False)
     _op: object = field(default=None, init=False, repr=False)
+    _centers: CenterMap | None = field(default=None, init=False, repr=False)
 
     def _reversed(self) -> "ModelStruct":
         """The opposite structure: cof and fib swap.  A passing report carries
-        over, since the axioms are self-dual and it has no witnesses."""
+        over, since the axioms are self-dual and it has no witnesses; the
+        center memo does not."""
         return ModelStruct(self.rel.op(), self.fib.op(), self.cof.op(), self.report if self.verified else None)
 
     @property
@@ -168,7 +170,7 @@ def _witnesses_from_op(rel: RelStruct, chi: CenterMap | None = None):
 
 def construct_terminal(rel: RelStruct) -> ModelStruct:
     """The terminal structure: fibrations are the right complement of W_c."""
-    report = recognition_report(rel)
+    report = recognition_report(rel)  # cached on rel: recognize_finite built it already
     if not report.ok:
         bad = report.witness_check()
         raise RecognitionFailed(bad.name, bad.witness)
@@ -268,7 +270,14 @@ def fibrant_objects(m: ModelStruct) -> tuple[int, ...]:
 
 def extract_centers(m: ModelStruct) -> CenterMap:
     """The center map of a verified structure: each component's unique
-    cofibrant-and-fibrant object."""
+    cofibrant-and-fibrant object.
+
+    The first call on a structure validates the map in full; only a map
+    that passed is memoised on the structure (write-once), and later calls
+    return it.  ``m.op()`` keeps a memo of its own.
+    """
+    if m._centers is not None:
+        return m._centers
     _require_verified(m)
     cf = set(cofibrant_objects(m)) & set(fibrant_objects(m))
     chi = [0] * m.lattice.n
@@ -285,6 +294,7 @@ def extract_centers(m: ModelStruct) -> CenterMap:
     if not report.ok:
         bad = report.witness_check()
         raise InternalCheckFailed(f"extracted centers invalid at {bad.name}, witness {bad.witness}")
+    m._centers = out
     return out
 
 

@@ -86,6 +86,26 @@ def compose_close(pairs) -> set:
     return pairs
 
 
+def pushout_compose_close(lattice, pairs) -> set:
+    """Least pair set containing `pairs` and closed under pushouts (a, b)
+    -> (c, b v c) for every c >= a, and under composition; joins come from
+    :func:`naive_join`."""
+    out = set(pairs)
+    while True:
+        grown = compose_close(
+            out
+            | {
+                (c, naive_join(lattice, b, c))
+                for (a, b) in out
+                for c in range(lattice.n)
+                if lattice.leq(a, c)
+            }
+        )
+        if grown == out:
+            return out
+        out = grown
+
+
 def structure_from_acyclic_cofibs(rel, name_pairs) -> ModelStruct:
     """Rebuild a printed structure from its decorated acyclic cofibrations,
     using WFS maximality for the full classes."""

@@ -62,6 +62,17 @@ def test_validate_catches_bad_maps(two_structures):
     assert not rep.ok
 
 
+def test_squares_witness_is_first_missing_edge(forced):
+    # U's square with Up misses both bot->Up and bot->U; the edges are
+    # scanned meet->center, meet->a, a->join, center->join
+    lat = forced.lattice
+    u, up = lat.index("U"), lat.index("Up")
+    chi = list(range(lat.n))
+    chi[u] = up
+    rep = validate_centers(forced, CenterMap(tuple(chi)))
+    assert rep["squares_in_weq"].witness == (u, Pair(lat.bottom, up))
+
+
 def test_find_on_identities():
     rel = identity_rel()
     assert find_centers(rel) == CenterMap(tuple(range(rel.lattice.n)))

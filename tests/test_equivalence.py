@@ -1,12 +1,20 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from posetmodels import (
     build_zigzag,
     enumerate_model_structures,
+    extract_centers,
     homotopy_reduce,
     is_identity_left_quillen,
+    load,
+    models,
+    recognize_finite,
 )
-from posetmodels.errors import MismatchedBase
+from posetmodels.errors import InternalCheckFailed, MismatchedBase
+from posetmodels.report import Check, Report
 
 from test_models import left_printed, right_printed, trivial_structure, identity_rel
 
@@ -105,3 +113,62 @@ def test_reduce_counit_memberships(two_structures):
     for a in range(m.lattice.n):
         assert (maps.cofibrant[a], a) in afib
         assert (a, maps.fibrant[a]) in acof
+
+
+def test_reduce_validates_centers_once_per_side(monkeypatch):
+    # one full validation for m and one for m.op(), whatever n and |D|
+    calls = []
+    validate = models.validate_centers
+    monkeypatch.setattr(models, "validate_centers", lambda rel, chi: calls.append(chi) or validate(rel, chi))
+    structures = enumerate_model_structures(load("two-structures"))
+    assert len(structures) == 10
+    for m in structures:
+        calls.clear()
+        homotopy_reduce(m)
+        assert len(calls) == 2
+        homotopy_reduce(m)
+        assert len(calls) == 2
+
+
+def test_center_memo_written_after_validation_not_carried_to_op(monkeypatch):
+    m = enumerate_model_structures(load("two-structures"))[0]
+    assert m._centers is None
+    chi = extract_centers(m)
+    assert m._centers is chi and extract_centers(m) is chi
+    o = m.op()
+    assert o._centers is None
+    assert extract_centers(o) == chi and o._centers is not chi
+    # a map that fails validation is never memoised: every call re-checks
+    failed = Report((Check("idempotent", False, (0,)),))
+    monkeypatch.setattr(models, "validate_centers", lambda rel, chi: failed)
+    m = enumerate_model_structures(load("two-structures"))[0]
+    for _ in range(2):
+        with pytest.raises(InternalCheckFailed):
+            extract_centers(m)
+        assert m._centers is None
+
+
+def test_memos_are_safe_to_share_across_threads():
+    # more threads than cores race on the first write of every memo; each
+    # must see the same report, centers and reduction
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rel = load("two-structures")
+        structures = enumerate_model_structures(load("two-structures"))
+
+        def work(_):
+            return (
+                recognize_finite(rel).report,
+                [extract_centers(m) for m in structures],
+                [homotopy_reduce(m)[2] for m in structures],
+            )
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, i) for i in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results)
+    assert rel._report == results[0][0]
+    assert [m._centers for m in structures] == results[0][1]

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from posetmodels import (
+    InstanceGen,
     MorphClass,
     Pair,
     build_lattice,
@@ -12,10 +15,23 @@ from posetmodels import (
     is_composition_closed,
     is_pullback_closed,
     is_pushout_closed,
+    load,
+    random_instances,
     recognize_finite,
+    relative,
     validate_relative,
 )
-from posetmodels.errors import MissingIdentities, NotComparable, NotCompositionClosed
+from posetmodels.errors import (
+    InternalCheckFailed,
+    MissingIdentities,
+    NotComparable,
+    NotCompositionClosed,
+)
+from posetmodels.relative import recognition_report
+
+from helpers import pushout_compose_close
+
+FIXTURES = ("two-structures", "forced", "s2of3-fail", "chain-3", "chain-8", "trunc-1", "trunc-2")
 
 
 def three_chain():
@@ -111,3 +127,64 @@ def test_recognition_matches_oracle_on_fixtures(two_structures, s2of3_fail):
 
     assert decide_by_enumeration(two_structures) is True
     assert decide_by_enumeration(s2of3_fail) is False
+
+
+def test_pushout_guard_implies_coproduct_closure():
+    # the recognition guard checks pushout closure of W_c; the direct
+    # coproduct scan is the oracle for the lemma that this is no weaker
+    rels = [load(name) for name in FIXTURES]
+    rels += [r for r, _ in zip(random_instances(InstanceGen(seed=5)), range(250))]
+    for rel in rels:
+        wc = compute_Wc(rel)
+        assert is_pushout_closed(wc).ok
+        assert is_composition_closed(wc).ok
+        assert is_binary_coproduct_closed(wc).ok
+
+
+def test_pushout_and_composition_closure_is_coproduct_closed():
+    rng = random.Random(7)
+    lattices = [load(name).lattice for name in ("two-structures", "trunc-1", "chain-8")]
+    bigger = (r.lattice for r in random_instances(InstanceGen(seed=3)) if r.lattice.n >= 5)
+    lattices += [lat for lat, _ in zip(bigger, range(12))]
+    for lat in lattices:
+        for _ in range(4):
+            seed = [p for p in lat.pairs if p.src != p.dst and rng.random() < 0.15]
+            s = MorphClass.from_pairs(lat, pushout_compose_close(lat, seed))
+            assert is_pushout_closed(s).ok and is_composition_closed(s).ok
+            assert is_binary_coproduct_closed(s).ok
+
+
+def test_recognition_guard_fires_on_non_pushout_closed_wc():
+    rel = load("two-structures")
+    lat = rel.lattice
+    rel._wc = MorphClass.from_pairs(lat, [("A", "B")], add_identities=True)
+    with pytest.raises(InternalCheckFailed) as exc:
+        recognition_report(rel)
+    # the least member with an escaping pushout, and that pushout along A <= Bp
+    witness = (Pair(lat.index("A"), lat.index("B")), Pair(lat.index("Bp"), lat.index("C")))
+    assert is_pushout_closed(rel._wc).witness == witness
+    assert str(exc.value).endswith(f"W_c fails the pushout_closed guard, witness (f, pushout) = {witness}")
+    assert rel._report is None
+
+
+def test_recognition_report_cached_per_structure():
+    rel = load("s2of3-fail")
+    report = recognition_report(rel)
+    assert recognition_report(rel) is report
+    # the opposite never starts from the primal's report, whenever it is built
+    assert rel._reversed()._report is None
+    o = rel.op()
+    assert recognition_report(o).checks == check_s2of3(o).checks + check_cw_factorization(o).checks
+
+
+def test_recognize_runs_the_guard_once(monkeypatch):
+    calls = []
+    scan = relative.is_pushout_closed
+    monkeypatch.setattr(relative, "is_pushout_closed", lambda s: calls.append(s) or scan(s))
+    for name in ("two-structures", "forced", "trunc-1", "chain-8"):
+        rel = load(name)
+        calls.clear()
+        assert recognize_finite(rel).yes
+        assert len(calls) == 1
+        recognize_finite(rel)
+        assert len(calls) == 1
