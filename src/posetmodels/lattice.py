@@ -4,13 +4,16 @@ Elements are integer indices into a name list.  The order convention is
 ``a -> b`` iff ``a <= b``, so coproducts and pushouts are joins, products
 and pullbacks are meets, the initial object is the bottom and the terminal
 object is the top.  Element subsets and morphism sets are represented as
-integer bitmasks throughout, which keeps the exhaustive scans cheap.
+integer bitmasks throughout, which keeps the exhaustive scans cheap; each
+pair's pushout and pullback targets are pair masks too.
 
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
 order, so a class mask names the same morphisms on both sides and witnesses
-stay the same least pairs.  Orientation is part of equality: ``L.op()`` is
-not equal to the lattice built from the reversed order.
+stay the same least pairs.  Each side builds only its own left lift table;
+L's right table is the left table of ``L.op()``.  Orientation is part of
+equality: ``L.op()`` is not equal to the lattice built from the reversed
+order.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ELEMENTS = 512
+MAX_PAIRS = 16_384  # comparable pairs; see build_lattice
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -90,7 +94,7 @@ class FiniteLattice(Dualizable):
         self._pair_index: dict[Pair, int] | None = None
         self._identity_mask: int | None = None
         self._nonlift_left: list[int] | None = None
-        self._pushout_targets: list[tuple[int, ...]] | None = None
+        self._pushout_targets: list[int] | None = None
 
     def _reversed(self) -> "FiniteLattice":
         """The opposite lattice, sharing this one's tables, swapped."""
@@ -194,23 +198,20 @@ class FiniteLattice(Dualizable):
         return (1 << len(self.pairs)) - 1
 
     def _build_lift_tables(self) -> None:
-        # nonlift_left[i]  = mask of j such that pairs[i] does NOT lift left of pairs[j]
-        # nonlift_right[j] = mask of i such that pairs[i] does NOT lift left of pairs[j]
-        ps = self.pairs
-        p = len(ps)
-        left = [0] * p
-        right = [0] * p
-        up = self._up
-        for i, (a, b) in enumerate(ps):
-            if a == b:
-                continue  # identities lift against everything
-            for j, (x, y) in enumerate(ps):
-                # square exists iff a<=x and b<=y; the lift is b<=x
-                if (up[a] >> x) & 1 and (up[b] >> y) & 1 and not (up[b] >> x) & 1:
-                    left[i] |= 1 << j
-                    right[j] |= 1 << i
-        self._nonlift_left = left
-        self.op()._nonlift_left = right  # f lifts left of g iff g lifts left of f in op
+        # nonlift_left[i] = mask of j such that pairs[i] does NOT lift left of pairs[j]:
+        # for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and y in up[b]
+        by_src = [0] * self.n
+        by_dst = [0] * self.n
+        for j, (x, y) in enumerate(self.pairs):
+            by_src[x] |= 1 << j
+            by_dst[y] |= 1 << j
+        src_up = [0] * self.n  # src_up[a] = pairs whose source is >= a
+        dst_up = [0] * self.n  # dst_up[b] = pairs whose target is >= b
+        for a in range(self.n):
+            for x in iter_bits(self._up[a]):
+                src_up[a] |= by_src[x]
+                dst_up[a] |= by_dst[x]
+        self._nonlift_left = [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in self.pairs]
 
     @property
     def nonlift_left(self) -> list[int]:
@@ -220,38 +221,28 @@ class FiniteLattice(Dualizable):
 
     @property
     def nonlift_right(self) -> list[int]:
+        """nonlift_right[j] = mask of i such that pairs[i] does NOT lift left of
+        pairs[j]: f lifts left of g iff g lifts left of f in op, so op builds it."""
         return self.op().nonlift_left
 
     @property
-    def pushout_targets(self) -> list[tuple[int, ...]]:
-        """For each pair index i=(a,b): indices of (c, b v c) over all c >= a."""
+    def pushout_targets(self) -> list[int]:
+        """For each pair index i=(a,b): the pair mask of (c, b v c) over all c >= a."""
         if self._pushout_targets is None:
             idx = self.pair_index
             out = []
             for (a, b) in self.pairs:
-                targets = {idx[Pair(c, self._join[b][c])] for c in iter_bits(self._up[a])}
-                out.append(tuple(sorted(targets)))
+                targets = 0
+                for c in iter_bits(self._up[a]):
+                    targets |= 1 << idx[Pair(c, self._join[b][c])]
+                out.append(targets)
             self._pushout_targets = out
         return self._pushout_targets
 
     @property
-    def pullback_targets(self) -> list[tuple[int, ...]]:
-        """For each pair index i=(a,b): indices of (a ^ c, c) over all c <= b; op's pushout targets."""
+    def pullback_targets(self) -> list[int]:
+        """For each pair index i=(a,b): the pair mask of (a ^ c, c) over all c <= b; op's pushout targets."""
         return self.op().pushout_targets
-
-
-def _transitive_closure(n: int, up: list[int]) -> list[int]:
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            acc = up[a]
-            for b in iter_bits(acc):
-                acc |= up[b]
-            if acc != up[a]:
-                up[a] = acc
-                changed = True
-    return up
 
 
 def build_lattice(
@@ -267,6 +258,11 @@ def build_lattice(
     when some pair has no unique join or meet, and :class:`Unbounded` when
     there is no global bottom or top (only possible for an empty element
     list once the lattice checks pass).
+
+    Raises :class:`CapExceeded` for more than `max_elements` elements, and
+    for more than :data:`MAX_PAIRS` comparable pairs right after the
+    closure, before any table is built: the two lift tables hold P^2 bits,
+    so the pair count P, not the element count, bounds their memory.
     """
     names = list(names)
     n = len(names)
@@ -288,46 +284,43 @@ def build_lattice(
         if y not in index:
             raise InvalidInput(f"relation references unknown label {y!r}")
         up[index[x]] |= 1 << index[y]
-    up = _transitive_closure(n, up)
+    for k in range(n):  # Warshall's transitive closure
+        for a in range(n):
+            if up[a] >> k & 1:
+                up[a] |= up[k]
 
     for a in range(n):
         for b in iter_bits(up[a]):
             if b != a and (up[b] >> a) & 1:
                 raise CycleDetected(names[a], names[b])
+    n_pairs = sum(m.bit_count() for m in up)
+    if n_pairs > MAX_PAIRS:
+        raise CapExceeded("comparable pairs", MAX_PAIRS, n_pairs)
 
     down = [0] * n
     for a in range(n):
         for b in iter_bits(up[a]):
             down[b] |= 1 << a
 
+    # the upper bounds of {a, b} are up[a v b] when the join exists, and
+    # otherwise the up-mask of no element; meets likewise through down
+    by_up = {m: u for u, m in enumerate(up)}
+    by_down = {m: v for v, m in enumerate(down)}
     join_table = [[0] * n for _ in range(n)]
     meet_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            uppers = up[a] & up[b]
-            least = None
-            for u in iter_bits(uppers):
-                if uppers & ~up[u] == 0:
-                    least = u
-                    break
+            least = by_up.get(up[a] & up[b])
             if least is None:
                 raise NotALattice(names[a], names[b], "join")
             join_table[a][b] = join_table[b][a] = least
-            lowers = down[a] & down[b]
-            greatest = None
-            for v in iter_bits(lowers):
-                if lowers & ~down[v] == 0:
-                    greatest = v
-                    break
+            greatest = by_down.get(down[a] & down[b])
             if greatest is None:
                 raise NotALattice(names[a], names[b], "meet")
             meet_table[a][b] = meet_table[b][a] = greatest
 
-    bottom = top = 0
-    for a in range(1, n):
-        bottom = meet_table[bottom][a]
-        top = join_table[top][a]
-    return FiniteLattice(names, up, down, join_table, meet_table, bottom, top)
+    every = (1 << n) - 1
+    return FiniteLattice(names, up, down, join_table, meet_table, by_up[every], by_down[every])
 
 
 def join_all(lattice: FiniteLattice, elems: Iterable[int]) -> int:

@@ -25,7 +25,6 @@ from .classes import (
     factorize,
     is_wfs,
     left_complement,
-    lifts,
     right_complement,
     subcategory_check,
 )
@@ -258,8 +257,7 @@ def construct_newfib_dual(m: ModelStruct, chi: CenterMap) -> ModelStruct:
 
 def cofibrant_objects(m: ModelStruct) -> tuple[int, ...]:
     _require_verified(m)
-    lat = m.lattice
-    return tuple(a for a in range(lat.n) if (lat.bottom, a) in m.cof)
+    return tuple(iter_bits(m.cof.rows[m.lattice.bottom]))
 
 
 def fibrant_objects(m: ModelStruct) -> tuple[int, ...]:
@@ -336,7 +334,7 @@ def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:
     first, second = Pair(f.src, m), Pair(m, f.dst)
     if first not in wc or second not in wf:
         raise InternalCheckFailed(f"canonical factorization of {f} escaped its classes")
-    if any(not lifts(lat, w, second) for w in wc):
+    if wc.mask & lat.nonlift_right[lat.pair_index[second]]:
         raise InternalCheckFailed(f"second factor of {f} not right-lifting against W_c^chi")
     return m
 

@@ -42,26 +42,18 @@ def _close(lat: FiniteLattice, start: int, weq_mask: int) -> int | None:
     while work:
         i = work.pop()
         a, b = ps[i]
-        new = []
-        for t in pushouts[i]:
-            if (mask >> t) & 1 == 0:
-                new.append(t)
+        new = pushouts[i]
         for j in by_src.get(b, ()):  # (b, c) present: compose to (a, c)
-            t = index[(a, ps[j].dst)]
-            if (mask >> t) & 1 == 0:
-                new.append(t)
+            new |= 1 << index[(a, ps[j].dst)]
         for j in by_dst.get(a, ()):  # (c, a) present: compose to (c, b)
-            t = index[(ps[j].src, b)]
-            if (mask >> t) & 1 == 0:
-                new.append(t)
+            new |= 1 << index[(ps[j].src, b)]
         by_src.setdefault(a, []).append(i)
         by_dst.setdefault(b, []).append(i)
-        for t in new:
-            if (weq_mask >> t) & 1 == 0:
-                return None
-            if (mask >> t) & 1 == 0:
-                mask |= 1 << t
-                work.append(t)
+        new &= ~mask
+        if new & ~weq_mask:
+            return None
+        mask |= new
+        work.extend(iter_bits(new))
     return mask
 
 

@@ -128,7 +128,7 @@ def _pushout_stable_part(rel: RelStruct, allowed: int, label: str) -> MorphClass
     targets = lat.pushout_targets
     mask = 0
     for i in iter_bits(rel.weq.mask):
-        if all((allowed >> t) & 1 for t in targets[i]):
+        if targets[i] & ~allowed == 0:
             mask |= 1 << i
     out = MorphClass(lat, mask)
     sub = subcategory_check(out, label)

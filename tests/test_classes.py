@@ -20,6 +20,7 @@ from posetmodels import (
     right_complement,
 )
 from posetmodels.errors import NoFactorization, NotComparable, NotPushoutClosed
+from posetmodels.lattice import iter_bits
 
 from helpers import naive_left_complement, naive_lifts, naive_right_complement
 from test_lattice import lattices
@@ -139,7 +140,7 @@ def test_see_lift_equivalence(lc):
         changed = False
         for i in list(range(len(lat.pairs))):
             if (mask >> i) & 1:
-                for t in lat.pushout_targets[i]:
+                for t in iter_bits(lat.pushout_targets[i]):
                     if (mask >> t) & 1 == 0:
                         mask |= 1 << t
                         changed = True

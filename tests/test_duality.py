@@ -38,6 +38,7 @@ from posetmodels import (
 )
 from posetmodels.centers import CenterMap
 from posetmodels.errors import PosetModelError
+from posetmodels.lattice import iter_bits
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "chain-3", "trunc-1")
 CAPS = {"trunc-1": {"max_elements": 24, "max_generators": 32}}
@@ -64,7 +65,7 @@ def snapshot(name):
     rel = load(name)
     lat = rel.lattice
     out = {
-        "pullback_targets": tuple(lat.pullback_targets),
+        "pullback_targets": tuple(tuple(iter_bits(t)) for t in lat.pullback_targets),
         "meet_all": tuple(meet_all(lat, comp) for comp in rel.components) + (meet_all(lat, ()),),
         "Wf": compute_Wf(rel).mask,
     }

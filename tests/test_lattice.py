@@ -3,16 +3,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetmodels import Pair, build_lattice, join_all, meet_all, pullback_of, pushout_of
+from posetmodels import lattice as lattice_module
+from posetmodels.cli import run_cli
 from posetmodels.errors import (
     CapExceeded,
     CycleDetected,
     InvalidInput,
     NotALattice,
     NotComparable,
+    PosetModelError,
     Unbounded,
 )
+from posetmodels.formats import InstanceFile, print_instance
 
-from helpers import naive_join, naive_meet
+from helpers import naive_join, naive_lifts, naive_meet
 
 
 @st.composite
@@ -79,6 +83,40 @@ def test_size_cap():
         build_lattice(names, [(names[i], names[i + 1]) for i in range(5)], max_elements=5)
 
 
+def _chain(n):
+    names = [f"n{i}" for i in range(n)]
+    return names, [(names[i], names[i + 1]) for i in range(n - 1)]
+
+
+def test_pair_cap_boundary(monkeypatch):
+    monkeypatch.setattr(lattice_module, "MAX_PAIRS", 15)  # a 5-chain has 15 pairs
+    assert len(build_lattice(*_chain(5)).pairs) == 15
+    monkeypatch.setattr(lattice_module, "MAX_PAIRS", 14)
+    with pytest.raises(CapExceeded) as exc:
+        build_lattice(*_chain(5))
+    assert (exc.value.what, exc.value.limit, exc.value.actual) == ("comparable pairs", 14, 15)
+
+
+def test_pair_cap_on_a_512_chain():
+    # within the element cap, but its lift tables would take gigabytes
+    with pytest.raises(CapExceeded) as exc:
+        build_lattice(*_chain(512))
+    assert (exc.value.what, exc.value.actual) == ("comparable pairs", 512 * 513 // 2)
+    assert exc.value.limit == lattice_module.MAX_PAIRS
+    assert len(build_lattice(*_chain(66)).pairs) == 2211  # chain-64 still builds
+
+
+def test_pair_cap_cli_diagnostic(tmp_path, capsys):
+    names, leq = _chain(512)
+    path = tmp_path / "chain-512.json"
+    path.write_text(print_instance(InstanceFile(elements=names, leq=leq, weq=[], add_identities=True)),
+                    encoding="utf-8")
+    assert run_cli(["recognize", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: CapExceeded: comparable pairs: 131328 exceeds cap {lattice_module.MAX_PAIRS}\n"
+
+
 def test_closure_of_arbitrary_order_pairs():
     # relations need not be covers
     lat = build_lattice(["x", "y", "z"], [("x", "z"), ("x", "y"), ("y", "z")])
@@ -113,6 +151,19 @@ def test_pushout_pullback_examples(two_structures, forced):
         pullback_of(lat, Pair(a, b), c)  # c is not below dst b
 
 
+@st.composite
+def relation_lists(draw, max_n=6):
+    """Element lists with arbitrary relation lists: cycles and non-lattices included."""
+    n = draw(st.integers(1, max_n))
+    names = [f"e{i}" for i in range(n)]
+    label = st.sampled_from(names)
+    return names, draw(st.lists(st.tuples(label, label), max_size=2 * n))
+
+
+def _pair_mask(lat, pairs):
+    return sum(1 << lat.pair_index[p] for p in set(pairs))
+
+
 @given(lattices())
 @settings(max_examples=60, deadline=None)
 def test_order_table_agreement(lat):
@@ -121,6 +172,34 @@ def test_order_table_agreement(lat):
             assert lat.join(a, b) == naive_join(lat, a, b)
             assert lat.meet(a, b) == naive_meet(lat, a, b)
             assert lat.leq(a, b) == (lat.join(a, b) == b) == (lat.meet(a, b) == a)
+    ps = lat.pairs
+    for i, f in enumerate(ps):
+        for j, g in enumerate(ps):
+            assert bool(lat.nonlift_left[i] >> j & 1) == (not naive_lifts(lat, f, g))
+            assert bool(lat.nonlift_right[j] >> i & 1) == (not naive_lifts(lat, f, g))
+    for i, (a, b) in enumerate(ps):
+        above = [c for c in lat.elements if lat.leq(a, c)]
+        below = [c for c in lat.elements if lat.leq(c, b)]
+        assert lat.pushout_targets[i] == _pair_mask(lat, [(c, naive_join(lat, b, c)) for c in above])
+        assert lat.pullback_targets[i] == _pair_mask(lat, [(naive_meet(lat, a, c), c) for c in below])
+
+
+def _build_outcome(names, relations):
+    try:
+        return build_lattice(names, relations)
+    except PosetModelError as e:
+        return type(e), str(e)
+
+
+@given(relation_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_closure_and_errors_ignore_relation_order(names_rels, rng):
+    names, rels = names_rels
+    shuffled = list(rels)
+    rng.shuffle(shuffled)
+    outcome = _build_outcome(names, rels)
+    assert _build_outcome(names, rels[::-1]) == outcome
+    assert _build_outcome(names, shuffled) == outcome
 
 
 @given(lattices(), st.randoms(use_true_random=False))
