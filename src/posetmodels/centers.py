@@ -44,7 +44,21 @@ def _square_in_weq(rel: RelStruct, a: int, c: int) -> bool:
 
 
 def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
-    """Check every defining property of a choice of centers, least witness each."""
+    """Check every defining property of a choice of centers, least witness each.
+
+    A map that passes is memoised on `rel` (write-once; ``rel.op()`` keeps
+    a memo of its own), and later calls return its report without checking
+    again.  A failing map is checked in full on every call.
+    """
+    report = rel._passed_centers.get(chi.chi)
+    if report is None:
+        report = _check_centers(rel, chi)
+        if report.ok:
+            report = rel._passed_centers.setdefault(chi.chi, report)
+    return report
+
+
+def _check_centers(rel: RelStruct, chi: CenterMap) -> Report:
     lat = rel.lattice
     n = lat.n
     well_formed = len(chi.chi) == n and all(0 <= v < n for v in chi.chi)

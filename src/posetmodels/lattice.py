@@ -7,6 +7,14 @@ object is the top.  Element subsets and morphism sets are represented as
 integer bitmasks throughout, which keeps the exhaustive scans cheap; each
 pair's pushout and pullback targets are pair masks too.
 
+The lift table and the pushout targets are built from per-element pair
+masks: by_src[x] and by_dst[y] hold the pairs with source x and target y,
+src_up[a] and dst_up[b] those with source >= a and target >= b.  Row
+(a, b) of the left lift table is src_up[a] & ~src_up[b] & dst_up[b].  With
+po[b] = OR over c of by_src[c] & by_dst[b v c], the mask of every pushout
+(c, b v c), the targets of (a, b) are po[b] & src_up[a]: n^2 + P mask
+operations, and no pair is looked up.
+
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
 order, so a class mask names the same morphisms on both sides and witnesses
@@ -18,6 +26,7 @@ order.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Iterable, Iterator, NamedTuple
 
@@ -42,11 +51,17 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_op_lock = threading.Lock()
+
+
 class Dualizable:
     """A cached, write-once ``op()`` built by ``_reversed()``; ``x.op().op() is x``.
 
     x holds its opposite, which refers back weakly: the pair forms no
     reference cycle and is freed with x.  Subclasses set ``_op = None``.
+    Concurrent first calls may each build an opposite, but only the first
+    one published is ever returned.  The build runs outside the lock:
+    ``_reversed`` calls ``op()`` on its parts.
     """
 
     __slots__ = ()
@@ -54,8 +69,12 @@ class Dualizable:
     def op(self):
         o = self._op() if type(self._op) is weakref.ref else self._op
         if o is None:
-            o = self._reversed()
-            self._op, o._op = o, weakref.ref(self)
+            built = self._reversed()
+            with _op_lock:
+                o = self._op() if type(self._op) is weakref.ref else self._op
+                if o is None:
+                    self._op, built._op = built, weakref.ref(self)
+                    o = built
         return o
 
 
@@ -93,6 +112,7 @@ class FiniteLattice(Dualizable):
         self._pairs: tuple[Pair, ...] | None = None
         self._pair_index: dict[Pair, int] | None = None
         self._identity_mask: int | None = None
+        self._masks: tuple[list[int], ...] | None = None
         self._nonlift_left: list[int] | None = None
         self._pushout_targets: list[int] | None = None
 
@@ -197,26 +217,34 @@ class FiniteLattice(Dualizable):
     def all_pairs_mask(self) -> int:
         return (1 << len(self.pairs)) - 1
 
-    def _build_lift_tables(self) -> None:
-        # nonlift_left[i] = mask of j such that pairs[i] does NOT lift left of pairs[j]:
-        # for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and y in up[b]
-        by_src = [0] * self.n
-        by_dst = [0] * self.n
-        for j, (x, y) in enumerate(self.pairs):
-            by_src[x] |= 1 << j
-            by_dst[y] |= 1 << j
-        src_up = [0] * self.n  # src_up[a] = pairs whose source is >= a
-        dst_up = [0] * self.n  # dst_up[b] = pairs whose target is >= b
-        for a in range(self.n):
-            for x in iter_bits(self._up[a]):
-                src_up[a] |= by_src[x]
-                dst_up[a] |= by_dst[x]
-        self._nonlift_left = [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in self.pairs]
+    def _pair_masks(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The per-element pair masks (by_src, by_dst, src_up, dst_up) of the
+        module docstring, cached.  Only nonlift_left and pushout_targets read
+        them; the one built second frees them."""
+        if self._masks is None:
+            by_src = [0] * self.n
+            by_dst = [0] * self.n
+            for j, (x, y) in enumerate(self.pairs):
+                by_src[x] |= 1 << j
+                by_dst[y] |= 1 << j
+            src_up = [0] * self.n
+            dst_up = [0] * self.n
+            for a in range(self.n):
+                for x in iter_bits(self._up[a]):
+                    src_up[a] |= by_src[x]
+                    dst_up[a] |= by_dst[x]
+            self._masks = (by_src, by_dst, src_up, dst_up)
+        return self._masks
 
     @property
     def nonlift_left(self) -> list[int]:
+        """nonlift_left[i] = mask of j such that pairs[i] does NOT lift left of
+        pairs[j]: for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and y in up[b]."""
         if self._nonlift_left is None:
-            self._build_lift_tables()
+            _, _, src_up, dst_up = self._pair_masks()
+            self._nonlift_left = [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in self.pairs]
+            if self._pushout_targets is not None:
+                self._masks = None
         return self._nonlift_left
 
     @property
@@ -227,16 +255,23 @@ class FiniteLattice(Dualizable):
 
     @property
     def pushout_targets(self) -> list[int]:
-        """For each pair index i=(a,b): the pair mask of (c, b v c) over all c >= a."""
+        """For each pair index i=(a,b): the pair mask of (c, b v c) over all c >= a.
+
+        This is po[b] & src_up[a], where po[b], the OR over all c of
+        by_src[c] & by_dst[b v c] (each term the single bit of one pair),
+        holds every pushout of a pair ending in b.
+        """
         if self._pushout_targets is None:
-            idx = self.pair_index
-            out = []
-            for (a, b) in self.pairs:
-                targets = 0
-                for c in iter_bits(self._up[a]):
-                    targets |= 1 << idx[Pair(c, self._join[b][c])]
-                out.append(targets)
-            self._pushout_targets = out
+            by_src, by_dst, src_up, _ = self._pair_masks()
+            po = []
+            for row in self._join:
+                m = 0
+                for c, bc in enumerate(row):
+                    m |= by_src[c] & by_dst[bc]
+                po.append(m)
+            self._pushout_targets = [po[b] & src_up[a] for (a, b) in self.pairs]
+            if self._nonlift_left is not None:
+                self._masks = None
         return self._pushout_targets
 
     @property

@@ -270,9 +270,10 @@ def extract_centers(m: ModelStruct) -> CenterMap:
     """The center map of a verified structure: each component's unique
     cofibrant-and-fibrant object.
 
-    The first call on a structure validates the map in full; only a map
-    that passed is memoised on the structure (write-once), and later calls
-    return it.  ``m.op()`` keeps a memo of its own.
+    The first call on a structure validates the map (a map that passed on
+    ``m.rel`` before is not checked again, see :func:`validate_centers`);
+    only a map that passed is memoised on the structure (write-once), and
+    later calls return it.  ``m.op()`` keeps a memo of its own.
     """
     if m._centers is not None:
         return m._centers

@@ -20,7 +20,8 @@ class RelStruct(Dualizable):
 
     `components` are the equivalence classes of the symmetric-transitive
     closure of W (zigzag connectivity), each sorted, listed by least
-    element.  W-derived classes and reports are cached write-once.
+    element.  W-derived classes and reports, and the center maps that
+    passed validation, are cached write-once.
     ``op()`` is the same W over the opposite lattice, with the same
     components.
     """
@@ -54,6 +55,7 @@ class RelStruct(Dualizable):
         self._s2of3: Report | None = None
         self._cw: Report | None = None
         self._report: Report | None = None
+        self._passed_centers: dict[tuple[int, ...], Report] = {}  # see validate_centers
         self._op = None
 
     def _reversed(self) -> "RelStruct":
@@ -61,6 +63,7 @@ class RelStruct(Dualizable):
         o = copy.copy(self)
         o.lattice, o.weq = self.lattice.op(), self.weq.op()
         o._wc = o._s2of3 = o._cw = o._report = None
+        o._passed_centers = {}
         return o
 
     def __eq__(self, other):

@@ -10,7 +10,9 @@ from posetmodels import (
     compute_Wc_chi,
     compute_Wf_chi,
     enumerate_centers,
+    centers,
     find_centers,
+    load,
     product_centers,
     validate_centers,
     validate_relative,
@@ -60,6 +62,26 @@ def test_validate_catches_bad_maps(two_structures):
     chi[lat.index("B")] = lat.index("B")
     rep = validate_centers(two_structures, CenterMap(tuple(chi)))
     assert not rep.ok
+
+
+def test_passing_center_maps_are_memoised_per_side(monkeypatch):
+    rel = load("two-structures")
+    checked = []
+    check = centers._check_centers
+    monkeypatch.setattr(centers, "_check_centers", lambda rel, chi: checked.append(chi) or check(rel, chi))
+    good = const_chi(rel, "C")
+    first = validate_centers(rel, good)
+    assert first.ok and validate_centers(rel, good) is first
+    assert len(checked) == 1
+    # the opposite keeps a memo of its own, and validates once there
+    assert validate_centers(rel.op(), good).ok and validate_centers(rel.op(), good).ok
+    assert len(checked) == 2
+    # a failing map is never memoised: every call checks it again
+    bad = CenterMap(tuple(range(rel.lattice.n)))
+    for _ in range(2):
+        assert not validate_centers(rel, bad).ok
+    assert len(checked) == 4
+    assert rel._passed_centers == {good.chi: first}
 
 
 def test_squares_witness_is_first_missing_edge(forced):

@@ -15,6 +15,7 @@ from posetmodels.cli import run_cli
 from posetmodels.formats import parse_report, print_instance
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "trunc-1", "trunc-2", "chain-3", "chain-8")
+LARGE_FIXTURES = ("chain-16", "trunc-3", "trunc-4")  # bigger tables: P = 171, 141, 194
 CAPS = ["--max-elements", "24", "--max-generators", "32"]
 
 
@@ -28,6 +29,13 @@ def _run(argv):
 def _write(path, inst):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(print_instance(inst))
+
+
+def _write_structure(path, name, s):
+    """Write fixture `name` with the cof and fib of report structure `s`."""
+    inst = fixture(name)
+    inst.cof, inst.fib = [tuple(p) for p in s["cof"]], [tuple(p) for p in s["fib"]]
+    _write(path, inst)
 
 
 def invocations() -> dict[str, str]:
@@ -56,10 +64,8 @@ def invocations() -> dict[str, str]:
         run("export-dot", path)
         files = []
         for k, s in enumerate(parse_report(run("enumerate", *CAPS, path)).structures[:2]):
-            inst = fixture(name)
-            inst.cof, inst.fib = [tuple(p) for p in s["cof"]], [tuple(p) for p in s["fib"]]
             files.append(f"{name}-s{k}.json")
-            _write(files[-1], inst)
+            _write_structure(files[-1], name, s)
         for f in files:
             run("verify", f)
             run("reduce", f)
@@ -68,6 +74,15 @@ def invocations() -> dict[str, str]:
         if files:
             run("zigzag", files[0], files[-1])
             run("zigzag", "--contract", files[0], files[-1])
+    for name in LARGE_FIXTURES:
+        path = f"{name}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(run("fixture", name))
+        run("recognize", path)
+        for method in ("centers", "centers-dual"):
+            s = parse_report(run("synthesize", "--method", method, path)).structures[0]
+            _write_structure(f"{name}-{method}.json", name, s)
+            run("verify", f"{name}-{method}.json")
     return digests
 
 
@@ -202,4 +217,22 @@ DIGESTS = {
     'synthesize --method newcofib chain-8-s1.json': '367f311af10047c1a2198336a7b6a39309757e12ded596ebe412703ea766fa15',
     'zigzag chain-8-s0.json chain-8-s1.json': 'b174661df3437ba25e0c0ee921b7265c43bb5f7bc2632eff1357ead6487f634b',
     'zigzag --contract chain-8-s0.json chain-8-s1.json': '1fdbe6bcab94c749d54fdba43bb44ae2cdcaee5bb35bdab0442f75e8b689c67a',
+    'fixture chain-16': '822cacd60df2f732ae8575b4fd0c33e603555bf94ca913e2916f5b69083c2934',
+    'recognize chain-16.json': '875ce53fed2fe5c42b8edc2e8fca284810de0bcef55b18d3e18227212d20ef82',
+    'synthesize --method centers chain-16.json': 'd63e0a31c1da191014c7609248212399850d51185141de41f6297483f73eed45',
+    'verify chain-16-centers.json': '0270628b99f91916caeccd92eb6c0e13b410eb681b1d3cb7eb94617e1575e7f3',
+    'synthesize --method centers-dual chain-16.json': '889c979daae71b81fee2bbc28a609f44559f592b64aaba1fa1e30966ba487379',
+    'verify chain-16-centers-dual.json': '74176d3bba7fe6b9341fc334bfacc11482607c1e587bdc430b3a9d8d19b1173b',
+    'fixture trunc-3': '17640dc718ac099078f8587cd5290932da3ad3c3c97297509b32ed94f13f9992',
+    'recognize trunc-3.json': '7ec0f6556acdb274ac2a16aa001fb596a36061baddeb7d5bb312324156611365',
+    'synthesize --method centers trunc-3.json': '6bb9b1cf62a8fd65b54e9428eaa23ac013479df07facc0741c14351b66e2e6b4',
+    'verify trunc-3-centers.json': 'f5404b0090584763b66b94808d171992993ca5ca0b366eefc17bd161d9d55462',
+    'synthesize --method centers-dual trunc-3.json': '238868a7832d5b5595b1ce61def843d75a28f0cc6fbffddfc4dd32bd70a0dfe8',
+    'verify trunc-3-centers-dual.json': '459a3d85b9c7b34efd698949d85654b803a9582f80a329f9e22a3078ff728a15',
+    'fixture trunc-4': 'b0cb101b378dc994700cc4476ecadcb5f455f9de8a695dfa27f100317daa4c4f',
+    'recognize trunc-4.json': '97a4b0ddcdaf9ca802d058b4cafe44e895bca2b315d1780571d80be8e57566f2',
+    'synthesize --method centers trunc-4.json': 'd9d84578845c761a6a54bf4f38a7ef0d4bc548200934960050cba608a924c0d8',
+    'verify trunc-4-centers.json': '2e801503c10962dcf8dbfab43ae42bf2f658791c86d3dbde70178a69aed2ced2',
+    'synthesize --method centers-dual trunc-4.json': 'bdf1ab50b49e8732fe88981ddecf9379f45e9dad9d7c60f710e508ca09e91e00',
+    'verify trunc-4-centers-dual.json': 'e84541cefec28a5b1444a0d962534857f1e2f9e4ed4ee72a5c87d0ab58facfe9',
 }

@@ -6,6 +6,10 @@ failure.  `PINNED` holds those snapshots as the hand-written duals produced
 them; the op() route must reproduce them exactly.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from posetmodels import (
@@ -324,6 +328,35 @@ def test_op_is_a_cached_involution(two_structures):
     assert rel.op().components is rel.components
     assert (m.op().cof.mask, m.op().fib.mask) == (m.fib.mask, m.cof.mask)
     assert m.op().verified
+
+
+def test_op_race_publishes_one_opposite():
+    # concurrent first calls on fresh objects: every thread gets the same
+    # opposite of each, and it still points back to its primal
+    template = recognize_finite(load("two-structures")).structure
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rel = load("two-structures")
+            lat = rel.lattice
+            m = ModelStruct(rel, MorphClass(lat, template.cof.mask), MorphClass(lat, template.fib.mask))
+            objects = [lat, rel.weq, rel, m]
+            barrier = threading.Barrier(8)
+
+            def work(k):
+                barrier.wait(timeout=60)
+                order = objects[k % 4:] + objects[:k % 4]
+                opposites = {id(x): x.op() for x in order}
+                return [opposites[id(x)] for x in objects]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(work, k) for k in range(8)]]
+            for i, x in enumerate(objects):
+                assert all(r[i] is results[0][i] for r in results)
+                assert x.op() is results[0][i] and x.op().op() is x
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_orientation_is_part_of_equality(two_structures):

@@ -5,6 +5,7 @@ import pytest
 
 from posetmodels import (
     build_zigzag,
+    centers,
     enumerate_model_structures,
     extract_centers,
     homotopy_reduce,
@@ -128,6 +129,20 @@ def test_reduce_validates_centers_once_per_side(monkeypatch):
         assert len(calls) == 2
         homotopy_reduce(m)
         assert len(calls) == 2
+
+
+def test_zigzags_check_each_center_map_once_per_side(monkeypatch):
+    # extract_centers, product_centers and every center construction share
+    # the memo on the relative structure: no (side, chi) is checked twice
+    checked = []
+    check = centers._check_centers
+    monkeypatch.setattr(centers, "_check_centers", lambda rel, chi: checked.append((id(rel), chi.chi)) or check(rel, chi))
+    structures = enumerate_model_structures(load("two-structures"))
+    for m1 in structures[:4]:
+        for m2 in structures:
+            assert build_zigzag(m1, m2).all_edges_ok()
+            homotopy_reduce(m2)
+    assert checked and len(checked) == len(set(checked))
 
 
 def test_center_memo_written_after_validation_not_carried_to_op(monkeypatch):

@@ -14,7 +14,9 @@ from posetmodels.errors import (
     PosetModelError,
     Unbounded,
 )
+from posetmodels.fixtures import fixture
 from posetmodels.formats import InstanceFile, print_instance
+from posetmodels.lattice import FiniteLattice
 
 from helpers import naive_join, naive_lifts, naive_meet
 
@@ -182,6 +184,67 @@ def test_order_table_agreement(lat):
         below = [c for c in lat.elements if lat.leq(c, b)]
         assert lat.pushout_targets[i] == _pair_mask(lat, [(c, naive_join(lat, b, c)) for c in above])
         assert lat.pullback_targets[i] == _pair_mask(lat, [(naive_meet(lat, a, c), c) for c in below])
+
+
+def _grid(rows, cols):
+    names = [f"{i}.{j}" for i in range(rows) for j in range(cols)]
+    rels = [(f"{i}.{j}", f"{i + 1}.{j}") for i in range(rows - 1) for j in range(cols)]
+    rels += [(f"{i}.{j}", f"{i}.{j + 1}") for i in range(rows) for j in range(cols - 1)]
+    return names, rels
+
+
+# the eight-element lattice of the c/w-factorization NO instances
+CW_GADGET_LEQ = [
+    ("x0", "x1"), ("x1", "x2"), ("x1", "x3"), ("x1", "x4"), ("x2", "x5"),
+    ("x2", "x6"), ("x3", "x6"), ("x4", "x5"), ("x5", "x7"), ("x6", "x7"),
+]
+
+LARGE_LATTICES = {
+    "chain-32": (fixture("chain-32").elements, fixture("chain-32").leq),
+    "grid-6x5": _grid(6, 5),
+    "trunc-4": (fixture("trunc-4").elements, fixture("trunc-4").leq),
+    "cw-gadget": ([f"x{i}" for i in range(8)], CW_GADGET_LEQ),
+}
+
+
+def _naive_tables(lat):
+    """Both target lists and both lift tables from the order relation alone."""
+    ps = lat.pairs
+    index = {p: i for i, p in enumerate(ps)}
+    join = [[naive_join(lat, a, b) for b in lat.elements] for a in lat.elements]
+    meet = [[naive_meet(lat, a, b) for b in lat.elements] for a in lat.elements]
+    pushouts = [sum(1 << index[(c, join[b][c])] for c in lat.elements if lat.leq(a, c)) for (a, b) in ps]
+    pullbacks = [sum(1 << index[(meet[a][c], c)] for c in lat.elements if lat.leq(c, b)) for (a, b) in ps]
+    left = [sum(1 << j for j, g in enumerate(ps) if not naive_lifts(lat, f, g)) for f in ps]
+    right = [sum(1 << i for i, row in enumerate(left) if row >> j & 1) for j in range(len(ps))]
+    return pushouts, pullbacks, left, right
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_LATTICES))
+def test_tables_on_large_lattices(name, monkeypatch):
+    # lattices with hundreds of pairs, beyond what `lattices()` draws: every
+    # bit of both target lists and both lift tables, on L and on L.op()
+    def no_lookup(self):
+        raise AssertionError("a table build looked up pair_index")
+
+    built = []
+    pair_masks = FiniteLattice._pair_masks
+
+    def counted(self):
+        if self._masks is None:
+            built.append(self)
+        return pair_masks(self)
+
+    monkeypatch.setattr(FiniteLattice, "pair_index", property(no_lookup))
+    monkeypatch.setattr(FiniteLattice, "_pair_masks", counted)
+    lat = build_lattice(*LARGE_LATTICES[name])
+    for side in (lat, lat.op()):
+        tables = (side.pushout_targets, side.pullback_targets, side.nonlift_left, side.nonlift_right)
+        assert tables == _naive_tables(side)
+    # the pair masks are computed once per side and freed once both tables
+    # that read them exist
+    assert len(built) == 2 and {id(x) for x in built} == {id(lat), id(lat.op())}
+    assert lat._masks is None and lat.op()._masks is None
 
 
 def _build_outcome(names, relations):
