@@ -200,9 +200,10 @@ def is_pullback_closed(s: MorphClass) -> Check:
 
 
 def is_composition_closed(s: MorphClass) -> Check:
-    lat = s.lattice
+    ps = s.lattice.pairs
     rows = s.rows
-    for (a, b) in s:
+    for i in iter_bits(s.mask):
+        a, b = ps[i]
         missing = rows[b] & ~rows[a]
         if missing:
             c = next(iter_bits(missing))
@@ -272,8 +273,9 @@ def _factorization_check(lc: MorphClass, rc: MorphClass) -> Check:
     lat = lc.lattice
     lrows = lc.rows
     rcols = rc.cols
+    up, down = lat._up, lat._down
     for (a, b) in lat.pairs:
-        middles = lrows[a] & rcols[b] & lat.up_mask(a) & lat.down_mask(b)
+        middles = lrows[a] & rcols[b] & up[a] & down[b]
         if middles == 0:
             return Check("factorization", False, (Pair(a, b),))
     return Check("factorization", True)

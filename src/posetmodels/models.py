@@ -101,9 +101,9 @@ class ModelStruct(Dualizable):
         return f"ModelStruct(acyclic cof={self.acyclic_cofibrations().name_pairs()}, acyclic fib={self.acyclic_fibrations().name_pairs()})"
 
 
-def _two_of_three_check(m: ModelStruct) -> Check:
-    lat = m.lattice
-    rows = m.we.rows
+def _two_of_three_check(rel: RelStruct) -> Check:
+    lat = rel.lattice
+    rows = rel.weq.rows
     for a in range(lat.n):
         for b in iter_bits(lat.up_mask(a)):
             cs = lat.up_mask(b)
@@ -118,10 +118,26 @@ def _two_of_three_check(m: ModelStruct) -> Check:
     return Check("two_of_three", True)
 
 
+def _weq_checks(rel: RelStruct) -> tuple[Check, Check]:
+    """The W-only checks of :func:`verify_model`, cached write-once on `rel`."""
+    if rel._weq_checks is None:
+        rel._weq_checks = (subcategory_check(rel.weq, "we_subcategory"), _two_of_three_check(rel))
+    return rel._weq_checks
+
+
 def verify_model(m: ModelStruct) -> Report:
-    """Exhaustively verify all model-structure axioms; attaches the report."""
+    """Exhaustively verify all model-structure axioms; attaches the report.
+
+    Two checks read only the weak equivalences: W is a subcategory, and W
+    has 2-of-3.  They are pure functions of the immutable W, so they are
+    computed once per relative structure and side (``m.rel`` and
+    ``m.rel.op()`` each compute their own, with their own witnesses) and
+    shared by every structure over it.  Every check that reads cof or fib
+    runs in full on each call, so the verification stays exhaustive.
+    """
+    we_sub, two_of_three = _weq_checks(m.rel)
     checks = [
-        subcategory_check(m.we, "we_subcategory"),
+        we_sub,
         subcategory_check(m.cof, "cof_subcategory"),
         subcategory_check(m.fib, "fib_subcategory"),
     ]
@@ -131,7 +147,7 @@ def verify_model(m: ModelStruct) -> Report:
     ):
         for check in is_wfs(lc, rc).checks:
             checks.append(Check(f"{prefix}.{check.name}", check.ok, check.witness))
-    checks.append(_two_of_three_check(m))
+    checks.append(two_of_three)
     m.report = Report(tuple(checks))
     return m.report
 

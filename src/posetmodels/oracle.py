@@ -5,9 +5,21 @@ cofibrations form an identity-containing class closed under composition
 and pushout, and that class determines the rest: fibrations are its right
 complement and cofibrations the left complement of the acyclic fibrations.
 Every such closed class is the closure of its own non-identity members, so
-growing closures one generator at a time visits all of them.  Candidates
+growing closures one generator at a time, from the identities, visits all
+of them.
+
+Growth is incremental.  Each closed class is kept with its element rows
+and columns (rows[a] = the b with (a, b) in the class).  To extend a
+closed class by a generator, only the generator and the pairs it brings in
+are processed, on copies of those rows and columns: the pushouts of a new
+pair (a, b) are its pushout targets, its composites are (a, c) for c in
+rows[b] and (c, b) for c in cols[a], looked up in a 2-D pair index.  A
+growth that leaves W stops at once: such a class can never be an
+acyclic-cofibration class for this W.  The closure of a set is unique, so
+the sorted class list does not depend on the order of growth.  Candidates
 are then filtered through the exhaustive verifier, which is what makes the
-result an oracle rather than a construction.
+result an oracle rather than a construction: the recognition theorem is
+never used.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from typing import Iterator
 
 from .classes import MorphClass, left_complement, right_complement
 from .errors import CapExceeded, NotALattice, Unbounded
-from .lattice import FiniteLattice, build_lattice, iter_bits
+from .lattice import build_lattice, iter_bits
 from .models import ModelStruct, verify_model
 from .relative import RelStruct, check_s2of3, validate_relative
 
@@ -26,54 +38,51 @@ DEFAULT_MAX_ELEMENTS = 10
 DEFAULT_MAX_GENERATORS = 14
 
 
-def _close(lat: FiniteLattice, start: int, weq_mask: int) -> int | None:
-    """Close `start` under composition and pushout inside the pair set.
-
-    Returns the closed mask, or None as soon as the closure escapes W (such
-    a class can never be an acyclic-cofibration class for this W).
-    """
-    pushouts = lat.pushout_targets
-    index = lat.pair_index
-    ps = lat.pairs
-    mask = start
-    work = list(iter_bits(start))
-    by_src: dict[int, list[int]] = {}
-    by_dst: dict[int, list[int]] = {}
-    while work:
-        i = work.pop()
-        a, b = ps[i]
-        new = pushouts[i]
-        for j in by_src.get(b, ()):  # (b, c) present: compose to (a, c)
-            new |= 1 << index[(a, ps[j].dst)]
-        for j in by_dst.get(a, ()):  # (c, a) present: compose to (c, b)
-            new |= 1 << index[(ps[j].src, b)]
-        by_src.setdefault(a, []).append(i)
-        by_dst.setdefault(b, []).append(i)
-        new &= ~mask
-        if new & ~weq_mask:
-            return None
-        mask |= new
-        work.extend(iter_bits(new))
-    return mask
-
-
 def _closed_classes(rel: RelStruct, max_generators: int) -> list[int]:
+    """Every identity-containing class inside W closed under composition
+    and pushout, as sorted pair masks (see the module docstring)."""
     lat = rel.lattice
-    gens = [i for i in iter_bits(rel.weq.mask) if lat.pairs[i].src != lat.pairs[i].dst]
+    ps = lat.pairs
+    weq_mask = rel.weq.mask
+    gens = [i for i in iter_bits(weq_mask) if ps[i].src != ps[i].dst]
     if len(gens) > max_generators:
         raise CapExceeded("non-identity weak equivalences", max_generators, len(gens))
-    root = lat.identity_mask
-    seen = {root}
-    queue = [root]
+    pushouts = lat.pushout_targets
+    bit = [[0] * lat.n for _ in range(lat.n)]  # bit[a][b]: the bit of pair (a, b)
+    for i, (a, b) in enumerate(ps):
+        bit[a][b] = 1 << i
+    root = MorphClass.identities(lat)
+    seen = {root.mask: (root.rows, root.cols)}
+    queue = [root.mask]
     while queue:
         s = queue.pop()
+        s_rows, s_cols = seen[s]
         for g in gens:
             if (s >> g) & 1:
                 continue
-            t = _close(lat, s | (1 << g), rel.weq.mask)
-            if t is not None and t not in seen:
-                seen.add(t)
-                queue.append(t)
+            # s is closed: only g and the pairs it brings in need processing
+            rows, cols = s_rows[:], s_cols[:]
+            mask = s | (1 << g)
+            work = [g]
+            while work:
+                i = work.pop()
+                a, b = ps[i]
+                new = pushouts[i]
+                for c in iter_bits(rows[b]):  # (b, c) present: compose to (a, c)
+                    new |= bit[a][c]
+                for c in iter_bits(cols[a]):  # (c, a) present: compose to (c, b)
+                    new |= bit[c][b]
+                rows[a] |= 1 << b
+                cols[b] |= 1 << a
+                new &= ~mask
+                if new & ~weq_mask:  # escaped W: never an acyclic-cofibration class
+                    break
+                mask |= new
+                work.extend(iter_bits(new))
+            else:
+                if mask not in seen:
+                    seen[mask] = (rows, cols)
+                    queue.append(mask)
     return sorted(seen)
 
 
@@ -112,16 +121,17 @@ class InstanceGen:
     weq_density: float = 0.35
 
 
-def _compose_close(pairs: set) -> set:
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return pairs
+def _compose_close(n: int, pairs: set) -> set:
+    """Close a set of element pairs under composition: Warshall's
+    transitive closure on element rows."""
+    rows = [0] * n
+    for (a, b) in pairs:
+        rows[a] |= 1 << b
+    for k in range(n):
+        for a in range(n):
+            if rows[a] >> k & 1:
+                rows[a] |= rows[k]
+    return {(a, b) for a in range(n) for b in iter_bits(rows[a])}
 
 
 def random_instances(gen: InstanceGen, s2of3_only: bool = False) -> Iterator[RelStruct]:
@@ -150,7 +160,7 @@ def random_instances(gen: InstanceGen, s2of3_only: bool = False) -> Iterator[Rel
         chosen = {
             (p.src, p.dst) for p in candidates if rng.random() < gen.weq_density
         }
-        closed = _compose_close(chosen)
+        closed = _compose_close(n, chosen)
         rel = validate_relative(lat, sorted(closed), add_identities=True)
         if s2of3_only and not check_s2of3(rel).ok:
             continue

@@ -20,8 +20,9 @@ class RelStruct(Dualizable):
 
     `components` are the equivalence classes of the symmetric-transitive
     closure of W (zigzag connectivity), each sorted, listed by least
-    element.  W-derived classes and reports, and the center maps that
-    passed validation, are cached write-once.
+    element.  W-derived classes and reports (among them the W-only checks
+    of ``verify_model``), and the center maps that passed validation, are
+    cached write-once.
     ``op()`` is the same W over the opposite lattice, with the same
     components.
     """
@@ -55,6 +56,7 @@ class RelStruct(Dualizable):
         self._s2of3: Report | None = None
         self._cw: Report | None = None
         self._report: Report | None = None
+        self._weq_checks: tuple[Check, Check] | None = None  # see models.verify_model
         self._passed_centers: dict[tuple[int, ...], Report] = {}  # see validate_centers
         self._op = None
 
@@ -62,7 +64,7 @@ class RelStruct(Dualizable):
         """W over the opposite lattice, sharing the components."""
         o = copy.copy(self)
         o.lattice, o.weq = self.lattice.op(), self.weq.op()
-        o._wc = o._s2of3 = o._cw = o._report = None
+        o._wc = o._s2of3 = o._cw = o._report = o._weq_checks = None
         o._passed_centers = {}
         return o
 

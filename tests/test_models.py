@@ -5,6 +5,7 @@ from posetmodels import (
     ModelStruct,
     MorphClass,
     Pair,
+    RelStruct,
     build_lattice,
     cofibrant_objects,
     compute_Jchi,
@@ -23,12 +24,14 @@ from posetmodels import (
     find_centers,
     generating_sets,
     left_complement,
+    load,
     recognize_finite,
     replacement,
     right_complement,
     validate_relative,
     verify_model,
 )
+from posetmodels import classes, models
 from posetmodels.errors import (
     HypothesisFailed,
     JNotInW,
@@ -248,3 +251,65 @@ def test_constructions_are_enumerated(two_structures):
         construct_from_centers_dual(two_structures, chi),
     ):
         assert (m.cof.mask, m.fib.mask) in masks
+
+
+def count_weq_checks(monkeypatch) -> list:
+    """Record (check name, lattice) of every W-only check verify_model runs."""
+    runs = []
+    subcategory, two_of_three = classes.subcategory_check, models._two_of_three_check
+
+    def counted_subcategory(s, name):
+        if name == "we_subcategory":
+            runs.append((name, s.lattice))
+        return subcategory(s, name)
+
+    def counted_two_of_three(rel):
+        runs.append(("two_of_three", rel.lattice))
+        return two_of_three(rel)
+
+    monkeypatch.setattr(classes, "subcategory_check", counted_subcategory)
+    monkeypatch.setattr(models, "subcategory_check", counted_subcategory)
+    monkeypatch.setattr(models, "_two_of_three_check", counted_two_of_three)
+    return runs
+
+
+def test_weq_checks_run_once_per_side(monkeypatch):
+    rel = load("two-structures")
+    runs = count_weq_checks(monkeypatch)
+    structs = enumerate_model_structures(rel)
+    assert len(structs) >= 2  # so verify_model ran on two candidates at least
+    primal = [("we_subcategory", rel.lattice), ("two_of_three", rel.lattice)]
+    assert runs == primal
+    chi = extract_centers(structs[0])
+    for _ in range(2):
+        construct_from_centers_dual(rel, chi)
+    op = rel.op()
+    assert runs == primal + [("we_subcategory", op.lattice), ("two_of_three", op.lattice)]
+    # the op side holds its own checks, not those of rel
+    assert op._weq_checks == (
+        classes.subcategory_check(op.weq, "we_subcategory"),
+        models._two_of_three_check(op),
+    )
+
+
+def test_weq_checks_fail_on_every_call_with_each_sides_witness(monkeypatch):
+    runs = count_weq_checks(monkeypatch)
+    lat = build_lattice(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    weq = MorphClass.from_pairs(lat, [("x", "y"), ("y", "z")], add_identities=True)
+    rel = RelStruct(lat, weq)  # not validated: x -> z is missing
+    everything = MorphClass.all_morphisms(lat)
+    ids = MorphClass.identities(lat)
+    for cof, fib in ((everything, ids), (ids, everything), (everything, ids)):
+        check = verify_model(ModelStruct(rel, cof, fib))["we_subcategory"]
+        assert not check.ok and check.witness == (0, 1, 2)
+    # built after rel's checks are cached, the opposite still computes its own
+    op = rel.op()
+    reports = [verify_model(ModelStruct(op, everything.op(), ids.op())) for _ in range(2)]
+    # failing checks are cached too: each side computes its checks once
+    assert runs == [
+        ("we_subcategory", lat), ("two_of_three", lat),
+        ("we_subcategory", op.lattice), ("two_of_three", op.lattice),
+    ]
+    for report in reports:
+        assert report["we_subcategory"].witness == (2, 1, 0)
+        assert report["two_of_three"] == models._two_of_three_check(op)

@@ -1,19 +1,25 @@
+import hashlib
 import itertools
 
 import pytest
 
 from posetmodels import (
     InstanceGen,
+    MorphClass,
     check_s2of3,
     decide_by_enumeration,
     enumerate_model_structures,
     find_centers,
+    load,
+    oracle,
     random_instances,
     recognize_finite,
     validate_relative,
 )
 from posetmodels.errors import CapExceeded
+from posetmodels.oracle import _closed_classes
 
+from helpers import compose_close, pushout_compose_close
 from test_models import LEFT_SIG, RIGHT_SIG, identity_rel
 
 
@@ -90,3 +96,79 @@ def test_three_way_agreement_sample():
         dec = recognize_finite(rel)
         centers_exist = check_s2of3(rel).ok and find_centers(rel) is not None
         assert dec.yes == centers_exist == decide_by_enumeration(rel)
+
+
+def naive_closed_classes(rel) -> list[int]:
+    """The masks of pushout_compose_close(ids | S) over every subset S of
+    the non-identity weak equivalences, kept when they stay inside W.
+
+    Closure is monotone and idempotent, so the closure of S is that of
+    (closure of S minus its last generator) plus that generator; starts
+    are memoised, and a subset whose smaller closure left W leaves it too.
+    """
+    lat = rel.lattice
+    gens = [tuple(p) for p in rel.weq.nonidentity_pairs()]
+    weq = {tuple(p) for p in rel.weq}
+    ids = frozenset(pushout_compose_close(lat, {(x, x) for x in range(lat.n)}))
+    closure = {(): ids}
+    memo = {}
+    for k in range(1, len(gens) + 1):
+        for subset in itertools.combinations(range(len(gens)), k):
+            below = closure[subset[:-1]]
+            if below is not None:
+                start = below | {gens[subset[-1]]}
+                if start not in memo:
+                    c = frozenset(pushout_compose_close(lat, start))
+                    memo[start] = c if c <= weq else None
+                below = memo[start]
+            closure[subset] = below
+    return sorted({MorphClass.from_pairs(lat, c).mask for c in closure.values() if c is not None})
+
+
+def test_closed_classes_match_naive_closure(two_structures, forced, s2of3_fail, trunc1, two_chain):
+    for rel in (two_structures, forced, s2of3_fail, trunc1, two_chain):
+        assert _closed_classes(rel, 14) == naive_closed_classes(rel)
+    stream = random_instances(InstanceGen(seed=3, weq_density=0.6))
+    small = (rel for rel in stream if len(rel.weq.nonidentity_pairs()) <= 8)
+    sizes = set()
+    for rel in itertools.islice(small, 150):
+        classes = _closed_classes(rel, 8)
+        assert classes == naive_closed_classes(rel)
+        sizes.add(len(classes))
+    assert max(sizes) >= 10  # the sample grows more than a few classes
+
+
+# sha256 of every closed class and every enumerated (cof mask, fib mask)
+# of the instances below, recorded with the closure that rebuilt each
+# class from all of its pairs
+CLOSED_CLASSES_SHA256 = "026ba4e4357299c33c6f170e11a9948d2925a2c5ed02479f79e869a234fc2375"
+STRUCTURES_SHA256 = "50b1765b3b67d85266e8c24c1645149f0803f1b6734e68c80e781d9316466568"
+
+
+def test_enumeration_digests():
+    stream = random_instances(InstanceGen(seed=7))
+    cases = [(rel, 14) for rel in itertools.islice(
+        (rel for rel in stream if len(rel.weq.nonidentity_pairs()) <= 14), 200)]
+    cases += [(load("two-structures"), 14), (load("forced"), 14), (load("chain-8"), 28)]
+    classes, structures = hashlib.sha256(), hashlib.sha256()
+    for rel, cap in cases:
+        for mask in _closed_classes(rel, cap):
+            classes.update(b"%x," % mask)
+        classes.update(b";")
+        for m in enumerate_model_structures(rel, max_generators=cap):
+            structures.update(b"%x %x," % (m.cof.mask, m.fib.mask))
+        structures.update(b";")
+    assert classes.hexdigest() == CLOSED_CLASSES_SHA256
+    assert structures.hexdigest() == STRUCTURES_SHA256
+
+
+def test_random_stream_matches_naive_compose_close(monkeypatch):
+    def draw(seed):
+        return [
+            (rel.lattice.names, rel.lattice.pairs, rel.weq.mask)
+            for rel in itertools.islice(random_instances(InstanceGen(seed=seed)), 200)
+        ]
+
+    warshall = {seed: draw(seed) for seed in (0, 5, 42)}
+    monkeypatch.setattr(oracle, "_compose_close", lambda n, pairs: compose_close(pairs))
+    assert {seed: draw(seed) for seed in (0, 5, 42)} == warshall
