@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import MorphClass
-from .errors import InternalCheckFailed, S2OF3Failed
+from .errors import InternalCheckFailed, InvalidInput, S2OF3Failed
 from .lattice import Pair, iter_bits
 from .relative import RelStruct, check_s2of3, _pushout_stable_part
 from .report import Check, Report
@@ -197,7 +197,10 @@ class CenterEnumeration:
 
 
 def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:
-    """Up to `limit` valid center maps, lexicographically ordered."""
+    """Up to `limit` valid center maps, lexicographically ordered; a
+    negative limit is an input error."""
+    if limit < 0:
+        raise InvalidInput(f"limit must be at least 0, got {limit}")
     _require_s2of3(rel)
     maps = []
     truncated = False

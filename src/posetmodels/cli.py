@@ -15,7 +15,7 @@ import time
 from . import equivalence, fixtures, models, oracle
 from .centers import enumerate_centers, find_centers
 from .dot import export_dot
-from .errors import HypothesisFailed, PosetModelError, RecognitionFailed, S2OF3Failed
+from .errors import HypothesisFailed, InvalidInput, PosetModelError, RecognitionFailed, S2OF3Failed
 from .formats import (
     ReportFile,
     build_relative,
@@ -37,6 +37,8 @@ def _read_instance(ns, path):
             text = fh.read()
     except OSError as e:
         raise PosetModelError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise InvalidInput(f"cannot read {path}: not UTF-8 text: {e}") from e
     inst = parse_instance(text)
     if ns.add_identities:
         inst.add_identities = True

@@ -3,20 +3,71 @@
 Pair lists in files name elements; identities are implied and never listed.
 Report emission is deterministic: fixed key order, pair lists sorted by
 element index, no environment-dependent content.
+
+Emission contract: a report or instance file is exactly
+``json.dumps(obj, indent=2) + "\n"`` of its dict, produced by one renderer,
+:func:`_render`.  ``json.dumps`` falls back to a pure-Python encoder,
+one recursive call per value, whenever `indent` is set; most of a report
+is pair lists of two labels, which the renderer emits with one
+``str.join`` each.  Strings go through json's own C escaper and every
+other scalar through ``json.dumps`` of that value alone, so no spelling
+can drift from json's.  Parsing is ``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .classes import MorphClass
 from .errors import InvalidInput
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice, build_lattice, iter_bits
 from .models import ModelStruct
 from .relative import RelStruct, validate_relative
 
 SCHEMA_VERSION = 1
+
+
+def _render(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` for `obj` nested at indentation `pad`."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        open_leaves, leaf_sep, close_leaves = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        items = []
+        for item in obj:
+            if isinstance(item, str):
+                items.append(_quote(item))
+            elif item and isinstance(item, (list, tuple)):
+                try:  # a list of strings, such as a pair, in one join
+                    leaves = leaf_sep.join(map(_quote, item))
+                except TypeError:  # _quote takes strings only
+                    items.append(_render(item, inner))
+                else:
+                    items.append(open_leaves + leaves + close_leaves)
+            else:
+                items.append(_render(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [_key(k) + ": " + _render(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(obj)
+
+
+def _key(k) -> str:
+    """A dict key, spelled as json spells it."""
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):  # bool is an int
+        return _quote(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 @dataclass
@@ -44,12 +95,28 @@ def _pair_list(raw, name: str) -> list[tuple[str, str]]:
     return out
 
 
+def _check_version(data: dict) -> None:
+    """Require schema version 1 as a JSON integer: ``true`` and ``1.0``
+    compare equal to 1 but are not versions."""
+    version = data.get("version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InvalidInput(f"field 'version' must be {SCHEMA_VERSION}, got {version!r}")
+
+
+def _loads(text: str):
+    """``json.loads``, with every malformed document an input error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InvalidInput(f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise InvalidInput("JSON nesting too deep") from None
+
+
 def instance_from_dict(data: dict) -> InstanceFile:
     if not isinstance(data, dict):
         raise InvalidInput("instance file must be a JSON object")
-    version = data.get("version")
-    if version != SCHEMA_VERSION:
-        raise InvalidInput(f"field 'version' must be {SCHEMA_VERSION}, got {version!r}")
+    _check_version(data)
     elements = data.get("elements")
     if not isinstance(elements, list) or not all(isinstance(x, str) for x in elements):
         raise InvalidInput("field 'elements' must be a list of labels")
@@ -88,15 +155,11 @@ def instance_to_dict(inst: InstanceFile) -> dict:
 
 
 def parse_instance(text: str) -> InstanceFile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInput(f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    return instance_from_dict(data)
+    return instance_from_dict(_loads(text))
 
 
 def print_instance(inst: InstanceFile) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    return _render(instance_to_dict(inst)) + "\n"
 
 
 def build_relative(inst: InstanceFile, add_identities: bool | None = None) -> RelStruct:
@@ -121,8 +184,13 @@ def build_structure(inst: InstanceFile, add_identities: bool | None = None) -> M
 
 
 def class_name_pairs(s: MorphClass) -> list[list[str]]:
-    """Non-identity members as name pairs, sorted by element index."""
-    return [list(s.lattice.pair_names(p)) for p in s.nonidentity_pairs()]
+    """Non-identity members as name pairs in the lattice's pair order: by
+    element index, read from the class's rows; an ``op()`` lattice orders
+    pairs by their primal reading, so there the columns are read."""
+    names = s.lattice.names
+    if s.lattice.opposite:
+        return [[names[a], names[b]] for b, col in enumerate(s.cols) for a in iter_bits(col & ~(1 << b))]
+    return [[names[a], names[b]] for a, row in enumerate(s.rows) for b in iter_bits(row & ~(1 << a))]
 
 
 def structure_to_dict(m: ModelStruct) -> dict:
@@ -177,8 +245,7 @@ def report_to_dict(rep: ReportFile) -> dict:
 def report_from_dict(data: dict) -> ReportFile:
     if not isinstance(data, dict):
         raise InvalidInput("report file must be a JSON object")
-    if data.get("version") != SCHEMA_VERSION:
-        raise InvalidInput(f"field 'version' must be {SCHEMA_VERSION}")
+    _check_version(data)
     return ReportFile(
         command=list(data.get("command", [])),
         decision=data.get("decision", ""),
@@ -192,15 +259,11 @@ def report_from_dict(data: dict) -> ReportFile:
 
 
 def parse_report(text: str) -> ReportFile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidInput(f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    return report_from_dict(data)
+    return report_from_dict(_loads(text))
 
 
 def print_report(rep: ReportFile) -> str:
-    return json.dumps(report_to_dict(rep), indent=2) + "\n"
+    return _render(report_to_dict(rep)) + "\n"
 
 
 def center_map_names(rel: RelStruct, chi) -> list[list[str]]:

@@ -201,7 +201,15 @@ def _require_valid_centers(rel: RelStruct, chi: CenterMap) -> None:
 
 
 def construct_from_centers(rel: RelStruct, chi: CenterMap) -> ModelStruct:
-    """The center structure: fibrations are the right complement of W_c^chi."""
+    """The center structure: fibrations are the right complement of W_c^chi.
+
+    Lemma (dual of the one in :func:`construct_from_centers_dual`, proved
+    there on ``rel.op()``, whose Q_chi is this J_chi and whose W_f^chi is
+    this W_c^chi): J_chi <= W_c^chi, so rc(W_c^chi) <= rc(J_chi), where
+    rc(S) is the right complement of S.  The inclusion can be strict, on
+    the same pentagon: (x, b) is in rc(J_chi), but it is in W_c^chi and
+    does not lift against itself, so it is not in rc(W_c^chi).
+    """
     _require_valid_centers(rel, chi)
     fib = right_complement(compute_Wc_chi(rel, chi))
     cof = left_complement(fib & rel.weq)
@@ -210,8 +218,28 @@ def construct_from_centers(rel: RelStruct, chi: CenterMap) -> ModelStruct:
 
 def construct_from_centers_dual(rel: RelStruct, chi: CenterMap) -> ModelStruct:
     """The dual center structure: :func:`construct_from_centers` on the
-    opposite structure.  Cofibrations are the left complement of W_f^chi,
-    which is also the left complement of Q_chi."""
+    opposite structure.  Cofibrations are lc(W_f^chi), where lc(S) is the
+    left complement of S: the morphisms that lift against every member.
+
+    Lemma: Q_chi <= W_f^chi, so lc(W_f^chi) <= lc(Q_chi).  Let q = (u, v)
+    be in Q_chi: q is in W and chi(u) <= u.  Take z <= v and the pullback
+    p = (u ^ z, z) of q along z, and put d = chi(z).  chi is monotone and
+    constant on the component of u and v, so d <= chi(v) = chi(u) <= u,
+    hence z ^ d <= u ^ z <= z.  The comparison square of z with its center
+    lies in W, so (z ^ d, z) is in W, and strong 2-of-3 puts its second
+    factor p in W.  If p is in J_chi, then z <= chi(z) = d <= u, so
+    u ^ z = z and p is an identity.  So every pullback of q is in W and
+    avoids J_chi unless it is an identity: q is in W_f^chi.
+
+    The reverse inclusion fails.  On the pentagon 0 < x < b < 1,
+    0 < c < 1 with W every pair and chi constant at c, Q_chi has the one
+    non-identity (c, 1), and (x, b) lifts against it because x is not
+    below c.  But (x, b) is in W_f^chi: its pullbacks are (0, 0), (x, x)
+    and itself, and b is not below chi(b) = c.  It does not lift against
+    itself, so it is in lc(Q_chi) and not in lc(W_f^chi).  Cofibrations
+    lc(Q_chi) with fibrations rc(lc(Q_chi) & W) also verify there, as a
+    different structure.
+    """
     with _witnesses_from_op(rel, chi):
         return construct_from_centers(rel.op(), chi).op()
 

@@ -7,10 +7,13 @@ against them are genuine dual-route checks.
 
 from __future__ import annotations
 
+import random
+
 from posetmodels import (
     MorphClass,
     ModelStruct,
     Pair,
+    build_lattice,
     check_s2of3,
     cofibrant_objects,
     compute_Jchi,
@@ -27,9 +30,13 @@ from posetmodels import (
     is_binary_product_closed,
     is_pullback_closed,
     is_pushout_closed,
+    left_complement,
     lifts,
     pullback_of,
+    random_instances,
     replacement,
+    right_complement,
+    validate_relative,
     verify_model,
 )
 
@@ -106,11 +113,30 @@ def pushout_compose_close(lattice, pairs) -> set:
         out = grown
 
 
+def permuted(rel, rng: random.Random):
+    """`rel` rebuilt from its cover pairs with its elements indexed in an
+    order drawn from `rng`.  Labels, order and W stay the same, but index
+    order is in general not a linear extension of the order, which the
+    indices of :func:`random_instances` always are."""
+    lat = rel.lattice
+    names = list(lat.names)
+    rng.shuffle(names)
+    covers = [lat.pair_names(p) for p in lat.cover_pairs()]
+    return validate_relative(build_lattice(names, covers), rel.weq.name_pairs())
+
+
+def permuted_instances(gen, s2of3_only: bool = False):
+    """``random_instances(gen, s2of3_only)``, each instance re-indexed by
+    :func:`permuted` with an order drawn from a generator seeded by
+    gen.seed; the underlying stream is left as it is."""
+    rng = random.Random(gen.seed)
+    for rel in random_instances(gen, s2of3_only):
+        yield permuted(rel, rng)
+
+
 def structure_from_acyclic_cofibs(rel, name_pairs) -> ModelStruct:
     """Rebuild a printed structure from its decorated acyclic cofibrations,
     using WFS maximality for the full classes."""
-    from posetmodels import left_complement, right_complement
-
     a = MorphClass.from_pairs(rel.lattice, name_pairs, add_identities=True)
     fib = right_complement(a)
     cof = left_complement(fib & rel.weq)
@@ -192,6 +218,9 @@ def check_center_invariants(rel, chi) -> None:
         for w in wf:
             assert lifts(lat, j, w)
     assert jchi <= wc and qchi <= wf
+    # the lemmas of construct_from_centers and its dual; equality can fail
+    assert right_complement(wc) <= right_complement(jchi)
+    assert left_complement(wf) <= left_complement(qchi)
     for f in rel.weq:
         mid = factor_via_centers(rel, chi, f)
         u = lat.join(f.src, chi.chi[f.src])

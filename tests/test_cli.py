@@ -4,16 +4,18 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from posetmodels import fixture
+from posetmodels import enumerate_centers, fixture
 from posetmodels.cli import run_cli
-from posetmodels.errors import UnknownFixture
+from posetmodels.errors import InvalidInput, UnknownFixture
 from posetmodels.formats import (
     InstanceFile,
     ReportFile,
+    instance_from_dict,
     parse_instance,
     parse_report,
     print_instance,
     print_report,
+    report_from_dict,
 )
 
 from test_models import left_printed, right_printed
@@ -301,3 +303,41 @@ def test_mismatched_base_diagnostic(tmp_path, capsys, two_structures):
     code, _ = run(["zigzag", left, other])
     assert code == 2
     assert capsys.readouterr().err == "error: MismatchedBase: structures live on different lattices\n"
+
+
+def test_undecodable_and_deeply_nested_files_are_input_errors(tmp_path, capsys):
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for path, diagnostic in ((undecodable, f"cannot read {undecodable}: not UTF-8 text: "),
+                             (deep, "JSON nesting too deep")):
+        code, out = run(["recognize", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: InvalidInput: {diagnostic}")
+    with pytest.raises(InvalidInput, match="nesting too deep"):
+        parse_report("[" * 100_000 + "]" * 100_000)
+
+
+def test_version_must_be_the_integer_one(tmp_path, capsys):
+    for version in (True, 1.0):
+        with pytest.raises(InvalidInput, match=f"field 'version' must be 1, got {version!r}"):
+            instance_from_dict({"version": version, "elements": ["a"]})
+        with pytest.raises(InvalidInput, match=f"field 'version' must be 1, got {version!r}"):
+            report_from_dict({"version": version, "decision": "yes"})
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1.0, "elements": ["a"]}', encoding="utf-8")
+    code, out = run(["validate", str(bad)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: InvalidInput: field 'version' must be 1, got 1.0\n"
+
+
+def test_negative_enumeration_limit_is_an_input_error(tmp_path, capsys, two_structures):
+    with pytest.raises(InvalidInput, match="limit must be at least 0, got -1"):
+        enumerate_centers(two_structures, limit=-1)
+    path = write_fixture(tmp_path, "two-structures")
+    capsys.readouterr()
+    code, out = run(["centers", "enumerate", "--limit", "-1", path])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: InvalidInput: limit must be at least 0, got -1\n"

@@ -4,6 +4,10 @@ pinned by its sha256, so a change that alters any report byte fails here.
 The digests were recorded by running :func:`invocations` and are
 independent of the working directory: every path is relative to a
 temporary directory the test changes into, so the echoed argv is stable.
+The ESCAPED instances carry labels that JSON must escape (quotes,
+backslashes, control and non-ASCII characters, one outside the BMP); their
+digests were recorded before reports were rendered by the package's own
+emitter, so they pin its escaping to that of ``json.dumps``.
 """
 
 import contextlib
@@ -12,11 +16,15 @@ import io
 
 from posetmodels import fixture
 from posetmodels.cli import run_cli
-from posetmodels.formats import parse_report, print_instance
+from posetmodels.formats import InstanceFile, parse_report, print_instance
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "trunc-1", "trunc-2", "chain-3", "chain-8")
 LARGE_FIXTURES = ("chain-16", "trunc-3", "trunc-4")  # bigger tables: P = 171, 141, 194
 CAPS = ["--max-elements", "24", "--max-generators", "32"]
+ESCAPED = {  # name: (fixture relabelled, its new labels in element order)
+    "escaped": ("two-structures", ["\u22a5", 'A"q', "B\\s", "B\u02b9\x7f", "C\t\u2028\u00e9\x01", "\u22a4 \U0001f600"]),
+    "escaped-no": ("s2of3-fail", ["\u03b1", '"b"', "c\\"]),
+}
 
 
 def _run(argv):
@@ -31,11 +39,22 @@ def _write(path, inst):
         fh.write(print_instance(inst))
 
 
-def _write_structure(path, name, s):
-    """Write fixture `name` with the cof and fib of report structure `s`."""
-    inst = fixture(name)
+def _write_structure(path, inst, s):
+    """Write `inst` with the cof and fib of report structure `s`."""
+    inst = InstanceFile(inst.elements, inst.leq, inst.weq, inst.add_identities)
     inst.cof, inst.fib = [tuple(p) for p in s["cof"]], [tuple(p) for p in s["fib"]]
     _write(path, inst)
+
+
+def _relabelled(name, labels) -> InstanceFile:
+    inst = fixture(name)
+    new = dict(zip(inst.elements, labels))
+    return InstanceFile(
+        elements=list(labels),
+        leq=[(new[a], new[b]) for (a, b) in inst.leq],
+        weq=[(new[a], new[b]) for (a, b) in inst.weq],
+        add_identities=inst.add_identities,
+    )
 
 
 def invocations() -> dict[str, str]:
@@ -47,13 +66,10 @@ def invocations() -> dict[str, str]:
         digests[" ".join(argv)] = hashlib.sha256(repr((code, out, err)).encode("utf-8")).hexdigest()
         return out
 
-    for name in FIXTURES:
+    def exercise(name, inst, dot=True):
+        """Every command on the instance file `name`.json holding `inst`."""
         path = f"{name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(run("fixture", name))
-        gens = fixture(name)
-        gens.weq = gens.weq[:1]
-        _write(f"{name}-gens.json", gens)
+        _write(f"{name}-gens.json", InstanceFile(inst.elements, inst.leq, inst.weq[:1], inst.add_identities))
         run("validate", path)
         run("recognize", path)
         run("centers", "find", path)
@@ -61,19 +77,26 @@ def invocations() -> dict[str, str]:
         for method in ("terminal", "centers", "centers-dual"):
             run("synthesize", "--method", method, path)
         run("synthesize", "--method", "genmc", "--generators", f"{name}-gens.json", path)
-        run("export-dot", path)
+        if dot:
+            run("export-dot", path)
         files = []
         for k, s in enumerate(parse_report(run("enumerate", *CAPS, path)).structures[:2]):
             files.append(f"{name}-s{k}.json")
-            _write_structure(files[-1], name, s)
+            _write_structure(files[-1], inst, s)
         for f in files:
             run("verify", f)
             run("reduce", f)
-            run("export-dot", f)
+            if dot:
+                run("export-dot", f)
             run("synthesize", "--method", "newcofib", f)
         if files:
             run("zigzag", files[0], files[-1])
             run("zigzag", "--contract", files[0], files[-1])
+
+    for name in FIXTURES:
+        with open(f"{name}.json", "w", encoding="utf-8") as fh:
+            fh.write(run("fixture", name))
+        exercise(name, fixture(name))
     for name in LARGE_FIXTURES:
         path = f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
@@ -81,8 +104,13 @@ def invocations() -> dict[str, str]:
         run("recognize", path)
         for method in ("centers", "centers-dual"):
             s = parse_report(run("synthesize", "--method", method, path)).structures[0]
-            _write_structure(f"{name}-{method}.json", name, s)
+            _write_structure(f"{name}-{method}.json", fixture(name), s)
             run("verify", f"{name}-{method}.json")
+    for name, (base, labels) in ESCAPED.items():
+        # DOT output does not escape labels, so export-dot is left out here
+        inst = _relabelled(base, labels)
+        _write(f"{name}.json", inst)
+        exercise(name, inst, dot=False)
     return digests
 
 
@@ -235,4 +263,30 @@ DIGESTS = {
     'verify trunc-4-centers.json': '2e801503c10962dcf8dbfab43ae42bf2f658791c86d3dbde70178a69aed2ced2',
     'synthesize --method centers-dual trunc-4.json': 'bdf1ab50b49e8732fe88981ddecf9379f45e9dad9d7c60f710e508ca09e91e00',
     'verify trunc-4-centers-dual.json': 'e84541cefec28a5b1444a0d962534857f1e2f9e4ed4ee72a5c87d0ab58facfe9',
+    'validate escaped.json': '75e335c8a4bc3a15447849d230892a32446ffc2a2c75463074e76a8786435224',
+    'recognize escaped.json': 'f908b1ca54c58011bbc3e04fecc5b330990725068d8e0277f9b3871f07802387',
+    'centers find escaped.json': '67325d61a9303f5b8eda78c4b132efdea0dc4c09e2e0bdfc95c12d8827d4042e',
+    'centers enumerate --limit 3 escaped.json': '90857df0b25bbdfb0ba462112c8a52065f63f1150e3d30a7be3edf8e315ab90c',
+    'synthesize --method terminal escaped.json': '35e86b52071cc97994f8a80a8b33de8f8b1e2201ebcffe9ea2f003c7abee81c1',
+    'synthesize --method centers escaped.json': '8eb72b1ab320576e485c43fbdfc4ad6d6ba14cd42a48851e1478d6adee4614cf',
+    'synthesize --method centers-dual escaped.json': '5ecd0f086385e09257f2955d47f9826133b738d03f13207131eabdcfd991d204',
+    'synthesize --method genmc --generators escaped-gens.json escaped.json': 'df779dcd56e5346b920c28bba9f2ebbdeba8bc2808db0e06fa5304232f244349',
+    'enumerate --max-elements 24 --max-generators 32 escaped.json': '43361940c52f5fa6246e6c6ebe6144938d9684c51d5ce63e10d94e77e88d8995',
+    'verify escaped-s0.json': '707f3f4dad570ffd33a2efe93fb670daea2c7de5704ad1d86b75921f06cff272',
+    'reduce escaped-s0.json': '4949fe400050895d484da40ba9afa2f785b81445151a614da5fc3309a8ee55e1',
+    'synthesize --method newcofib escaped-s0.json': '9bb6b1c1287a0650c2ce76a824006411514b572f82f53ad318d4941ebe9d178b',
+    'verify escaped-s1.json': '1b0a871e1f07306349d8b4003979652bdace7b267ce4aeed950ef8029e3e37c8',
+    'reduce escaped-s1.json': 'a65a08bd121521f22b5724bfa60b9bb0008f06be57336a7ef0381e00c02e6a63',
+    'synthesize --method newcofib escaped-s1.json': '67edd5b977fcd24d7b0e596c4e17c9d0e79eca819bbc224c9304cdc71debdcf1',
+    'zigzag escaped-s0.json escaped-s1.json': '993b124dc1a63cba8257a7dd2db4e209b2a4cfc278380a2ed30007dd6f8c45e4',
+    'zigzag --contract escaped-s0.json escaped-s1.json': '91a4921c7f28dea9bdc0977c5d2762c8dd275e555d88410f43cfcfd97fbd8a23',
+    'validate escaped-no.json': 'b721a3bf9857be5188f53a3e6a2ca93c90e3ff2864519fc99c1d9ac24a1594de',
+    'recognize escaped-no.json': 'fe9e59b38b1340cbd9da523da9684a210a3a309aa50ba7d53141d4eb14315734',
+    'centers find escaped-no.json': '7ae563380d5d244bc021b256c570aa1057c55b491a604724c0cc9406c61228f7',
+    'centers enumerate --limit 3 escaped-no.json': '052f9cbebae0c118cc2eb5cd95fa2f4830980b87316960147fd8574d5727b4b5',
+    'synthesize --method terminal escaped-no.json': '8abbc57869fb8780d04ad1afa80942334d19bcc64ccd485b5b1e11f5c66cca99',
+    'synthesize --method centers escaped-no.json': 'de70e6e6a5b1371351daf1acd4b1521ac5936c89c7dde2ac0206024fd999f44e',
+    'synthesize --method centers-dual escaped-no.json': 'e52b327bbb4019bf01106ad2fb99f4369708b73008798bbd2d82ef7a22cec22e',
+    'synthesize --method genmc --generators escaped-no-gens.json escaped-no.json': '041be0a8709ce8d4f2ada2bd906f9141c5e7327a599e44c798a24f56ceafa3a2',
+    'enumerate --max-elements 24 --max-generators 32 escaped-no.json': '564283499fa39f7535a7ffd4d5e7bc8f23843b405f734e180f5281b3eb5d0e35',
 }

@@ -10,7 +10,9 @@ from posetmodels import (
     cofibrant_objects,
     compute_Jchi,
     compute_Qchi,
+    compute_Wc_chi,
     compute_Wf,
+    compute_Wf_chi,
     construct_from_centers,
     construct_from_centers_dual,
     construct_genMC,
@@ -39,7 +41,7 @@ from posetmodels.errors import (
     RecognitionFailed,
 )
 
-from helpers import check_model_invariants, structure_from_acyclic_cofibs
+from helpers import check_center_invariants, check_model_invariants, structure_from_acyclic_cofibs
 from test_centers import const_chi
 
 LEFT_SIG = (
@@ -124,8 +126,29 @@ def test_construct_from_centers(two_structures):
     chi = const_chi(two_structures, "C")
     m = construct_from_centers(two_structures, chi)
     assert m == left_printed(two_structures)
-    # Q_chi has no non-identities here, so the dual gives the same structure
     assert construct_from_centers_dual(two_structures, chi) == m
+
+
+def test_center_classes_can_be_strictly_inside_the_complements_of_Jchi_Qchi():
+    """The pentagon of the construct_from_centers_dual docstring: the dual's
+    cofibrations lc(W_f^chi) are strictly inside lc(Q_chi), and the
+    primal's fibrations rc(W_c^chi) strictly inside rc(J_chi)."""
+    lat = build_lattice(["0", "x", "b", "c", "1"],
+                        [("0", "x"), ("x", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+    rel = validate_relative(lat, [lat.pair_names(p) for p in lat.pairs])
+    chi = CenterMap((lat.index("c"),) * lat.n)
+    check_center_invariants(rel, chi)
+    xb = lat.pair("x", "b")
+    dual = construct_from_centers_dual(rel, chi)
+    assert dual.cof == left_complement(compute_Wf_chi(rel, chi))
+    assert xb in left_complement(compute_Qchi(rel, chi)) and xb not in dual.cof
+    primal = construct_from_centers(rel, chi)
+    assert primal.fib == right_complement(compute_Wc_chi(rel, chi))
+    assert xb in right_complement(compute_Jchi(rel, chi)) and xb not in primal.fib
+    # lc(Q_chi) gives a model structure here too, a different one
+    cof = left_complement(compute_Qchi(rel, chi))
+    other = ModelStruct(rel, cof, right_complement(cof & rel.weq))
+    assert verify_model(other).ok and other != dual
 
 
 def test_construct_genmc(two_structures):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from posetmodels import (
 from posetmodels.errors import CapExceeded
 from posetmodels.oracle import _closed_classes
 
-from helpers import compose_close, pushout_compose_close
+from helpers import check_all_centers, compose_close, permuted, permuted_instances, pushout_compose_close
 from test_models import LEFT_SIG, RIGHT_SIG, identity_rel
 
 
@@ -96,6 +97,39 @@ def test_three_way_agreement_sample():
         dec = recognize_finite(rel)
         centers_exist = check_s2of3(rel).ok and find_centers(rel) is not None
         assert dec.yes == centers_exist == decide_by_enumeration(rel)
+
+
+def test_three_way_agreement_on_permuted_indices():
+    """Recognition, the center search and the oracle agree when element
+    indices are not a linear extension of the order."""
+    unsorted = 0
+    gen = InstanceGen(seed=42, max_elements=6)
+    for rel in itertools.islice(permuted_instances(gen), 80):
+        unsorted += any(p.src > p.dst for p in rel.lattice.pairs)
+        dec = recognize_finite(rel)
+        centers_exist = check_s2of3(rel).ok and find_centers(rel) is not None
+        assert dec.yes == centers_exist == decide_by_enumeration(rel)
+        if dec.yes:
+            assert dec.structure.verified
+            assert check_all_centers(rel) >= 1
+    assert unsorted >= 40
+
+
+def test_closures_match_naive_on_permuted_indices():
+    """build_lattice's and _compose_close's Warshall closures against the
+    naive fixpoint, on indices that are not a linear extension."""
+    rng = random.Random(9)
+    unsorted = 0
+    for rel in itertools.islice(random_instances(InstanceGen(seed=9)), 300):
+        p = permuted(rel, rng)
+        lat = p.lattice
+        covers = {(lat.index(a), lat.index(b))
+                  for a, b in (rel.lattice.pair_names(c) for c in rel.lattice.cover_pairs())}
+        assert set(lat.pairs) == compose_close(covers | {(x, x) for x in range(lat.n)})
+        chosen = {tuple(q) for q in lat.pairs if q.src != q.dst and rng.random() < 0.5}
+        assert oracle._compose_close(lat.n, chosen) == compose_close(chosen)
+        unsorted += any(a > b for (a, b) in covers)
+    assert unsorted >= 150
 
 
 def naive_closed_classes(rel) -> list[int]:
