@@ -99,9 +99,6 @@ class MorphClass(Dualizable):
     def nonidentity_pairs(self) -> list[Pair]:
         return [p for p in self if p.src != p.dst]
 
-    def with_identities(self) -> "MorphClass":
-        return MorphClass(self.lattice, self.mask | self.lattice.identity_mask)
-
     def has_identities(self) -> bool:
         return self.lattice.identity_mask & ~self.mask == 0
 
@@ -242,31 +239,25 @@ def subcategory_check(s: MorphClass, name: str) -> Check:
     return Check(name, closed.ok, closed.witness)
 
 
-def _lifting_check(lc: MorphClass, rc: MorphClass) -> Check:
-    lat = lc.lattice
-    table = lat.nonlift_left
-    ps = lat.pairs
-    for i in iter_bits(lc.mask):
-        bad = table[i] & rc.mask
-        if bad:
-            return Check("lifting", False, (ps[i], ps[next(iter_bits(bad))]))
-    return Check("lifting", True)
-
-
 def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
-    """Check the three maximal-lifting-system conditions for (lc, rc)."""
+    """Check the three maximal-lifting-system conditions for (lc, rc).
+
+    Each witness is least in pair order.  Lifting fails exactly at the
+    members of lc outside the left complement of rc; its witness pairs the
+    least such f with the least g in rc that f does not lift against.
+    """
     lat = lc.lattice
     ps = lat.pairs
-    checks = [_lifting_check(lc, rc)]
-    extra = left_complement(rc).mask & ~lc.mask
-    checks.append(
-        Check("left_maximal", extra == 0, None if extra == 0 else (ps[next(iter_bits(extra))],))
-    )
-    extra = right_complement(lc).mask & ~rc.mask
-    checks.append(
-        Check("right_maximal", extra == 0, None if extra == 0 else (ps[next(iter_bits(extra))],))
-    )
-    return Report(tuple(checks))
+    allowed = left_complement(rc).mask
+
+    def check(name, extra, witness=lambda i: (ps[i],)):
+        return Check(name, extra == 0, witness(next(iter_bits(extra))) if extra else None)
+
+    return Report((
+        check("lifting", lc.mask & ~allowed, lambda f: (ps[f], ps[next(iter_bits(lat.nonlift_left[f] & rc.mask))])),
+        check("left_maximal", allowed & ~lc.mask),
+        check("right_maximal", right_complement(lc).mask & ~rc.mask),
+    ))
 
 
 def _factorization_check(lc: MorphClass, rc: MorphClass) -> Check:

@@ -4,12 +4,18 @@ Drawn edges are the covering relations plus any non-identity weak
 equivalences.  Weak equivalences carry a "~" label, cofibrations a hooked
 tail, fibrations a doubled head; an edge in several classes combines the
 attributes.  Node and edge order follow the element order bit-for-bit.
+Labels are written as DOT quoted IDs, with each ``\\`` doubled and each
+``"`` escaped as ``\\"``; any other label is written as it is.
 """
 
 from __future__ import annotations
 
 from .models import ModelStruct
 from .relative import RelStruct
+
+
+def _quote(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _edge_attrs(in_we: bool, in_cof: bool, in_fib: bool) -> str:
@@ -39,14 +45,14 @@ def export_dot(target: RelStruct | ModelStruct) -> str:
     edges.update(rel.weq.nonidentity_pairs())
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for name in lat.names:
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_quote(name)};")
     for p in sorted(edges):
         attrs = _edge_attrs(
             p in rel.weq,
             cof is not None and p in cof,
             fib is not None and p in fib,
         )
-        a, b = lat.pair_names(p)
-        lines.append(f'  "{a}" -> "{b}"{attrs};')
+        a, b = map(_quote, lat.pair_names(p))
+        lines.append(f"  {a} -> {b}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"

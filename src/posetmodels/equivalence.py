@@ -176,11 +176,12 @@ def homotopy_reduce(m: ModelStruct) -> tuple[FiniteLattice, ModelStruct, Reducti
     pos = {e: i for i, e in enumerate(d_elems)}
     gamma_cof = tuple(replacement(m, a, "cofibrant") for a in range(lat.n))
     gamma_fib = tuple(replacement(m, a, "fibrant") for a in range(lat.n))
-    # joins and fibrant replacements are meets and cofibrant ones in the opposite
-    for mm, dl, bound, side in ((m, d_lat, "meet", "cofibrant"), (m.op(), d_lat.op(), "join", "fibrant")):
+    # joins are meets in the opposite lattice
+    for amb, dl, gamma, bound, side in ((lat, d_lat, gamma_cof, "meet", "cofibrant"),
+                                        (lat.op(), d_lat.op(), gamma_fib, "join", "fibrant")):
         for x in d_elems:
             for y in d_elems:
-                if d_elems[dl.meet(pos[x], pos[y])] != replacement(mm, mm.lattice.meet(x, y), "cofibrant"):
+                if d_elems[dl.meet(pos[x], pos[y])] != gamma[amb.meet(x, y)]:
                     raise InternalCheckFailed(
                         f"reduced {bound} of {lat.name(x)}, {lat.name(y)} is not the {side} replacement of the ambient {bound}"
                     )

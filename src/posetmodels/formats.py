@@ -162,13 +162,11 @@ def print_instance(inst: InstanceFile) -> str:
     return _render(instance_to_dict(inst)) + "\n"
 
 
-def build_relative(inst: InstanceFile, add_identities: bool | None = None) -> RelStruct:
-    lattice = build_lattice(inst.elements, inst.leq)
-    flag = inst.add_identities if add_identities is None else (add_identities or inst.add_identities)
-    return validate_relative(lattice, inst.weq, add_identities=flag)
+def build_relative(inst: InstanceFile) -> RelStruct:
+    return validate_relative(build_lattice(inst.elements, inst.leq), inst.weq, add_identities=inst.add_identities)
 
 
-def build_structure(inst: InstanceFile, add_identities: bool | None = None) -> ModelStruct:
+def build_structure(inst: InstanceFile) -> ModelStruct:
     """Build the (unverified) structure of a full-structure file.
 
     Identities are always implied for cof and fib; run verify_model on the
@@ -176,7 +174,7 @@ def build_structure(inst: InstanceFile, add_identities: bool | None = None) -> M
     """
     if inst.cof is None or inst.fib is None:
         raise InvalidInput("structure file requires 'cof' and 'fib' fields")
-    rel = build_relative(inst, add_identities)
+    rel = build_relative(inst)
     lat = rel.lattice
     cof = MorphClass.from_pairs(lat, inst.cof, add_identities=True)
     fib = MorphClass.from_pairs(lat, inst.fib, add_identities=True)
@@ -242,20 +240,31 @@ def report_to_dict(rep: ReportFile) -> dict:
     return data
 
 
+_REPORT_FIELDS = {  # name: (its type, the type of each item, as a diagnostic names it)
+    "command": (list, str, "a list of strings"),
+    "decision": (str, object, "a string"),
+    "witnesses": (list, dict, "a list of objects"),
+    "structures": (list, dict, "a list of objects"),
+    "centers": (list, object, "a list"),
+    "zigzag": (dict, object, "an object"),
+    "timings": (dict, object, "an object"),
+}
+
+
 def report_from_dict(data: dict) -> ReportFile:
+    """A report, each field of the type :func:`report_to_dict` writes;
+    absent fields take their defaults."""
     if not isinstance(data, dict):
         raise InvalidInput("report file must be a JSON object")
     _check_version(data)
-    return ReportFile(
-        command=list(data.get("command", [])),
-        decision=data.get("decision", ""),
-        witnesses=list(data.get("witnesses", [])),
-        structures=list(data.get("structures", [])),
-        centers=list(data.get("centers", [])),
-        zigzag=data.get("zigzag"),
-        timings=data.get("timings"),
-        version=data["version"],
-    )
+    fields = {"command": [], "decision": ""}
+    for name, (kind, item, what) in _REPORT_FIELDS.items():
+        if name in data:
+            value = data[name]
+            if not isinstance(value, kind) or not all(isinstance(x, item) for x in value):
+                raise InvalidInput(f"field {name!r} must be {what}")
+            fields[name] = list(value) if kind is list else value
+    return ReportFile(**fields, version=data["version"])
 
 
 def parse_report(text: str) -> ReportFile:

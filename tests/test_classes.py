@@ -6,6 +6,7 @@ from posetmodels import (
     MorphClass,
     Pair,
     build_lattice,
+    enumerate_model_structures,
     factorize,
     is_binary_coproduct_closed,
     is_binary_product_closed,
@@ -174,6 +175,38 @@ def test_is_mls_examples(two_structures, two_chain):
     assert not rep.ok
     assert not rep["right_maximal"].ok
     assert rep["right_maximal"].witness == (Pair(0, 1),)
+
+
+def naive_lifting_witness(lc: MorphClass, rc: MorphClass):
+    """The least f in lc, then the least g in rc, with f not lifting against g."""
+    return next(((f, g) for f in lc for g in rc if not naive_lifts(lc.lattice, f, g)), None)
+
+
+@given(lattice_with_class(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lifting_check_matches_naive_scan(lc, data):
+    lat, s = lc
+    other = MorphClass.from_pairs(lat, data.draw(st.lists(st.sampled_from(list(lat.pairs)), unique=True)))
+    for left, right in ((s, other), (other, s)):
+        check = is_mls(left, right)["lifting"]
+        witness = naive_lifting_witness(left, right)
+        assert (check.ok, check.witness) == (witness is None, witness)
+
+
+def test_lifting_check_matches_naive_scan_on_failing_candidates(two_structures, forced):
+    failing = 0
+    for rel in (two_structures, forced):
+        for m in enumerate_model_structures(rel):
+            # the classes of a model structure, paired every way: most
+            # pairings fail to lift
+            classes = (m.cof, m.fib, m.acyclic_cofibrations(), m.acyclic_fibrations())
+            for left in classes:
+                for right in classes:
+                    check = is_mls(left, right)["lifting"]
+                    witness = naive_lifting_witness(left, right)
+                    assert (check.ok, check.witness) == (witness is None, witness)
+                    failing += not check.ok
+    assert failing > 100
 
 
 def test_is_wfs_examples(two_structures, trunc1):

@@ -1,11 +1,14 @@
+import dataclasses
 import io
 import json
+import re
 from contextlib import redirect_stdout
 
 import pytest
 
-from posetmodels import enumerate_centers, fixture
+from posetmodels import MorphClass, ModelStruct, build_lattice, enumerate_centers, fixture, validate_relative
 from posetmodels.cli import run_cli
+from posetmodels.dot import export_dot
 from posetmodels.errors import InvalidInput, UnknownFixture
 from posetmodels.formats import (
     InstanceFile,
@@ -109,6 +112,8 @@ def test_add_identities_flag(tmp_path):
     code, _ = run(["validate", str(path)])
     assert code == 2  # MissingIdentities
     code, _ = run(["--add-identities", "validate", str(path)])
+    assert code == 0
+    code, _ = run(["validate", str(path), "--add-identities"])
     assert code == 0
 
 
@@ -226,6 +231,28 @@ def test_export_dot(tmp_path, two_structures):
     assert '"bot" -> "top" [arrowhead="normalnormal", arrowtail="hook", dir="both"];' in out
 
 
+DOT_ID = r'"(?:[^"\\]|\\.)*"'
+
+
+def dot_label(token):
+    """The label a DOT quoted ID spells."""
+    assert re.fullmatch(DOT_ID, token)
+    return re.sub(r"\\(.)", r"\1", token[1:-1])
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    labels = ["\\", '"', '\\"', 'a"q', "b\\s", "c\\", '""', "\\\\n", "plain"]
+    lat = build_lattice(labels, list(zip(labels, labels[1:])))
+    rel = validate_relative(lat, [], add_identities=True)
+    everything = MorphClass.all_morphisms(lat)
+    for target in (rel, ModelStruct(rel, everything, everything)):
+        body = export_dot(target).split("\n")[2:-2]
+        nodes, edges = body[:len(labels)], body[len(labels):]
+        assert [dot_label(re.fullmatch(rf"  ({DOT_ID});", line)[1]) for line in nodes] == labels
+        ends = [re.fullmatch(rf"  ({DOT_ID}) -> ({DOT_ID})( \[.*\])?;", line) for line in edges]
+        assert [(dot_label(m[1]), dot_label(m[2])) for m in ends] == list(zip(labels, labels[1:]))
+
+
 def test_byte_identical_reports(tmp_path):
     path = write_fixture(tmp_path, "two-structures")
     for argv in (
@@ -266,6 +293,50 @@ def test_flags_accepted_after_subcommand(tmp_path):
     assert parse_report(target.read_text(encoding="utf-8")).decision == "yes"
     code, out = run(["recognize", path, "--timings"])
     assert code == 0 and parse_report(out).timings is not None
+
+
+def test_timings_report_differs_only_by_its_seconds(tmp_path, two_structures):
+    path = write_fixture(tmp_path, "two-structures")
+    bad = write_fixture(tmp_path, "s2of3-fail")
+    left = write_structure(tmp_path, "two-structures", left_printed(two_structures), "l.json")
+    broken = fixture("two-structures")
+    broken.cof = broken.fib = [("A", "B")]
+    (tmp_path / "broken.json").write_text(print_instance(broken), encoding="utf-8")
+    for command in (["recognize", path], ["recognize", bad], ["centers", "enumerate", "--limit", "2", path],
+                    ["synthesize", "--method", "centers", bad], ["zigzag", left, left],
+                    ["reduce", str(tmp_path / "broken.json")], ["verify", str(tmp_path / "broken.json")]):
+        code, plain = run(command)
+        for timed_argv in (["--timings", *command], [*command, "--timings"]):
+            timed_code, timed = run(timed_argv)
+            rep = parse_report(timed)
+            assert timed_code == code and rep.command == timed_argv
+            assert list(rep.timings) == ["seconds"] and isinstance(rep.timings["seconds"], float)
+            assert print_report(dataclasses.replace(rep, command=command, timings=None)) == plain
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("command", "abc", "a list of strings"),
+    ("command", ["recognize", 1], "a list of strings"),
+    ("decision", 5, "a string"),
+    ("decision", None, "a string"),
+    ("witnesses", {"k": 1}, "a list of objects"),
+    ("witnesses", [["s2of3"]], "a list of objects"),
+    ("structures", [[]], "a list of objects"),
+    ("centers", {}, "a list"),
+    ("zigzag", ["lr"], "an object"),
+    ("zigzag", None, "an object"),
+    ("timings", 0.5, "an object"),
+])
+def test_report_fields_must_have_their_types(field, value, what):
+    data = {"version": 1, "command": ["recognize", "x.json"], "decision": "yes", field: value}
+    with pytest.raises(InvalidInput, match=f"^field '{field}' must be {what}$"):
+        report_from_dict(data)
+
+
+def test_report_fields_are_checked_in_order_and_default_when_absent():
+    with pytest.raises(InvalidInput, match="^field 'command' must be a list of strings$"):
+        parse_report('{"version": 1, "command": "abc", "decision": 5, "witnesses": {"k": 1}}')
+    assert report_from_dict({"version": 1}) == ReportFile(command=[], decision="")
 
 
 def test_trunc_fixture_recognize(tmp_path):

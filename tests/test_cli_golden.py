@@ -7,7 +7,9 @@ temporary directory the test changes into, so the echoed argv is stable.
 The ESCAPED instances carry labels that JSON must escape (quotes,
 backslashes, control and non-ASCII characters, one outside the BMP); their
 digests were recorded before reports were rendered by the package's own
-emitter, so they pin its escaping to that of ``json.dumps``.
+emitter, so they pin its escaping to that of ``json.dumps``; their
+``export-dot`` digests were recorded once DOT output escaped ``"`` and ``\\``.
+Every report must also round-trip through ``parse_report``.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import io
 
 from posetmodels import fixture
 from posetmodels.cli import run_cli
-from posetmodels.formats import InstanceFile, parse_report, print_instance
+from posetmodels.formats import InstanceFile, parse_report, print_instance, print_report
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "trunc-1", "trunc-2", "chain-3", "chain-8")
 LARGE_FIXTURES = ("chain-16", "trunc-3", "trunc-4")  # bigger tables: P = 171, 141, 194
@@ -64,9 +66,11 @@ def invocations() -> dict[str, str]:
     def run(*argv):
         code, out, err = _run(list(argv))
         digests[" ".join(argv)] = hashlib.sha256(repr((code, out, err)).encode("utf-8")).hexdigest()
+        if out and argv[0] not in ("fixture", "export-dot"):
+            assert print_report(parse_report(out)) == out, "report does not round-trip"
         return out
 
-    def exercise(name, inst, dot=True):
+    def exercise(name, inst):
         """Every command on the instance file `name`.json holding `inst`."""
         path = f"{name}.json"
         _write(f"{name}-gens.json", InstanceFile(inst.elements, inst.leq, inst.weq[:1], inst.add_identities))
@@ -77,8 +81,7 @@ def invocations() -> dict[str, str]:
         for method in ("terminal", "centers", "centers-dual"):
             run("synthesize", "--method", method, path)
         run("synthesize", "--method", "genmc", "--generators", f"{name}-gens.json", path)
-        if dot:
-            run("export-dot", path)
+        run("export-dot", path)
         files = []
         for k, s in enumerate(parse_report(run("enumerate", *CAPS, path)).structures[:2]):
             files.append(f"{name}-s{k}.json")
@@ -86,8 +89,7 @@ def invocations() -> dict[str, str]:
         for f in files:
             run("verify", f)
             run("reduce", f)
-            if dot:
-                run("export-dot", f)
+            run("export-dot", f)
             run("synthesize", "--method", "newcofib", f)
         if files:
             run("zigzag", files[0], files[-1])
@@ -107,10 +109,9 @@ def invocations() -> dict[str, str]:
             _write_structure(f"{name}-{method}.json", fixture(name), s)
             run("verify", f"{name}-{method}.json")
     for name, (base, labels) in ESCAPED.items():
-        # DOT output does not escape labels, so export-dot is left out here
         inst = _relabelled(base, labels)
         _write(f"{name}.json", inst)
-        exercise(name, inst, dot=False)
+        exercise(name, inst)
     return digests
 
 
@@ -271,12 +272,15 @@ DIGESTS = {
     'synthesize --method centers escaped.json': '8eb72b1ab320576e485c43fbdfc4ad6d6ba14cd42a48851e1478d6adee4614cf',
     'synthesize --method centers-dual escaped.json': '5ecd0f086385e09257f2955d47f9826133b738d03f13207131eabdcfd991d204',
     'synthesize --method genmc --generators escaped-gens.json escaped.json': 'df779dcd56e5346b920c28bba9f2ebbdeba8bc2808db0e06fa5304232f244349',
+    'export-dot escaped.json': '77b7bea990b95de7fdafd75b6a214aa4573ff4d54ebcb5f4542d7ca70542866f',
     'enumerate --max-elements 24 --max-generators 32 escaped.json': '43361940c52f5fa6246e6c6ebe6144938d9684c51d5ce63e10d94e77e88d8995',
     'verify escaped-s0.json': '707f3f4dad570ffd33a2efe93fb670daea2c7de5704ad1d86b75921f06cff272',
     'reduce escaped-s0.json': '4949fe400050895d484da40ba9afa2f785b81445151a614da5fc3309a8ee55e1',
+    'export-dot escaped-s0.json': '97c5e536b5275db1bc18516ac2c6d48c8fa78bf3458892fd7528ee607607491e',
     'synthesize --method newcofib escaped-s0.json': '9bb6b1c1287a0650c2ce76a824006411514b572f82f53ad318d4941ebe9d178b',
     'verify escaped-s1.json': '1b0a871e1f07306349d8b4003979652bdace7b267ce4aeed950ef8029e3e37c8',
     'reduce escaped-s1.json': 'a65a08bd121521f22b5724bfa60b9bb0008f06be57336a7ef0381e00c02e6a63',
+    'export-dot escaped-s1.json': 'd48c888033cbf3d03f092fdc635b7c3acbac71c43d115fffd6af17d00a241254',
     'synthesize --method newcofib escaped-s1.json': '67edd5b977fcd24d7b0e596c4e17c9d0e79eca819bbc224c9304cdc71debdcf1',
     'zigzag escaped-s0.json escaped-s1.json': '993b124dc1a63cba8257a7dd2db4e209b2a4cfc278380a2ed30007dd6f8c45e4',
     'zigzag --contract escaped-s0.json escaped-s1.json': '91a4921c7f28dea9bdc0977c5d2762c8dd275e555d88410f43cfcfd97fbd8a23',
@@ -288,5 +292,6 @@ DIGESTS = {
     'synthesize --method centers escaped-no.json': 'de70e6e6a5b1371351daf1acd4b1521ac5936c89c7dde2ac0206024fd999f44e',
     'synthesize --method centers-dual escaped-no.json': 'e52b327bbb4019bf01106ad2fb99f4369708b73008798bbd2d82ef7a22cec22e',
     'synthesize --method genmc --generators escaped-no-gens.json escaped-no.json': '041be0a8709ce8d4f2ada2bd906f9141c5e7327a599e44c798a24f56ceafa3a2',
+    'export-dot escaped-no.json': '2a72158a66741c8becf589c67ec3773de8931982d09dfa74f303de91e32f6a76',
     'enumerate --max-elements 24 --max-generators 32 escaped-no.json': '564283499fa39f7535a7ffd4d5e7bc8f23843b405f734e180f5281b3eb5d0e35',
 }

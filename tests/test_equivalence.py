@@ -7,6 +7,7 @@ from posetmodels import (
     build_zigzag,
     centers,
     enumerate_model_structures,
+    equivalence,
     extract_centers,
     homotopy_reduce,
     is_identity_left_quillen,
@@ -129,6 +130,18 @@ def test_reduce_validates_centers_once_per_side(monkeypatch):
         assert len(calls) == 2
         homotopy_reduce(m)
         assert len(calls) == 2
+
+
+def test_reduce_computes_each_replacement_once(monkeypatch):
+    # one cofibrant and one fibrant replacement per element; the reduced
+    # meet and join checks read them back instead of recomputing
+    calls = []
+    replacement = equivalence.replacement
+    monkeypatch.setattr(equivalence, "replacement", lambda m, a, side: calls.append(side) or replacement(m, a, side))
+    for m in enumerate_model_structures(load("two-structures")) + enumerate_model_structures(load("forced")):
+        calls.clear()
+        homotopy_reduce(m)
+        assert sorted(calls) == ["cofibrant"] * m.lattice.n + ["fibrant"] * m.lattice.n
 
 
 def test_zigzags_check_each_center_map_once_per_side(monkeypatch):
