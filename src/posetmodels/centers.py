@@ -46,15 +46,16 @@ def _square_in_weq(rel: RelStruct, a: int, c: int) -> bool:
 def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
     """Check every defining property of a choice of centers, least witness each.
 
-    A map that passes is memoised on `rel` (write-once; ``rel.op()`` keeps
-    a memo of its own), and later calls return its report without checking
-    again.  A failing map is checked in full on every call.
+    Only a map that passes is memoised on `rel`, keyed by its chi tuple
+    (see :class:`~posetmodels.lattice.Dualizable`); a failing map is
+    checked in full on every call.
     """
-    report = rel._passed_centers.get(chi.chi)
+    key = ("validate_centers", chi.chi)
+    report = rel._memo.get(key)
     if report is None:
         report = _check_centers(rel, chi)
         if report.ok:
-            report = rel._passed_centers.setdefault(chi.chi, report)
+            report = rel._cached(key, lambda _: report)
     return report
 
 

@@ -16,12 +16,11 @@ from .report import Check, Report
 class MorphClass(Dualizable):
     """An immutable class of morphisms over a fixed finite lattice."""
 
-    __slots__ = ("lattice", "mask", "_pushout_closed", "_rows", "_cols", "_op", "__weakref__")
+    __slots__ = ("lattice", "mask", "_rows", "_cols", "_op", "__weakref__")
 
     def __init__(self, lattice: FiniteLattice, mask: int):
         self.lattice = lattice
         self.mask = mask
-        self._pushout_closed: bool | None = None
         self._rows: list[int] | None = None
         self._cols: list[int] | None = None
         self._op = None
@@ -160,14 +159,13 @@ def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> li
     """All c != src f with (src f, c) in j and c <= dst f.
 
     For a pushout-closed j this list is empty exactly when every member of
-    j lifts on the left of f.  Certified mode checks pushout-closure once
-    (cached on the class) and refuses to answer otherwise.
+    j lifts on the left of f.  Certified mode runs :func:`is_pushout_closed`
+    on j at each call; if j fails, it raises :class:`NotPushoutClosed` with the witness.
     """
     if certified:
-        if j._pushout_closed is None:
-            j._pushout_closed = bool(is_pushout_closed(j))
-        if not j._pushout_closed:
-            raise NotPushoutClosed(is_pushout_closed(j).witness)
+        closed = is_pushout_closed(j)
+        if not closed:
+            raise NotPushoutClosed(closed.witness)
     lat = j.lattice
     candidates = j.rows[f.src] & lat.down_mask(f.dst) & ~(1 << f.src)
     return list(iter_bits(candidates))

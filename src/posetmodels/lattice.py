@@ -26,6 +26,7 @@ order.
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from typing import Iterable, Iterator, NamedTuple
@@ -62,6 +63,13 @@ class Dualizable:
     Concurrent first calls may each build an opposite, but only the first
     one published is ever returned.  The build runs outside the lock:
     ``_reversed`` calls ``op()`` on its parts.
+
+    The memo ``_memo``, which subclasses start empty, holds every derived
+    value.  It is per object and ``op()`` side: ``_reversed`` gives the
+    opposite an empty one.  :meth:`_cached` publishes with
+    ``dict.setdefault``, so the first value published wins and every caller
+    gets that object.  A build that raises is never memoised, and center
+    maps are memoised only when they pass (``validate_centers``).
     """
 
     __slots__ = ()
@@ -77,6 +85,16 @@ class Dualizable:
                     o = built
         return o
 
+    def _cached(self, key, build):
+        """The memo entry `key`, publishing ``build(self)`` on a miss."""
+        value = self._memo.get(key)
+        return self._memo.setdefault(key, build(self)) if value is None else value
+
+
+def _memoised(fn):
+    """Memoise ``fn(x)`` on x, under fn's name (see :class:`Dualizable`)."""
+    return functools.wraps(fn)(lambda x: x._cached(fn.__name__, fn))
+
 
 class Pair(NamedTuple):
     """A morphism src -> dst; only valid when src <= dst."""
@@ -91,8 +109,8 @@ class Pair(NamedTuple):
 class FiniteLattice(Dualizable):
     """A validated finite bounded lattice.
 
-    Immutable after construction (caches are write-once), safe to share
-    between threads for read-only use.  Build instances with
+    Immutable after construction (tables are memoised, see Dualizable),
+    safe to share between threads for read-only use.  Build instances with
     :func:`build_lattice`, never directly; ``op()`` gives the opposite.
     """
 
@@ -108,13 +126,7 @@ class FiniteLattice(Dualizable):
         self._index = {name: i for i, name in enumerate(self.names)}
         self.opposite = False  # True for the lattice returned by build_lattice(...).op()
         self._op = None
-        # morphism bookkeeping, filled lazily
-        self._pairs: tuple[Pair, ...] | None = None
-        self._pair_index: dict[Pair, int] | None = None
-        self._identity_mask: int | None = None
-        self._masks: tuple[list[int], ...] | None = None
-        self._nonlift_left: list[int] | None = None
-        self._pushout_targets: list[int] | None = None
+        self._memo = {}
 
     def _reversed(self) -> "FiniteLattice":
         """The opposite lattice, sharing this one's tables, swapped."""
@@ -187,65 +199,65 @@ class FiniteLattice(Dualizable):
 
     # -- morphism bookkeeping -------------------------------------------
 
+    # the pair list, its index, the identity mask and the two tables are hot:
+    # a hit reads the memo directly, and only a miss calls _cached
     @property
     def pairs(self) -> tuple[Pair, ...]:
         """All comparable pairs (morphisms), sorted lexicographically; in op(), by their primal reading."""
-        if self._pairs is None:
-            ps = sorted((Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a])),
-                        key=Pair.op if self.opposite else None)
-            ident = 0
-            for i, p in enumerate(ps):
-                if p.src == p.dst:
-                    ident |= 1 << i
-            # publish the derived fields before `_pairs`, which readers test
-            self._pair_index = {p: i for i, p in enumerate(ps)}
-            self._identity_mask = ident
-            self._pairs = tuple(ps)
-        return self._pairs
+        try:
+            return self._memo["pairs"]
+        except KeyError:
+            ps = (Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a]))
+            return self._cached("pairs", lambda _: tuple(sorted(ps, key=Pair.op if self.opposite else None)))
 
     @property
     def pair_index(self) -> dict[Pair, int]:
-        self.pairs
-        return self._pair_index
+        try:
+            return self._memo["pair_index"]
+        except KeyError:
+            return self._cached("pair_index", lambda lat: {p: i for i, p in enumerate(lat.pairs)})
 
     @property
     def identity_mask(self) -> int:
-        self.pairs
-        return self._identity_mask
+        try:
+            return self._memo["identity_mask"]
+        except KeyError:
+            return self._cached("identity_mask", lambda lat: sum(1 << i for i, (a, b) in enumerate(lat.pairs) if a == b))
 
     @property
     def all_pairs_mask(self) -> int:
         return (1 << len(self.pairs)) - 1
 
+    @_memoised
     def _pair_masks(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """The per-element pair masks (by_src, by_dst, src_up, dst_up) of the
-        module docstring, cached.  Only nonlift_left and pushout_targets read
-        them; the one built second frees them."""
-        if self._masks is None:
-            by_src = [0] * self.n
-            by_dst = [0] * self.n
-            for j, (x, y) in enumerate(self.pairs):
-                by_src[x] |= 1 << j
-                by_dst[y] |= 1 << j
-            src_up = [0] * self.n
-            dst_up = [0] * self.n
-            for a in range(self.n):
-                for x in iter_bits(self._up[a]):
-                    src_up[a] |= by_src[x]
-                    dst_up[a] |= by_dst[x]
-            self._masks = (by_src, by_dst, src_up, dst_up)
-        return self._masks
+        module docstring.  Only nonlift_left and pushout_targets read them;
+        the one built second frees them."""
+        by_src = [0] * self.n
+        by_dst = [0] * self.n
+        for j, (x, y) in enumerate(self.pairs):
+            by_src[x] |= 1 << j
+            by_dst[y] |= 1 << j
+        src_up = [0] * self.n
+        dst_up = [0] * self.n
+        for a in range(self.n):
+            for x in iter_bits(self._up[a]):
+                src_up[a] |= by_src[x]
+                dst_up[a] |= by_dst[x]
+        return (by_src, by_dst, src_up, dst_up)
 
     @property
     def nonlift_left(self) -> list[int]:
         """nonlift_left[i] = mask of j such that pairs[i] does NOT lift left of
         pairs[j]: for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and y in up[b]."""
-        if self._nonlift_left is None:
+        try:
+            return self._memo["nonlift_left"]
+        except KeyError:
             _, _, src_up, dst_up = self._pair_masks()
-            self._nonlift_left = [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in self.pairs]
-            if self._pushout_targets is not None:
-                self._masks = None
-        return self._nonlift_left
+            table = self._cached("nonlift_left", lambda lat: [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in lat.pairs])
+        if "pushout_targets" in self._memo:
+            self._memo.pop("_pair_masks", None)
+        return table
 
     @property
     def nonlift_right(self) -> list[int]:
@@ -261,7 +273,9 @@ class FiniteLattice(Dualizable):
         by_src[c] & by_dst[b v c] (each term the single bit of one pair),
         holds every pushout of a pair ending in b.
         """
-        if self._pushout_targets is None:
+        try:
+            return self._memo["pushout_targets"]
+        except KeyError:
             by_src, by_dst, src_up, _ = self._pair_masks()
             po = []
             for row in self._join:
@@ -269,10 +283,10 @@ class FiniteLattice(Dualizable):
                 for c, bc in enumerate(row):
                     m |= by_src[c] & by_dst[bc]
                 po.append(m)
-            self._pushout_targets = [po[b] & src_up[a] for (a, b) in self.pairs]
-            if self._nonlift_left is not None:
-                self._masks = None
-        return self._pushout_targets
+            table = self._cached("pushout_targets", lambda lat: [po[b] & src_up[a] for (a, b) in lat.pairs])
+        if "nonlift_left" in self._memo:
+            self._memo.pop("_pair_masks", None)
+        return table
 
     @property
     def pullback_targets(self) -> list[int]:

@@ -38,7 +38,7 @@ from .errors import (
     RecognitionFailed,
     S2OF3Failed,
 )
-from .lattice import Dualizable, Pair, iter_bits
+from .lattice import Dualizable, Pair, _memoised, iter_bits
 from .relative import RelStruct, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
@@ -50,12 +50,12 @@ class ModelStruct(Dualizable):
     fib: MorphClass
     report: Report | None = field(default=None, repr=False)
     _op: object = field(default=None, init=False, repr=False)
-    _centers: CenterMap | None = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def _reversed(self) -> "ModelStruct":
         """The opposite structure: cof and fib swap.  A passing report carries
         over, since the axioms are self-dual and it has no witnesses; the
-        center memo does not."""
+        memo does not."""
         return ModelStruct(self.rel.op(), self.fib.op(), self.cof.op(), self.report if self.verified else None)
 
     @property
@@ -118,11 +118,10 @@ def _two_of_three_check(rel: RelStruct) -> Check:
     return Check("two_of_three", True)
 
 
+@_memoised
 def _weq_checks(rel: RelStruct) -> tuple[Check, Check]:
-    """The W-only checks of :func:`verify_model`, cached write-once on `rel`."""
-    if rel._weq_checks is None:
-        rel._weq_checks = (subcategory_check(rel.weq, "we_subcategory"), _two_of_three_check(rel))
-    return rel._weq_checks
+    """The W-only checks of :func:`verify_model`."""
+    return (subcategory_check(rel.weq, "we_subcategory"), _two_of_three_check(rel))
 
 
 def verify_model(m: ModelStruct) -> Report:
@@ -130,10 +129,9 @@ def verify_model(m: ModelStruct) -> Report:
 
     Two checks read only the weak equivalences: W is a subcategory, and W
     has 2-of-3.  They are pure functions of the immutable W, so they are
-    computed once per relative structure and side (``m.rel`` and
-    ``m.rel.op()`` each compute their own, with their own witnesses) and
-    shared by every structure over it.  Every check that reads cof or fib
-    runs in full on each call, so the verification stays exhaustive.
+    memoised on ``m.rel`` (see :class:`~posetmodels.lattice.Dualizable`)
+    and shared by every structure over it.  Every check that reads cof or
+    fib runs in full on each call, so the verification stays exhaustive.
     """
     we_sub, two_of_three = _weq_checks(m.rel)
     checks = [
@@ -183,14 +181,20 @@ def _witnesses_from_op(rel: RelStruct, chi: CenterMap | None = None):
         raise InvalidCenters(validate_centers(rel, chi)) from None
 
 
+def _generated_by(rel: RelStruct, j: MorphClass) -> tuple[MorphClass, MorphClass]:
+    """(cof, fib) generated by J <= W: fibrations rc(J) and cofibrations
+    lc(W & rc(J)), with rc and lc the right and left complements."""
+    fib = right_complement(j)
+    return left_complement(fib & rel.weq), fib
+
+
 def construct_terminal(rel: RelStruct) -> ModelStruct:
     """The terminal structure: fibrations are the right complement of W_c."""
-    report = recognition_report(rel)  # cached on rel: recognize_finite built it already
+    report = recognition_report(rel)  # memoised on rel: recognize_finite built it already
     if not report.ok:
         bad = report.witness_check()
         raise RecognitionFailed(bad.name, bad.witness)
-    fib = right_complement(compute_Wc(rel))
-    cof = left_complement(fib & rel.weq)
+    cof, fib = _generated_by(rel, compute_Wc(rel))
     return _verified(rel, cof, fib, "terminal construction")
 
 
@@ -211,8 +215,7 @@ def construct_from_centers(rel: RelStruct, chi: CenterMap) -> ModelStruct:
     does not lift against itself, so it is not in rc(W_c^chi).
     """
     _require_valid_centers(rel, chi)
-    fib = right_complement(compute_Wc_chi(rel, chi))
-    cof = left_complement(fib & rel.weq)
+    cof, fib = _generated_by(rel, compute_Wc_chi(rel, chi))
     return _verified(rel, cof, fib, "center construction")
 
 
@@ -258,8 +261,7 @@ def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
     s2 = check_s2of3(rel)
     if not s2.ok:
         raise S2OF3Failed(s2.witness)
-    fib = right_complement(j)
-    cof = left_complement(rel.weq & fib)
+    cof, fib = _generated_by(rel, j)
     bad = right_complement(cof).mask & ~rel.weq.mask
     if bad:
         raise HypothesisFailed(2, rel.lattice.pairs[next(iter_bits(bad))])
@@ -310,17 +312,14 @@ def fibrant_objects(m: ModelStruct) -> tuple[int, ...]:
     return cofibrant_objects(m.op())
 
 
+@_memoised
 def extract_centers(m: ModelStruct) -> CenterMap:
     """The center map of a verified structure: each component's unique
     cofibrant-and-fibrant object.
 
-    The first call on a structure validates the map (a map that passed on
-    ``m.rel`` before is not checked again, see :func:`validate_centers`);
-    only a map that passed is memoised on the structure (write-once), and
-    later calls return it.  ``m.op()`` keeps a memo of its own.
+    The map is validated (through :func:`validate_centers`) and memoised
+    on `m` only once it passed (see :class:`~posetmodels.lattice.Dualizable`).
     """
-    if m._centers is not None:
-        return m._centers
     _require_verified(m)
     cf = set(cofibrant_objects(m)) & set(fibrant_objects(m))
     chi = [0] * m.lattice.n
@@ -337,7 +336,6 @@ def extract_centers(m: ModelStruct) -> CenterMap:
     if not report.ok:
         bad = report.witness_check()
         raise InternalCheckFailed(f"extracted centers invalid at {bad.name}, witness {bad.witness}")
-    m._centers = out
     return out
 
 

@@ -28,10 +28,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .classes import MorphClass, left_complement, right_complement
+from .classes import MorphClass
 from .errors import CapExceeded, NotALattice, Unbounded
 from .lattice import build_lattice, iter_bits
-from .models import ModelStruct, verify_model
+from .models import ModelStruct, _generated_by, verify_model
 from .relative import RelStruct, check_s2of3, validate_relative
 
 DEFAULT_MAX_ELEMENTS = 10
@@ -97,8 +97,7 @@ def enumerate_model_structures(
         raise CapExceeded("lattice elements", max_elements, lat.n)
     candidates: dict[tuple[int, int], None] = {}
     for a_mask in _closed_classes(rel, max_generators):
-        fib = right_complement(MorphClass(lat, a_mask))
-        cof = left_complement(fib & rel.weq)
+        cof, fib = _generated_by(rel, MorphClass(lat, a_mask))
         candidates.setdefault((cof.mask, fib.mask))
     out = []
     for cof_mask, fib_mask in sorted(candidates):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .classes import MorphClass, is_pushout_closed, subcategory_check
 from .errors import InternalCheckFailed, MissingIdentities, NotCompositionClosed
-from .lattice import Dualizable, FiniteLattice, Pair, iter_bits
+from .lattice import Dualizable, FiniteLattice, Pair, _memoised, iter_bits
 from .report import Check, Report
 
 
@@ -20,52 +20,45 @@ class RelStruct(Dualizable):
 
     `components` are the equivalence classes of the symmetric-transitive
     closure of W (zigzag connectivity), each sorted, listed by least
-    element.  W-derived classes and reports (among them the W-only checks
-    of ``verify_model``), and the center maps that passed validation, are
-    cached write-once.
-    ``op()`` is the same W over the opposite lattice, with the same
-    components.
+    element; ``component_of[x]`` indexes the one containing x.  W-derived
+    classes and reports, among them the W-only checks of ``verify_model``
+    and the center maps that passed validation, live in the memo (see
+    :class:`~posetmodels.lattice.Dualizable`).  ``op()`` is the same W over
+    the opposite lattice, with the same components.
     """
 
     def __init__(self, lattice: FiniteLattice, weq: MorphClass):
         self.lattice = lattice
         self.weq = weq
-        comp_of = list(range(lattice.n))
+        parent = list(range(lattice.n))
 
         def find(x):
-            while comp_of[x] != x:
-                comp_of[x] = comp_of[comp_of[x]]
-                x = comp_of[x]
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
             return x
 
         for (a, b) in weq:
             ra, rb = find(a), find(b)
             if ra != rb:
-                comp_of[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
+                parent[max(ra, rb)] = min(ra, rb)
+        components: list[list[int]] = []
+        component_of = [0] * lattice.n
         for x in range(lattice.n):
-            groups.setdefault(find(x), []).append(x)
-        self.components: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(g)) for _, g in sorted(groups.items())
-        )
-        self.component_of: tuple[int, ...] = tuple(
-            next(i for i, comp in enumerate(self.components) if x in comp)
-            for x in range(lattice.n)
-        )
-        self._wc: MorphClass | None = None
-        self._s2of3: Report | None = None
-        self._cw: Report | None = None
-        self._report: Report | None = None
-        self._weq_checks: tuple[Check, Check] | None = None  # see models.verify_model
-        self._passed_centers: dict[tuple[int, ...], Report] = {}  # see validate_centers
+            root = find(x)  # the least element of x's component, so x == root comes first
+            if root == x:
+                components.append([])
+            component_of[x] = len(components) - 1 if root == x else component_of[root]
+            components[component_of[x]].append(x)
+        self.components: tuple[tuple[int, ...], ...] = tuple(map(tuple, components))
+        self.component_of: tuple[int, ...] = tuple(component_of)
         self._op = None
+        self._memo = {}
 
     def _reversed(self) -> "RelStruct":
         """W over the opposite lattice, sharing the components."""
         o = copy.copy(self)
-        o.lattice, o.weq = self.lattice.op(), self.weq.op()
-        o._wc = o._s2of3 = o._cw = o._report = o._weq_checks = None
-        o._passed_centers = {}
+        o.lattice, o.weq, o._memo = self.lattice.op(), self.weq.op(), {}
         return o
 
     def __eq__(self, other):
@@ -98,13 +91,12 @@ def validate_relative(lattice: FiniteLattice, pairs, add_identities: bool = Fals
     return RelStruct(lattice, weq)
 
 
+@_memoised
 def check_s2of3(rel: RelStruct) -> Report:
     """Strong 2-of-3: both factors of any factored W-morphism are in W.
 
     The witness is the lexicographically least failing triple (a, b, c).
     """
-    if rel._s2of3 is not None:
-        return rel._s2of3
     lat = rel.lattice
     rows = rel.weq.rows
     witness = None
@@ -120,8 +112,7 @@ def check_s2of3(rel: RelStruct) -> Report:
             if bad:
                 witness = (a, b, next(iter_bits(bad)))
                 break
-    rel._s2of3 = Report((Check("s2of3", witness is None, witness),))
-    return rel._s2of3
+    return Report((Check("s2of3", witness is None, witness),))
 
 
 def _pushout_stable_part(rel: RelStruct, allowed: int, label: str) -> MorphClass:
@@ -142,11 +133,10 @@ def _pushout_stable_part(rel: RelStruct, allowed: int, label: str) -> MorphClass
     return out
 
 
+@_memoised
 def compute_Wc(rel: RelStruct) -> MorphClass:
     """Largest subcategory of W all of whose pushouts stay in W."""
-    if rel._wc is None:
-        rel._wc = _pushout_stable_part(rel, rel.weq.mask, "W_c")
-    return rel._wc
+    return _pushout_stable_part(rel, rel.weq.mask, "W_c")
 
 
 def compute_Wf(rel: RelStruct) -> MorphClass:
@@ -155,11 +145,9 @@ def compute_Wf(rel: RelStruct) -> MorphClass:
     return compute_Wc(rel.op()).op()
 
 
+@_memoised
 def check_cw_factorization(rel: RelStruct) -> Report:
     """Every W-morphism factors as a W_c morphism followed by a W_f morphism."""
-    if rel._cw is not None:
-        return rel._cw
-    lat = rel.lattice
     wc_rows = compute_Wc(rel).rows
     wf_cols = compute_Wf(rel).cols
     witness = None
@@ -167,12 +155,12 @@ def check_cw_factorization(rel: RelStruct) -> Report:
         if wc_rows[a] & wf_cols[b] == 0:
             witness = (Pair(a, b),)
             break
-    rel._cw = Report((Check("cw_factorization", witness is None, witness),))
-    return rel._cw
+    return Report((Check("cw_factorization", witness is None, witness),))
 
 
+@_memoised
 def recognition_report(rel: RelStruct) -> Report:
-    """The finite recognition conditions, as one report, cached write-once.
+    """The finite recognition conditions, as one report.
 
     Closure of W_c under binary coproducts (the finite shadow of the
     coproduct condition) always holds here; it is asserted as an invariant
@@ -183,13 +171,11 @@ def recognition_report(rel: RelStruct) -> Report:
     subcategory (asserted by :func:`compute_Wc`), so pushout closure plus
     composition closure give binary-coproduct closure.
     """
-    if rel._report is None:
-        checks = check_s2of3(rel).checks + check_cw_factorization(rel).checks
-        closed = is_pushout_closed(compute_Wc(rel))
-        if not closed:
-            raise InternalCheckFailed(f"W_c fails the {closed.name} guard, witness (f, pushout) = {closed.witness}")
-        rel._report = Report(checks)
-    return rel._report
+    checks = check_s2of3(rel).checks + check_cw_factorization(rel).checks
+    closed = is_pushout_closed(compute_Wc(rel))
+    if not closed:
+        raise InternalCheckFailed(f"W_c fails the {closed.name} guard, witness (f, pushout) = {closed.witness}")
+    return Report(checks)
 
 
 @dataclass

@@ -113,6 +113,11 @@ def pushout_compose_close(lattice, pairs) -> set:
         out = grown
 
 
+def memo_entry(x, key):
+    """The value memoised on x under `key` (see ``Dualizable``), or None."""
+    return x._memo.get(key)
+
+
 def permuted(rel, rng: random.Random):
     """`rel` rebuilt from its cover pairs with its elements indexed in an
     order drawn from `rng`.  Labels, order and W stay the same, but index

@@ -19,7 +19,7 @@ from posetmodels import (
 )
 from posetmodels.errors import S2OF3Failed
 
-from helpers import check_all_centers
+from helpers import check_all_centers, memo_entry
 
 
 def identity_rel():
@@ -81,7 +81,8 @@ def test_passing_center_maps_are_memoised_per_side(monkeypatch):
     for _ in range(2):
         assert not validate_centers(rel, bad).ok
     assert len(checked) == 4
-    assert rel._passed_centers == {good.chi: first}
+    assert memo_entry(rel, ("validate_centers", good.chi)) is first
+    assert memo_entry(rel, ("validate_centers", bad.chi)) is None
 
 
 def test_squares_witness_is_first_missing_edge(forced):

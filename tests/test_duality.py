@@ -17,13 +17,16 @@ from posetmodels import (
     MorphClass,
     ModelStruct,
     Pair,
+    RelStruct,
     build_lattice,
+    check_cw_factorization,
     check_s2of3,
     compute_Qchi,
     compute_Wc,
     compute_Wf,
     compute_Wf_chi,
     construct_from_centers_dual,
+    construct_terminal,
     construct_genMC_dual,
     construct_newfib_dual,
     enumerate_centers,
@@ -40,9 +43,11 @@ from posetmodels import (
     replacement,
     right_complement,
 )
-from posetmodels.centers import CenterMap
+from posetmodels import models
+from posetmodels.centers import CenterMap, validate_centers
 from posetmodels.errors import PosetModelError
 from posetmodels.lattice import iter_bits
+from posetmodels.relative import recognition_report
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "chain-3", "trunc-1")
 CAPS = {"trunc-1": {"max_elements": 24, "max_generators": 32}}
@@ -357,6 +362,63 @@ def test_op_race_publishes_one_opposite():
                 assert x.op() is results[0][i] and x.op().op() is x
     finally:
         sys.setswitchinterval(interval)
+
+
+def _chain_with_every_pair(n):
+    names = [f"c{i}" for i in range(n)]
+    lat = build_lattice(names, zip(names, names[1:]))
+    return RelStruct(lat, MorphClass.all_morphisms(lat))
+
+
+def test_memo_race_publishes_one_value():
+    # concurrent first calls on fresh objects: every thread gets the same
+    # object from each memoised value, the first one published
+    probes = {
+        "compute_Wc": lambda rel, m, lat: compute_Wc(rel),
+        "compute_Wf": lambda rel, m, lat: compute_Wf(rel),
+        "check_s2of3": lambda rel, m, lat: check_s2of3(rel),
+        "check_cw_factorization": lambda rel, m, lat: check_cw_factorization(rel),
+        "recognition_report": lambda rel, m, lat: recognition_report(rel),
+        "_weq_checks": lambda rel, m, lat: models._weq_checks(rel),
+        "extract_centers": lambda rel, m, lat: extract_centers(m),
+        "pushout_targets": lambda rel, m, lat: lat.pushout_targets,
+        "nonlift_left": lambda rel, m, lat: lat.nonlift_left,
+    }
+    names = list(probes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rel = _chain_with_every_pair(30)
+            m = construct_terminal(_chain_with_every_pair(30))
+            lat = _chain_with_every_pair(30).lattice
+            barrier = threading.Barrier(4)
+
+            def work(k):
+                barrier.wait(timeout=60)
+                return {name: probes[name](rel, m, lat) for name in names[k:] + names[:k]}
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(work, k) for k in range(4)]]
+            for name in names:
+                assert all(r[name] is results[0][name] for r in results), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_op_starts_with_an_empty_memo():
+    # fill each memo (those of lat and rel before their opposites exist):
+    # no value of one side reaches the other
+    rel = _chain_with_every_pair(6)
+    lat = rel.lattice
+    lat.pushout_targets, lat.nonlift_left, lat.identity_mask
+    check_s2of3(rel), compute_Wc(rel), models._weq_checks(rel)
+    assert validate_centers(rel, CenterMap((0,) * lat.n)).ok
+    m = construct_terminal(_chain_with_every_pair(6))
+    extract_centers(m)
+    for x in (lat, rel, m):
+        assert x._memo and x._reversed()._memo == {}
+        assert x.op()._memo == {}
 
 
 def test_orientation_is_part_of_equality(two_structures):

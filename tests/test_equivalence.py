@@ -18,6 +18,7 @@ from posetmodels import (
 from posetmodels.errors import InternalCheckFailed, MismatchedBase
 from posetmodels.report import Check, Report
 
+from helpers import memo_entry
 from test_models import left_printed, right_printed, trivial_structure, identity_rel
 
 
@@ -160,12 +161,12 @@ def test_zigzags_check_each_center_map_once_per_side(monkeypatch):
 
 def test_center_memo_written_after_validation_not_carried_to_op(monkeypatch):
     m = enumerate_model_structures(load("two-structures"))[0]
-    assert m._centers is None
+    assert memo_entry(m, "extract_centers") is None
     chi = extract_centers(m)
-    assert m._centers is chi and extract_centers(m) is chi
+    assert memo_entry(m, "extract_centers") is chi and extract_centers(m) is chi
     o = m.op()
-    assert o._centers is None
-    assert extract_centers(o) == chi and o._centers is not chi
+    assert memo_entry(o, "extract_centers") is None
+    assert extract_centers(o) == chi and memo_entry(o, "extract_centers") is not chi
     # a map that fails validation is never memoised: every call re-checks
     failed = Report((Check("idempotent", False, (0,)),))
     monkeypatch.setattr(models, "validate_centers", lambda rel, chi: failed)
@@ -173,7 +174,7 @@ def test_center_memo_written_after_validation_not_carried_to_op(monkeypatch):
     for _ in range(2):
         with pytest.raises(InternalCheckFailed):
             extract_centers(m)
-        assert m._centers is None
+        assert memo_entry(m, "extract_centers") is None
 
 
 def test_memos_are_safe_to_share_across_threads():
@@ -198,5 +199,5 @@ def test_memos_are_safe_to_share_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == results[0] for r in results)
-    assert rel._report == results[0][0]
-    assert [m._centers for m in structures] == results[0][1]
+    assert memo_entry(rel, "recognition_report") == results[0][0]
+    assert [memo_entry(m, "extract_centers") for m in structures] == results[0][1]

@@ -41,7 +41,7 @@ from posetmodels.errors import (
     RecognitionFailed,
 )
 
-from helpers import check_center_invariants, check_model_invariants, structure_from_acyclic_cofibs
+from helpers import check_center_invariants, check_model_invariants, memo_entry, structure_from_acyclic_cofibs
 from test_centers import const_chi
 
 LEFT_SIG = (
@@ -309,7 +309,7 @@ def test_weq_checks_run_once_per_side(monkeypatch):
     op = rel.op()
     assert runs == primal + [("we_subcategory", op.lattice), ("two_of_three", op.lattice)]
     # the op side holds its own checks, not those of rel
-    assert op._weq_checks == (
+    assert memo_entry(op, "_weq_checks") == (
         classes.subcategory_check(op.weq, "we_subcategory"),
         models._two_of_three_check(op),
     )

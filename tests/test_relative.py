@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from posetmodels.errors import (
 )
 from posetmodels.relative import recognition_report
 
-from helpers import pushout_compose_close
+from helpers import memo_entry, permuted, permuted_instances, pushout_compose_close
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "chain-3", "chain-8", "trunc-1", "trunc-2")
 
@@ -49,6 +50,29 @@ def test_validate_two_structures(two_structures):
     names = [tuple(rel.lattice.name(x) for x in comp) for comp in rel.components]
     assert names == [("bot",), ("A", "B", "Bp", "C"), ("top",)]
     assert rel.weq.has_identities()
+
+
+def test_component_of_indexes_each_elements_component(two_structures, forced, s2of3_fail, trunc1, two_chain):
+    # components against zigzag connectivity recomputed from W's pairs, on
+    # index orders that are and are not linear extensions of the order
+    rng = random.Random(5)
+    fixtures = [two_structures, forced, s2of3_fail, trunc1, two_chain]
+    rels = fixtures + [permuted(rel, rng) for rel in fixtures for _ in range(3)]
+    rels += itertools.islice(permuted_instances(InstanceGen(seed=11)), 60)
+    for rel in rels:
+        n = rel.lattice.n
+        linked = [1 << x for x in range(n)]
+        for (a, b) in rel.weq:
+            linked[a] |= 1 << b
+            linked[b] |= 1 << a
+        for k in range(n):  # transitive closure of the symmetric relation
+            for x in range(n):
+                if linked[x] >> k & 1:
+                    linked[x] |= linked[k]
+        expected = sorted({tuple(x for x in range(n) if m >> x & 1) for m in linked})
+        assert list(rel.components) == expected
+        for x in range(n):
+            assert x in rel.components[rel.component_of[x]]
 
 
 def test_validate_errors():
@@ -157,14 +181,15 @@ def test_pushout_and_composition_closure_is_coproduct_closed():
 def test_recognition_guard_fires_on_non_pushout_closed_wc():
     rel = load("two-structures")
     lat = rel.lattice
-    rel._wc = MorphClass.from_pairs(lat, [("A", "B")], add_identities=True)
+    bad_wc = MorphClass.from_pairs(lat, [("A", "B")], add_identities=True)
+    assert rel._cached("compute_Wc", lambda _: bad_wc) is bad_wc
     with pytest.raises(InternalCheckFailed) as exc:
         recognition_report(rel)
     # the least member with an escaping pushout, and that pushout along A <= Bp
     witness = (Pair(lat.index("A"), lat.index("B")), Pair(lat.index("Bp"), lat.index("C")))
-    assert is_pushout_closed(rel._wc).witness == witness
+    assert is_pushout_closed(bad_wc).witness == witness
     assert str(exc.value).endswith(f"W_c fails the pushout_closed guard, witness (f, pushout) = {witness}")
-    assert rel._report is None
+    assert memo_entry(rel, "recognition_report") is None
 
 
 def test_recognition_report_cached_per_structure():
@@ -172,7 +197,7 @@ def test_recognition_report_cached_per_structure():
     report = recognition_report(rel)
     assert recognition_report(rel) is report
     # the opposite never starts from the primal's report, whenever it is built
-    assert rel._reversed()._report is None
+    assert memo_entry(rel._reversed(), "recognition_report") is None
     o = rel.op()
     assert recognition_report(o).checks == check_s2of3(o).checks + check_cw_factorization(o).checks
 
