@@ -4,9 +4,26 @@ A :class:`MorphClass` is a set of comparable pairs of one fixed lattice,
 stored as a bitmask over the lattice's lex-sorted pair list.  All scans
 iterate in pair order, so reported witnesses are lexicographically least.
 Dual checks run their primal on ``s.op()``, the same mask in the opposite lattice.
+
+On dense lattices (the gate is in the :mod:`~posetmodels.lattice` module
+docstring) the algebra that ``verify_model`` uses runs on grids, n^2-bit
+ints whose bit a*n + b holds the pair with primal reading (a, b): both
+complements (formulas derived in their docstrings), composition closure
+(S∘S & ~S = 0), the lifting-system checks and factorization
+(O & ~(lc∘rc) = 0, and O & ~(rc∘lc) in op()).  A pair witness is the
+lowest set bit of a difference, the least pair in pair order on both
+sides.  Two witnesses take a short second scan: the composition triple
+(the pair scan, run only once the product has found a failure) and the
+lifting g (the least member of rc among the pairs f fails to lift
+against).  The mask stays a class's identity, so equality, hashing and
+candidate order do not depend on the path; ``|``, ``&`` and ``-`` carry
+grids when both operands have one.  Sparse lattices run the pair-table
+scans below unchanged.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import NoFactorization, NotComparable, NotPushoutClosed
 from .lattice import Dualizable, FiniteLattice, Pair, iter_bits
@@ -16,20 +33,34 @@ from .report import Check, Report
 class MorphClass(Dualizable):
     """An immutable class of morphisms over a fixed finite lattice."""
 
-    __slots__ = ("lattice", "mask", "_rows", "_cols", "_op", "__weakref__")
+    __slots__ = ("lattice", "mask", "_g", "_rows", "_cols", "_op", "__weakref__")
 
     def __init__(self, lattice: FiniteLattice, mask: int):
         self.lattice = lattice
         self.mask = mask
+        self._g: int | None = None  # the grid, once known
         self._rows: list[int] | None = None
         self._cols: list[int] | None = None
         self._op = None
 
     def _reversed(self) -> "MorphClass":
-        """The same morphisms in the opposite lattice; rows and cols swap."""
+        """The same morphisms in the opposite lattice: the same grid, rows and cols swap."""
         o = MorphClass(self.lattice.op(), self.mask)
-        o._rows, o._cols = self._cols, self._rows
+        o._g, o._rows, o._cols = self._g, self._cols, self._rows
         return o
+
+    @classmethod
+    def _of_grid(cls, lattice, grid: int, mask: int | None = None) -> "MorphClass":
+        out = cls(lattice, lattice._kit.to_mask(grid) if mask is None else mask)
+        out._g = grid
+        return out
+
+    @property
+    def _grid(self) -> int:
+        """The class's grid (see :class:`~posetmodels.lattice._GridKit`); dense lattices only."""
+        if self._g is None:
+            self._g = self.lattice._kit.from_mask(self.mask)
+        return self._g
 
     @classmethod
     def from_pairs(cls, lattice, pairs, add_identities: bool = False) -> "MorphClass":
@@ -73,14 +104,21 @@ class MorphClass(Dualizable):
     def __hash__(self):
         return hash((self.lattice, self.mask))
 
+    def _combined(self, other: "MorphClass", op) -> "MorphClass":
+        """op on the masks, and on the grids when both operands carry one."""
+        mask = op(self.mask, other.mask)
+        if self._g is None or other._g is None:
+            return MorphClass(self.lattice, mask)
+        return MorphClass._of_grid(self.lattice, op(self._g, other._g), mask)
+
     def __or__(self, other: "MorphClass") -> "MorphClass":
-        return MorphClass(self.lattice, self.mask | other.mask)
+        return self._combined(other, operator.or_)
 
     def __and__(self, other: "MorphClass") -> "MorphClass":
-        return MorphClass(self.lattice, self.mask & other.mask)
+        return self._combined(other, operator.and_)
 
     def __sub__(self, other: "MorphClass") -> "MorphClass":
-        return MorphClass(self.lattice, self.mask & ~other.mask)
+        return self._combined(other, _and_not)
 
     def __le__(self, other: "MorphClass") -> bool:
         return self.mask & ~other.mask == 0
@@ -101,10 +139,18 @@ class MorphClass(Dualizable):
     def has_identities(self) -> bool:
         return self.lattice.identity_mask & ~self.mask == 0
 
+    def _grid_rows(self, transposed: bool) -> list[int]:
+        kit = self.lattice._kit
+        return kit.rows(kit.transpose(self._grid) if transposed else self._grid)
+
     @property
     def rows(self) -> list[int]:
-        """rows[a] = element mask of all b with (a, b) in the class."""
+        """rows[a] = element mask of all b with (a, b) in the class: on the
+        grid path, slices of the grid (of its transpose in op())."""
         if self._rows is None:
+            if self.lattice._kit is not None:
+                self._rows = self._grid_rows(self.lattice.opposite)
+                return self._rows
             rows = [0] * self.lattice.n
             cols = [0] * self.lattice.n
             ps = self.lattice.pairs
@@ -120,8 +166,15 @@ class MorphClass(Dualizable):
     def cols(self) -> list[int]:
         """cols[b] = element mask of all a with (a, b) in the class."""
         if self._cols is None:
-            self.rows
+            if self.lattice._kit is not None:
+                self._cols = self._grid_rows(not self.lattice.opposite)
+            else:
+                self.rows
         return self._cols
+
+
+def _and_not(x: int, y: int) -> int:
+    return x & ~y
 
 
 def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
@@ -133,9 +186,35 @@ def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
     return True
 
 
+def _rc_grid(kit, s: int) -> int:
+    o, ot, product = kit.order, kit.order_t, kit.product
+    return o & ~product(product(ot, s) & ~ot, o)
+
+
+def _lc_grid(kit, s: int) -> int:
+    o, ot, product = kit.order, kit.order_t, kit.product
+    return o & ~product(o, product(s, ot) & ~ot)
+
+
 def right_complement(s: MorphClass) -> MorphClass:
-    """All g such that every f in s lifts on the left of g."""
+    """All g such that every f in s lifts on the left of g.
+
+    On the grid path this is rc(S) = O & ~((Oᵀ∘S & ~Oᵀ)∘O), where O is the
+    order grid (row a is up(a)), Oᵀ its transpose (row c is down(c)) and ∘
+    the boolean matrix product.  f = (a, b) fails to lift against
+    g = (c, d) exactly when a <= c and b <= d (the one square commutes)
+    and b is not <= c (it has no diagonal).  Row c of Oᵀ∘S holds the b
+    with (a, b) in S for some a <= c; masking out Oᵀ keeps those with b
+    not <= c; the product with O then marks (c, d) for every d >= such a
+    b.  Those are exactly the g some member of S fails to lift against,
+    and rc(S) is every other pair.  In op() the grid is the same and
+    lifting reverses (f lifts against g there iff g lifts against f in L),
+    so its right complement is the primal left-complement formula.
+    """
     lat = s.lattice
+    kit = lat._kit
+    if kit is not None:
+        return MorphClass._of_grid(lat, (_lc_grid if lat.opposite else _rc_grid)(kit, s._grid))
     table = lat.nonlift_right
     mask = 0
     for j in range(len(lat.pairs)):
@@ -145,8 +224,19 @@ def right_complement(s: MorphClass) -> MorphClass:
 
 
 def left_complement(s: MorphClass) -> MorphClass:
-    """All f such that f lifts on the left of every g in s."""
+    """All f such that f lifts on the left of every g in s.
+
+    On the grid path this is lc(S) = O & ~(O∘(S∘Oᵀ & ~Oᵀ)), with the
+    notation of :func:`right_complement`, by the same lifting rule read
+    from the other end: row c of S∘Oᵀ holds the b <= d for some (c, d) in
+    S; masking out Oᵀ keeps those with b not <= c; the product O∘ then
+    marks (a, b) for every a <= such a c.  Those are exactly the f that
+    fail to lift against some member of S.  In op() the two formulas swap.
+    """
     lat = s.lattice
+    kit = lat._kit
+    if kit is not None:
+        return MorphClass._of_grid(lat, (_rc_grid if lat.opposite else _lc_grid)(kit, s._grid))
     table = lat.nonlift_left
     mask = 0
     for i in range(len(lat.pairs)):
@@ -195,6 +285,18 @@ def is_pullback_closed(s: MorphClass) -> Check:
 
 
 def is_composition_closed(s: MorphClass) -> Check:
+    """Closure under composition.  The witness is the least member (a, b)
+    in pair order that has some (b, c) in s without (a, c), with the least
+    such c.
+
+    On the grid path s is closed iff S∘S & ~S = 0, which reads the same
+    on both op() sides; only a class that fails scans for its witness.
+    """
+    kit = s.lattice._kit
+    if kit is not None:
+        g = s._grid
+        if not kit.product(g, g) & ~g:
+            return Check("composition_closed", True)
     ps = s.lattice.pairs
     rows = s.rows
     for i in iter_bits(s.mask):
@@ -242,24 +344,45 @@ def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
 
     Each witness is least in pair order.  Lifting fails exactly at the
     members of lc outside the left complement of rc; its witness pairs the
-    least such f with the least g in rc that f does not lift against.
+    least such f with the least g in rc that f does not lift against.  On
+    the grid path, f = (a, b) fails against the g = (c, d) with c in
+    up(a) & ~up(b) and d in up(b): that outer product, met with rc's grid,
+    has the least g at its lowest bit.
     """
     lat = lc.lattice
     ps = lat.pairs
     allowed = left_complement(rc).mask
+    kit = lat._kit
+
+    def blocker(f: int) -> Pair:
+        if kit is None:
+            return ps[next(iter_bits(lat.nonlift_left[f] & rc.mask))]
+        a, b = ps[f]
+        up = lat._up
+        srcs, dsts = up[a] & ~up[b], up[b]
+        fails = kit.outer(dsts, srcs) if lat.opposite else kit.outer(srcs, dsts)
+        return kit.pair(next(iter_bits(fails & rc._grid)), lat.opposite)
 
     def check(name, extra, witness=lambda i: (ps[i],)):
         return Check(name, extra == 0, witness(next(iter_bits(extra))) if extra else None)
 
     return Report((
-        check("lifting", lc.mask & ~allowed, lambda f: (ps[f], ps[next(iter_bits(lat.nonlift_left[f] & rc.mask))])),
+        check("lifting", lc.mask & ~allowed, lambda f: (ps[f], blocker(f))),
         check("left_maximal", allowed & ~lc.mask),
         check("right_maximal", right_complement(lc).mask & ~rc.mask),
     ))
 
 
 def _factorization_check(lc: MorphClass, rc: MorphClass) -> Check:
+    """The least pair with no (lc, rc) factorization.  On the grid path
+    these are O & ~(lc∘rc), and O & ~(rc∘lc) in op()."""
     lat = lc.lattice
+    kit = lat._kit
+    if kit is not None:
+        first, second = (rc, lc) if lat.opposite else (lc, rc)
+        missing = kit.order & ~kit.product(first._grid, second._grid)
+        witness = (kit.pair(next(iter_bits(missing)), lat.opposite),) if missing else None
+        return Check("factorization", not missing, witness)
     lrows = lc.rows
     rcols = rc.cols
     up, down = lat._up, lat._down

@@ -22,11 +22,29 @@ stay the same least pairs.  Each side builds only its own left lift table;
 L's right table is the left table of ``L.op()``.  Orientation is part of
 equality: ``L.op()`` is not equal to the lattice built from the reversed
 order.
+
+Dense lattices also hold grid kernels (:class:`_GridKit`).  A grid packs a
+class into one n^2-bit int: bit a*n + b is set when the class holds the
+pair whose primal reading is (a, b), its reading in the lattice that
+:func:`build_lattice` returned rather than in its opposite.  So ``x.op()``
+shares x's grid, and the lowest set bit is the least pair in pair order on
+both sides.  Complements, composition closure, the lifting-system checks
+and factorization become a few boolean matrix products of n loop steps
+each (V. L. Arlazarov et al., "On economical construction of the transitive
+closure of an oriented graph", 1970).  A product costs ~n^3 bit operations
+whatever the pair count P, the pair tables ~P^2, so a lattice takes the
+grid path iff n^3 <= 4 * P^2 (``_GRID_DENSITY``) and keeps the pair tables
+otherwise.  4 is where the two ``verify_model`` paths measured even: on
+wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about 4.2, on
+parallel 2-chains between 3.6 and 4.3.  L and L.op() have the same n and
+P, so they take the same path; every lattice of at most 33 elements takes
+the grid path, since the wide one has the fewest pairs, 3n - 3.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 import weakref
 from typing import Iterable, Iterator, NamedTuple
@@ -42,6 +60,9 @@ from .errors import (
 
 DEFAULT_MAX_ELEMENTS = 512
 MAX_PAIRS = 16_384  # comparable pairs; see build_lattice
+# grid path iff n^3 <= _GRID_DENSITY * P^2, the measured crossover of the two
+# verify_model paths (module docstring)
+_GRID_DENSITY = 4
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -104,6 +125,82 @@ class Pair(NamedTuple):
 
     def op(self) -> "Pair":
         return Pair(self.dst, self.src)
+
+
+class _GridKit:
+    """The grid kernels of one lattice (module docstring), shared by its two op() sides.
+
+    Row a of a grid is bits a*n .. a*n + n - 1.  `order` is the grid of
+    every pair (row a is up(a)) and `order_t` its transpose (row c is
+    down(c)), both in primal terms.  Conversions are C-level gathers:
+    ``f"{x:0{k}b}"`` holds bit k - 1 - j at index j, and an itemgetter
+    over precomputed positions picks the output string.
+    """
+
+    __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "_steps", "_from_mask", "_to_mask", "_transpose")
+
+    def __init__(self, up: list[int], down: list[int]):
+        """`up` and `down` are the order masks of the primal side."""
+        n = self.n = len(up)
+        nn = n * n
+        cells = [a * n + b for a in range(n) for b in iter_bits(up[a])]  # pair i's grid bit
+        p = self.npairs = len(cells)
+        ints = list(range(nn + 1))  # one int object per position value
+        source = [ints[p]] * nn  # grid bit -> index of its pair's digit in the mask string, or the pad
+        for i, t in enumerate(cells):
+            source[t] = ints[p - 1 - i]
+        self._from_mask = operator.itemgetter(*reversed(source))
+        self._to_mask = operator.itemgetter(*[ints[nn - 1 - t] for t in reversed(cells)])
+        self._transpose = operator.itemgetter(*[ints[b * n + a] for a in range(n) for b in range(n)])
+        self._steps = tuple((m, ints[m * n]) for m in range(n))  # (column, row shift)
+        self.full = (1 << n) - 1
+        self.col0 = sum(1 << a * n for a in range(n))
+        self.order = sum(m << a * n for a, m in enumerate(up))
+        self.order_t = sum(m << a * n for a, m in enumerate(down))
+
+    def from_mask(self, mask: int) -> int:
+        """The grid of a pair mask; a single position makes itemgetter return a str, which join keeps."""
+        return int("".join(self._from_mask(f"{mask:0{self.npairs}b}0")), 2)
+
+    def to_mask(self, grid: int) -> int:
+        return int("".join(self._to_mask(f"{grid:0{self.n * self.n}b}")), 2)
+
+    def transpose(self, grid: int) -> int:
+        return int("".join(self._transpose(f"{grid:0{self.n * self.n}b}")), 2)
+
+    def rows(self, grid: int) -> list[int]:
+        n, full = self.n, self.full
+        return [grid >> a * n & full for a in range(n)]
+
+    def product(self, x: int, y: int) -> int:
+        """The boolean matrix product x∘y: the OR over m of column m of x,
+        spread over the rows, times row m of y.  A row has n bits, so the
+        product of a spread column and a row has no carries."""
+        full, col0 = self.full, self.col0
+        out = 0
+        for m, shift in self._steps:
+            row = y >> shift & full
+            if row:
+                out |= (x >> m & col0) * row
+        return out
+
+    def outer(self, rows: int, cols: int) -> int:
+        """The grid with row r equal to `cols` for each r in `rows`."""
+        return sum(cols << r * self.n for r in iter_bits(rows))
+
+    def pair(self, bit: int, opposite: bool) -> Pair:
+        """The pair at grid bit `bit`, read on the primal or the opposite side."""
+        a, b = divmod(bit, self.n)
+        return Pair(b, a) if opposite else Pair(a, b)
+
+
+def _build_kit(lat: "FiniteLattice") -> _GridKit | None:
+    """The grid kernels on the dense path, None on the sparse one (module
+    docstring); L and L.op() have the same n and P, so they share one."""
+    if lat.opposite:
+        return lat.op()._kit
+    pairs = sum(m.bit_count() for m in lat._up)
+    return _GridKit(lat._up, lat._down) if lat.n ** 3 <= _GRID_DENSITY * pairs * pairs else None
 
 
 class FiniteLattice(Dualizable):
@@ -223,6 +320,13 @@ class FiniteLattice(Dualizable):
             return self._memo["identity_mask"]
         except KeyError:
             return self._cached("identity_mask", lambda lat: sum(1 << i for i, (a, b) in enumerate(lat.pairs) if a == b))
+
+    @property
+    def _kit(self) -> _GridKit | None:
+        try:
+            return self._memo["_kit"]
+        except KeyError:
+            return self._cached("_kit", _build_kit)
 
     @property
     def all_pairs_mask(self) -> int:

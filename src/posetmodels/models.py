@@ -377,7 +377,7 @@ def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:
     first, second = Pair(f.src, m), Pair(m, f.dst)
     if first not in wc or second not in wf:
         raise InternalCheckFailed(f"canonical factorization of {f} escaped its classes")
-    if wc.mask & lat.nonlift_right[lat.pair_index[second]]:
+    if second not in right_complement(wc):
         raise InternalCheckFailed(f"second factor of {f} not right-lifting against W_c^chi")
     return m
 

@@ -95,13 +95,13 @@ def enumerate_model_structures(
     lat = rel.lattice
     if lat.n > max_elements:
         raise CapExceeded("lattice elements", max_elements, lat.n)
-    candidates: dict[tuple[int, int], None] = {}
+    candidates: dict[tuple[int, int], tuple[MorphClass, MorphClass]] = {}
     for a_mask in _closed_classes(rel, max_generators):
         cof, fib = _generated_by(rel, MorphClass(lat, a_mask))
-        candidates.setdefault((cof.mask, fib.mask))
+        candidates.setdefault((cof.mask, fib.mask), (cof, fib))
     out = []
-    for cof_mask, fib_mask in sorted(candidates):
-        m = ModelStruct(rel, MorphClass(lat, cof_mask), MorphClass(lat, fib_mask))
+    for key in sorted(candidates):
+        m = ModelStruct(rel, *candidates[key])  # the complements' own classes, grids included
         if verify_model(m).ok:
             out.append(m)
     return out
