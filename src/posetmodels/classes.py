@@ -10,15 +10,17 @@ docstring) the algebra that ``verify_model`` uses runs on grids, n^2-bit
 ints whose bit a*n + b holds the pair with primal reading (a, b): both
 complements (formulas derived in their docstrings), composition closure
 (S∘S & ~S = 0), the lifting-system checks and factorization
-(O & ~(lc∘rc) = 0, and O & ~(rc∘lc) in op()).  A pair witness is the
-lowest set bit of a difference, the least pair in pair order on both
-sides.  Two witnesses take a short second scan: the composition triple
-(the pair scan, run only once the product has found a failure) and the
-lifting g (the least member of rc among the pairs f fails to lift
-against).  The mask stays a class's identity, so equality, hashing and
-candidate order do not depend on the path; ``|``, ``&`` and ``-`` carry
-grids when both operands have one.  Sparse lattices run the pair-table
-scans below unchanged.
+(O & ~(lc∘rc) = 0, and O & ~(rc∘lc) in op()).  The lifting-system checks
+read their three differences straight off grids: they build no class and
+convert no grid back to a pair mask.  A pair witness is the lowest set
+bit of a difference, the least pair in pair order on both sides, the
+same pair the mask scans report.  Two witnesses take a short second
+scan: the composition triple (the pair scan, run only once the product
+has found a failure) and the lifting g (the least member of rc among the
+pairs f fails to lift against).  The mask stays a class's identity, so
+equality, hashing and candidate order do not depend on the path; ``|``,
+``&`` and ``-`` carry grids when both operands have one.  Sparse
+lattices run the pair-table scans below unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import operator
 
 from .errors import NoFactorization, NotComparable, NotPushoutClosed
-from .lattice import Dualizable, FiniteLattice, Pair, iter_bits
+from .lattice import Dualizable, FiniteLattice, Pair, iter_bits, low_bit
 from .report import Check, Report
 
 
@@ -187,13 +189,11 @@ def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
 
 
 def _rc_grid(kit, s: int) -> int:
-    o, ot, product = kit.order, kit.order_t, kit.product
-    return o & ~product(product(ot, s) & ~ot, o)
+    return kit.order & ~kit.times_order(kit.order_t_times(s) & ~kit.order_t)
 
 
 def _lc_grid(kit, s: int) -> int:
-    o, ot, product = kit.order, kit.order_t, kit.product
-    return o & ~product(o, product(s, ot) & ~ot)
+    return kit.order & ~kit.order_times(kit.times_order_t(s) & ~kit.order_t)
 
 
 def right_complement(s: MorphClass) -> MorphClass:
@@ -270,7 +270,7 @@ def is_pushout_closed(s: MorphClass) -> Check:
     for i in iter_bits(s.mask):
         escaped = targets[i] & ~s.mask
         if escaped:
-            return Check("pushout_closed", False, (ps[i], ps[next(iter_bits(escaped))]))
+            return Check("pushout_closed", False, (ps[i], ps[low_bit(escaped)]))
     return Check("pushout_closed", True)
 
 
@@ -303,8 +303,7 @@ def is_composition_closed(s: MorphClass) -> Check:
         a, b = ps[i]
         missing = rows[b] & ~rows[a]
         if missing:
-            c = next(iter_bits(missing))
-            return Check("composition_closed", False, (a, b, c))
+            return Check("composition_closed", False, (a, b, low_bit(missing)))
     return Check("composition_closed", True)
 
 
@@ -334,9 +333,58 @@ def subcategory_check(s: MorphClass, name: str) -> Check:
     identity ``(Pair(x, x),)``, else the least (a, b, c) missing (a, c)."""
     missing = s.lattice.identity_mask & ~s.mask
     if missing:
-        return Check(name, False, (s.lattice.pairs[next(iter_bits(missing))],))
+        return Check(name, False, (s.lattice.pairs[low_bit(missing)],))
     closed = is_composition_closed(s)
     return Check(name, closed.ok, closed.witness)
+
+
+def _mls_witness(lc: MorphClass, rc: MorphClass, extra: int, lifting: bool) -> tuple:
+    """The witness of a failed lifting-system check whose difference is
+    `extra`, a pair mask or, on the grid path, a grid: its lowest bit, and
+    for lifting the least g in rc that this f fails to lift against."""
+    lat = lc.lattice
+    kit = lat._kit
+    i = low_bit(extra)
+    if kit is None:
+        f = lat.pairs[i]
+        return (f, lat.pairs[low_bit(lat.nonlift_left[i] & rc.mask)]) if lifting else (f,)
+    f = kit.pair(i, lat.opposite)
+    if not lifting:
+        return (f,)
+    up = lat._up
+    srcs, dsts = up[f.src] & ~up[f.dst], up[f.dst]
+    fails = kit.outer(dsts, srcs) if lat.opposite else kit.outer(srcs, dsts)
+    return (f, kit.pair(low_bit(fails & rc._grid), lat.opposite))
+
+
+def _wfs_checks(lc: MorphClass, rc: MorphClass, prefix: str = "", factorization: bool = True) -> list[Check]:
+    """The lifting-system checks of (lc, rc), each named `prefix` + its name:
+    lifting, left_maximal, right_maximal and, with `factorization`, the
+    factorization check (see :func:`is_mls` and :func:`is_wfs`).
+
+    On the grid path the three differences are read off grids: with
+    allowed = lc(rc), lifting fails on lc & ~allowed, left maximality on
+    allowed & ~lc and right maximality on rc(lc) & ~rc, where lc( ) and
+    rc( ) are the complement kernels, swapped in op().  No class is built
+    and no grid is turned back into a pair mask.
+    """
+    lat = lc.lattice
+    kit = lat._kit
+    if kit is None:
+        allowed = left_complement(rc).mask
+        fails = (lc.mask & ~allowed, allowed & ~lc.mask, right_complement(lc).mask & ~rc.mask)
+    else:
+        lg, rg = lc._grid, rc._grid
+        lc_grid, rc_grid = (_rc_grid, _lc_grid) if lat.opposite else (_lc_grid, _rc_grid)
+        allowed = lc_grid(kit, rg)
+        fails = (lg & ~allowed, allowed & ~lg, rc_grid(kit, lg) & ~rg)
+    checks = [
+        Check(prefix + name, False, _mls_witness(lc, rc, extra, name == "lifting")) if extra else Check(prefix + name, True)
+        for name, extra in zip(("lifting", "left_maximal", "right_maximal"), fails)
+    ]
+    if factorization:
+        checks.append(_factorization_check(lc, rc, prefix + "factorization"))
+    return checks
 
 
 def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
@@ -345,35 +393,17 @@ def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
     Each witness is least in pair order.  Lifting fails exactly at the
     members of lc outside the left complement of rc; its witness pairs the
     least such f with the least g in rc that f does not lift against.  On
-    the grid path, f = (a, b) fails against the g = (c, d) with c in
-    up(a) & ~up(b) and d in up(b): that outer product, met with rc's grid,
-    has the least g at its lowest bit.
+    the grid path the three conditions are read straight off grids, with
+    no pair-mask round trip, and each witness is the lowest bit of its
+    difference grid, the least pair in pair order on both op() sides.
+    f = (a, b) fails against the g = (c, d) with c in up(a) & ~up(b) and
+    d in up(b): that outer product, met with rc's grid, has the least g at
+    its lowest bit.
     """
-    lat = lc.lattice
-    ps = lat.pairs
-    allowed = left_complement(rc).mask
-    kit = lat._kit
-
-    def blocker(f: int) -> Pair:
-        if kit is None:
-            return ps[next(iter_bits(lat.nonlift_left[f] & rc.mask))]
-        a, b = ps[f]
-        up = lat._up
-        srcs, dsts = up[a] & ~up[b], up[b]
-        fails = kit.outer(dsts, srcs) if lat.opposite else kit.outer(srcs, dsts)
-        return kit.pair(next(iter_bits(fails & rc._grid)), lat.opposite)
-
-    def check(name, extra, witness=lambda i: (ps[i],)):
-        return Check(name, extra == 0, witness(next(iter_bits(extra))) if extra else None)
-
-    return Report((
-        check("lifting", lc.mask & ~allowed, lambda f: (ps[f], blocker(f))),
-        check("left_maximal", allowed & ~lc.mask),
-        check("right_maximal", right_complement(lc).mask & ~rc.mask),
-    ))
+    return Report(tuple(_wfs_checks(lc, rc, factorization=False)))
 
 
-def _factorization_check(lc: MorphClass, rc: MorphClass) -> Check:
+def _factorization_check(lc: MorphClass, rc: MorphClass, name: str = "factorization") -> Check:
     """The least pair with no (lc, rc) factorization.  On the grid path
     these are O & ~(lc∘rc), and O & ~(rc∘lc) in op()."""
     lat = lc.lattice
@@ -381,22 +411,21 @@ def _factorization_check(lc: MorphClass, rc: MorphClass) -> Check:
     if kit is not None:
         first, second = (rc, lc) if lat.opposite else (lc, rc)
         missing = kit.order & ~kit.product(first._grid, second._grid)
-        witness = (kit.pair(next(iter_bits(missing)), lat.opposite),) if missing else None
-        return Check("factorization", not missing, witness)
+        witness = (kit.pair(low_bit(missing), lat.opposite),) if missing else None
+        return Check(name, not missing, witness)
     lrows = lc.rows
     rcols = rc.cols
     up, down = lat._up, lat._down
     for (a, b) in lat.pairs:
         middles = lrows[a] & rcols[b] & up[a] & down[b]
         if middles == 0:
-            return Check("factorization", False, (Pair(a, b),))
-    return Check("factorization", True)
+            return Check(name, False, (Pair(a, b),))
+    return Check(name, True)
 
 
 def is_wfs(lc: MorphClass, rc: MorphClass) -> Report:
     """MLS conditions plus existence of a (lc, rc) factorization of every morphism."""
-    mls = is_mls(lc, rc)
-    return Report(mls.checks + (_factorization_check(lc, rc),))
+    return Report(tuple(_wfs_checks(lc, rc)))
 
 
 def factorize(lc: MorphClass, rc: MorphClass, f: Pair, require: bool = False) -> list[int]:

@@ -1,9 +1,9 @@
 """Identity-functor Quillen comparisons, uniqueness zigzags, and reduction.
 
 Any two verified structures sharing (lattice, W) are connected by a zigzag
-of identity left Quillen equivalences routed through the center-based
-constructions; and every structure reduces to the trivial structure on its
-cofibrant-fibrant objects.
+of identity left Quillen equivalences routed through the structures that
+the J_chi classes of their center maps generate; and every structure
+reduces to the trivial structure on its cofibrant-fibrant objects.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ from .errors import InternalCheckFailed, MismatchedBase, NotALattice, Unbounded
 from .lattice import FiniteLattice, build_lattice
 from .models import (
     ModelStruct,
+    _generated_by,
     _require_verified,
-    construct_from_centers,
+    _verified,
     construct_newcofib,
     extract_centers,
     replacement,
     verify_model,
 )
-from .centers import product_centers
-from .relative import validate_relative
+from .centers import CenterMap, compute_Jchi, product_centers
+from .relative import RelStruct, validate_relative
 
 
 def _require_same_base(m1: ModelStruct, m2: ModelStruct) -> None:
@@ -69,16 +70,37 @@ class Zigzag:
         return all(self.edge_ok(i) for i in range(len(self.directions)))
 
 
-def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zigzag:
-    """The comparison zigzag through the enlarged and center structures.
+def _jchi_structure(rel: RelStruct, chi: CenterMap) -> ModelStruct:
+    """The structure generated by J_chi: fibrations rc(J_chi), cofibrations
+    lc(W & rc(J_chi)), with rc and lc the right and left complements."""
+    return _verified(rel, *_generated_by(rel, compute_Jchi(rel, chi)), "J_chi structure")
 
-    Both ends first pass to their enlarged structure, then to their own
-    center structure, and those meet at the structure of the product of
-    the two center maps.  Because the product of centers is a pointwise
-    meet, the product's Q-class contains each factor's, so the identity is
-    left Quillen out of the middle node toward each side.  Emits the full
-    chain; pass contract=True to drop interior nodes wherever a direct
-    identity Quillen equivalence already exists.
+
+def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zigzag:
+    """The comparison zigzag through the enlarged and the J_chi structures.
+
+    With chi1, chi2 the center maps of m1, m2 and chi their pointwise
+    meet, the nodes are m1, N1, C1, C, C2, N2, m2: Ni enlarges the acyclic
+    cofibrations of mi by J_chii (:func:`construct_newcofib`), and Ck, C
+    are the structures generated by J_chik, J_chi.  Emits the full chain;
+    pass contract=True to drop interior nodes wherever a direct identity
+    Quillen equivalence already exists.
+
+    An edge is left Quillen from x to y iff cof(x) <= cof(y).  Write
+    G(J) for the structure generated by J: fibrations rc(J), cofibrations
+    lc(W & rc(J)).  Both complements reverse inclusion, so J <= J' gives
+    rc(J') <= rc(J) and then cof G(J) <= cof G(J'): the generated
+    cofibrations grow with J.
+      * mi -> Ni: :func:`construct_newcofib` asserts cof(mi) <= cof(Ni).
+      * Ck -> Nk: Nk = G(acof(mk) | J_chik), and J_chik lies in that
+        generator, so cof(Ck) = cof G(J_chik) <= cof(Nk).
+      * C -> Ck: J_chi holds the (a, b) in W with b <= chi(b), and
+        chi(b) = chi1(b) ^ chi2(b) <= chik(b), so J_chi <= J_chik and
+        cof(C) <= cof(Ck).
+    The center structures of :func:`construct_from_centers` do not serve as
+    Ck: their fibrations rc(W_c^chi) can lie strictly inside rc(J_chi), and
+    then Nk's cofibrations need not contain theirs.  Each node passes
+    :func:`verify_model`, and each edge is checked again.
     """
     _require_same_base(m1, m2)
     _require_verified(m1)
@@ -92,9 +114,9 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     nodes = [
         m1,
         construct_newcofib(m1, chi1),
-        construct_from_centers(rel, chi1),
-        construct_from_centers(rel, chi),
-        construct_from_centers(rel, chi2),
+        _jchi_structure(rel, chi1),
+        _jchi_structure(rel, chi),
+        _jchi_structure(rel, chi2),
         construct_newcofib(m2, chi2),
         m2,
     ]

@@ -73,6 +73,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def low_bit(mask: int) -> int:
+    """The lowest set bit position of a nonzero `mask`: the first of :func:`iter_bits`."""
+    return (mask & -mask).bit_length() - 1
+
+
 _op_lock = threading.Lock()
 
 
@@ -135,9 +140,18 @@ class _GridKit:
     down(c)), both in primal terms.  Conversions are C-level gathers:
     ``f"{x:0{k}b}"`` holds bit k - 1 - j at index j, and an itemgetter
     over precomputed positions picks the output string.
+
+    Each complement is two products with O or Oᵀ as one operand, so that
+    operand's side of every loop step is precomputed once per lattice:
+    step m of X∘O is ``(X >> m & col0) * up(m)`` and of X∘Oᵀ the same with
+    down(m); step m of O∘Y is ``col_m * (Y >> m*n & full)``, col_m being
+    column m of O (down(m)) spread over the rows, and of Oᵀ∘Y the same
+    with up(m).  A step then shifts and masks once where :meth:`product`
+    does twice.
     """
 
-    __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "_steps", "_from_mask", "_to_mask", "_transpose")
+    __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "_steps", "_up_rows", "_down_rows",
+                 "_down_cols", "_up_cols", "_from_mask", "_to_mask", "_transpose")
 
     def __init__(self, up: list[int], down: list[int]):
         """`up` and `down` are the order masks of the primal side."""
@@ -157,6 +171,13 @@ class _GridKit:
         self.col0 = sum(1 << a * n for a in range(n))
         self.order = sum(m << a * n for a, m in enumerate(up))
         self.order_t = sum(m << a * n for a, m in enumerate(down))
+        # step m of x∘O: (shift of x's column m, row m of O); of x∘Oᵀ likewise
+        self._up_rows = tuple(zip(range(n), up))
+        self._down_rows = tuple(zip(range(n), down))
+        # step m of O∘y: (column m of O spread over the rows, shift of y's row m); of Oᵀ∘y likewise
+        col0, order, order_t = self.col0, self.order, self.order_t
+        self._down_cols = tuple((order >> m & col0, shift) for m, shift in self._steps)
+        self._up_cols = tuple((order_t >> m & col0, shift) for m, shift in self._steps)
 
     def from_mask(self, mask: int) -> int:
         """The grid of a pair mask; a single position makes itemgetter return a str, which join keeps."""
@@ -183,6 +204,38 @@ class _GridKit:
             if row:
                 out |= (x >> m & col0) * row
         return out
+
+    def _times_rows(self, x: int, rows) -> int:
+        col0 = self.col0
+        out = 0
+        for m, row in rows:
+            out |= (x >> m & col0) * row
+        return out
+
+    def _cols_times(self, cols, y: int) -> int:
+        full = self.full
+        out = 0
+        for col, shift in cols:
+            row = y >> shift & full
+            if row:
+                out |= col * row
+        return out
+
+    def times_order(self, x: int) -> int:
+        """x∘O, equal to ``product(x, order)``."""
+        return self._times_rows(x, self._up_rows)
+
+    def times_order_t(self, x: int) -> int:
+        """x∘Oᵀ, equal to ``product(x, order_t)``."""
+        return self._times_rows(x, self._down_rows)
+
+    def order_times(self, y: int) -> int:
+        """O∘y, equal to ``product(order, y)``."""
+        return self._cols_times(self._down_cols, y)
+
+    def order_t_times(self, y: int) -> int:
+        """Oᵀ∘y, equal to ``product(order_t, y)``."""
+        return self._cols_times(self._up_cols, y)
 
     def outer(self, rows: int, cols: int) -> int:
         """The grid with row r equal to `cols` for each r in `rows`."""
@@ -304,8 +357,13 @@ class FiniteLattice(Dualizable):
         try:
             return self._memo["pairs"]
         except KeyError:
-            ps = (Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a]))
-            return self._cached("pairs", lambda _: tuple(sorted(ps, key=Pair.op if self.opposite else None)))
+            # rows ascending, each row's bits ascending: lexicographic already;
+            # in op() the primal up-masks are this side's down-masks
+            if self.opposite:
+                ps = (Pair(b, a) for a in range(self.n) for b in iter_bits(self._down[a]))
+            else:
+                ps = (Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a]))
+            return self._cached("pairs", lambda _: tuple(ps))
 
     @property
     def pair_index(self) -> dict[Pair, int]:

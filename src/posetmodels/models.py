@@ -22,8 +22,8 @@ from .centers import (
 )
 from .classes import (
     MorphClass,
+    _wfs_checks,
     factorize,
-    is_wfs,
     left_complement,
     right_complement,
     subcategory_check,
@@ -38,7 +38,7 @@ from .errors import (
     RecognitionFailed,
     S2OF3Failed,
 )
-from .lattice import Dualizable, Pair, _memoised, iter_bits
+from .lattice import Dualizable, Pair, _memoised, iter_bits, low_bit
 from .relative import RelStruct, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
@@ -114,7 +114,7 @@ def _two_of_three_check(rel: RelStruct) -> Check:
             else:
                 bad = g & h
             if bad:
-                return Check("two_of_three", False, (a, b, next(iter_bits(bad))))
+                return Check("two_of_three", False, (a, b, low_bit(bad)))
     return Check("two_of_three", True)
 
 
@@ -134,19 +134,14 @@ def verify_model(m: ModelStruct) -> Report:
     fib runs in full on each call, so the verification stays exhaustive.
     """
     we_sub, two_of_three = _weq_checks(m.rel)
-    checks = [
+    m.report = Report((
         we_sub,
         subcategory_check(m.cof, "cof_subcategory"),
         subcategory_check(m.fib, "fib_subcategory"),
-    ]
-    for prefix, (lc, rc) in (
-        ("cof_afib", (m.cof, m.acyclic_fibrations())),
-        ("acof_fib", (m.acyclic_cofibrations(), m.fib)),
-    ):
-        for check in is_wfs(lc, rc).checks:
-            checks.append(Check(f"{prefix}.{check.name}", check.ok, check.witness))
-    checks.append(two_of_three)
-    m.report = Report(tuple(checks))
+        *_wfs_checks(m.cof, m.acyclic_fibrations(), "cof_afib."),
+        *_wfs_checks(m.acyclic_cofibrations(), m.fib, "acof_fib."),
+        two_of_three,
+    ))
     return m.report
 
 
@@ -257,17 +252,17 @@ def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
     """
     extra = j.mask & ~rel.weq.mask
     if extra:
-        raise JNotInW(rel.lattice.pairs[next(iter_bits(extra))])
+        raise JNotInW(rel.lattice.pairs[low_bit(extra)])
     s2 = check_s2of3(rel)
     if not s2.ok:
         raise S2OF3Failed(s2.witness)
     cof, fib = _generated_by(rel, j)
     bad = right_complement(cof).mask & ~rel.weq.mask
     if bad:
-        raise HypothesisFailed(2, rel.lattice.pairs[next(iter_bits(bad))])
+        raise HypothesisFailed(2, rel.lattice.pairs[low_bit(bad)])
     bad = left_complement(fib).mask & ~rel.weq.mask
     if bad:
-        raise HypothesisFailed(3, rel.lattice.pairs[next(iter_bits(bad))])
+        raise HypothesisFailed(3, rel.lattice.pairs[low_bit(bad)])
     return _verified(rel, cof, fib, "generated construction")
 
 

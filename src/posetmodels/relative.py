@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .classes import MorphClass, is_pushout_closed, subcategory_check
 from .errors import InternalCheckFailed, MissingIdentities, NotCompositionClosed
-from .lattice import Dualizable, FiniteLattice, Pair, _memoised, iter_bits
+from .lattice import Dualizable, FiniteLattice, Pair, _memoised, iter_bits, low_bit
 from .report import Check, Report
 
 
@@ -110,7 +110,7 @@ def check_s2of3(rel: RelStruct) -> Report:
             else:
                 bad = cs  # the factor (a, b) is already missing
             if bad:
-                witness = (a, b, next(iter_bits(bad)))
+                witness = (a, b, low_bit(bad))
                 break
     return Report((Check("s2of3", witness is None, witness),))
 

@@ -150,6 +150,27 @@ def structure_from_acyclic_cofibs(rel, name_pairs) -> ModelStruct:
     return m
 
 
+def all_weak(lat):
+    """`lat` with W every pair."""
+    return validate_relative(lat, [lat.pair_names(p) for p in lat.pairs if p.src != p.dst], add_identities=True)
+
+
+def pentagon():
+    """The pentagon 0 < 1 < 2 < 4, 0 < 3 < 4 with W every pair."""
+    names = ["0", "1", "2", "3", "4"]
+    return all_weak(build_lattice(names, [("0", "1"), ("1", "2"), ("2", "4"), ("0", "3"), ("3", "4")]))
+
+
+def pentagon_pair(rel):
+    """Two verified structures on :func:`pentagon`: a with cofibrations the
+    identities, b with cofibrations 0->3, 1->4, 2->4 (centers constant at 3)."""
+    a = structure_from_acyclic_cofibs(rel, [])
+    b = structure_from_acyclic_cofibs(rel, [("0", "3"), ("1", "4"), ("2", "4")])
+    assert a.verified and b.verified
+    assert b.fib.nonidentity_pairs() == [Pair(0, 1), Pair(0, 2), Pair(1, 2), Pair(3, 4)]
+    return a, b
+
+
 def check_model_invariants(m: ModelStruct) -> None:
     """Every per-structure law of the verified world; raises on violation."""
     assert m.verified

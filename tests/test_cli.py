@@ -21,6 +21,7 @@ from posetmodels.formats import (
     report_from_dict,
 )
 
+from helpers import pentagon, pentagon_pair
 from test_models import left_printed, right_printed
 
 
@@ -363,6 +364,24 @@ def test_unwritable_out_path_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: PosetModelError: cannot write {target}: ")
+
+
+def test_zigzag_command_on_the_pentagon_pair_in_both_orders(tmp_path):
+    rel = pentagon()
+    lat = rel.lattice
+    paths = []
+    for name, m in zip("ab", pentagon_pair(rel)):
+        inst = InstanceFile(list(lat.names), [lat.pair_names(p) for p in lat.cover_pairs()],
+                            [lat.pair_names(p) for p in rel.weq.nonidentity_pairs()], add_identities=True,
+                            cof=[lat.pair_names(p) for p in m.cof.nonidentity_pairs()],
+                            fib=[lat.pair_names(p) for p in m.fib.nonidentity_pairs()])
+        path = tmp_path / f"{name}.json"
+        path.write_text(print_instance(inst), encoding="utf-8")
+        paths.append(str(path))
+    for first, second in (paths, paths[::-1]):
+        for extra in ([], ["--contract"]):
+            code, out = run(["zigzag", *extra, first, second])
+            assert code == 0 and parse_report(out).decision == "equivalent"
 
 
 def test_mismatched_base_diagnostic(tmp_path, capsys, two_structures):

@@ -6,6 +6,8 @@ import pytest
 from posetmodels import (
     build_zigzag,
     centers,
+    compute_Wc_chi,
+    construct_from_centers,
     enumerate_model_structures,
     equivalence,
     extract_centers,
@@ -18,7 +20,7 @@ from posetmodels import (
 from posetmodels.errors import InternalCheckFailed, MismatchedBase
 from posetmodels.report import Check, Report
 
-from helpers import memo_entry
+from helpers import memo_entry, pentagon, pentagon_pair
 from test_models import left_printed, right_printed, trivial_structure, identity_rel
 
 
@@ -75,6 +77,34 @@ def test_zigzag_pairwise_two_structures(two_structures):
     for m1 in structs:
         for m2 in structs:
             assert build_zigzag(m1, m2).all_edges_ok()
+
+
+def test_zigzag_on_the_pentagon_pair_in_both_orders():
+    # b's centers are constant at 3, and W_c^chi of that map holds 1->2,
+    # which is no cofibration of b: a zigzag through construct_from_centers
+    # broke edge 4 (edge 1 in the other order); through J_chi it holds
+    rel = pentagon()
+    a, b = pentagon_pair(rel)
+    chi = extract_centers(b)
+    assert chi.chi == (3,) * 5
+    lat = rel.lattice
+    assert (lat.index("1"), lat.index("2")) in compute_Wc_chi(rel, chi)
+    assert not construct_from_centers(rel, chi).cof <= b.cof
+    for m1, m2 in ((a, b), (b, a)):
+        for contract in (False, True):
+            z = build_zigzag(m1, m2, contract=contract)
+            assert z.all_edges_ok() and z.nodes[0] == m1 and z.nodes[-1] == m2
+            assert all(node.verified for node in z.nodes)
+
+
+def test_zigzag_every_ordered_pair_on_the_pentagon():
+    structures = enumerate_model_structures(pentagon())
+    assert len(structures) == 26
+    for m1 in structures:
+        for m2 in structures:
+            for contract in (False, True):
+                z = build_zigzag(m1, m2, contract=contract)
+                assert z.all_edges_ok() and z.nodes[0] == m1 and z.nodes[-1] == m2
 
 
 def test_reduce_trivial():

@@ -111,6 +111,29 @@ def test_kernels_on_permuted_instances():
         _kernel_battery(rel, rng)
 
 
+def _fixed_operand_battery(rel, rng):
+    for lat in (rel.lattice, rel.lattice.op()):
+        kit = lat._kit
+        n = kit.n
+        for x in [0, kit.order, kit.order_t, (1 << n * n) - 1] + [rng.getrandbits(n * n) for _ in range(6)]:
+            assert kit.times_order(x) == kit.product(x, kit.order)
+            assert kit.times_order_t(x) == kit.product(x, kit.order_t)
+            assert kit.order_times(x) == kit.product(kit.order, x)
+            assert kit.order_t_times(x) == kit.product(kit.order_t, x)
+
+
+def test_fixed_operand_kernels_on_fixtures(two_structures, forced, s2of3_fail, trunc1, two_chain):
+    rng = random.Random(6)
+    for rel in _small_rels(two_structures, forced, s2of3_fail, trunc1, two_chain):
+        _fixed_operand_battery(rel, rng)
+
+
+def test_fixed_operand_kernels_on_permuted_instances():
+    rng = random.Random(7)
+    for rel in (r for _, r in zip(range(40), permuted_instances(InstanceGen(seed=12)))):
+        _fixed_operand_battery(rel, rng)
+
+
 def test_product_matches_naive_triple_loop():
     rng = random.Random(3)
     for n in range(1, 8):

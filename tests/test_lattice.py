@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from posetmodels import Pair, build_lattice, join_all, meet_all, pullback_of, pushout_of
+from posetmodels import InstanceGen, Pair, build_lattice, join_all, meet_all, pullback_of, pushout_of
 from posetmodels import lattice as lattice_module
 from posetmodels.cli import run_cli
 from posetmodels.errors import (
@@ -18,7 +18,7 @@ from posetmodels.fixtures import fixture
 from posetmodels.formats import InstanceFile, print_instance
 from posetmodels.lattice import FiniteLattice
 
-from helpers import memo_entry, naive_join, naive_lifts, naive_meet
+from helpers import memo_entry, naive_join, naive_lifts, naive_meet, permuted_instances
 
 
 @st.composite
@@ -296,3 +296,17 @@ def test_bounds(two_structures):
     assert lat.name(lat.bottom) == "bot" and lat.name(lat.top) == "top"
     for x in range(lat.n):
         assert lat.leq(lat.bottom, x) and lat.leq(x, lat.top)
+
+
+def test_pairs_are_lexicographic_on_both_sides_whichever_is_built_first():
+    # index orders that are not linear extensions included; op() lists the
+    # primal pairs reversed, in primal order
+    for _, rel in zip(range(30), permuted_instances(InstanceGen(seed=13))):
+        lat = rel.lattice
+        for op_first in (False, True):
+            fresh = build_lattice(lat.names, [lat.pair_names(p) for p in lat.cover_pairs()])
+            if op_first:
+                fresh.op().pairs
+            primal = fresh.pairs
+            assert list(primal) == sorted(Pair(a, b) for a in fresh.elements for b in fresh.elements if fresh.leq(a, b))
+            assert list(fresh.op().pairs) == [p.op() for p in primal]

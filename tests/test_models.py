@@ -89,6 +89,32 @@ def test_verify_printed_structures(two_structures):
     assert right.signature() == RIGHT_SIG
 
 
+VERIFY_CHECKS = (
+    "we_subcategory", "cof_subcategory", "fib_subcategory",
+    "cof_afib.lifting", "cof_afib.left_maximal", "cof_afib.right_maximal", "cof_afib.factorization",
+    "acof_fib.lifting", "acof_fib.left_maximal", "acof_fib.right_maximal", "acof_fib.factorization",
+    "two_of_three",
+)
+
+
+def test_verify_model_check_names_in_order(two_structures, s2of3_fail):
+    # three subcategories, two weak factorization systems of
+    # four checks each, 2-of-3; a wide lattice of 40 elements is sparse
+    atoms = [f"a{i}" for i in range(38)]
+    wide = identity_rel(["b", *atoms, "t"], [("b", a) for a in atoms] + [(a, "t") for a in atoms])
+    assert wide.lattice._kit is None and two_structures.lattice._kit is not None
+    lat = s2of3_fail.lattice
+    failing = ModelStruct(s2of3_fail, MorphClass.identities(lat), MorphClass.identities(lat))
+    for m in (left_printed(two_structures), right_printed(two_structures), failing, trivial_structure(wide)):
+        for side in (m, m.op()):
+            assert tuple(c.name for c in verify_model(side).checks) == VERIFY_CHECKS
+            assert tuple(c.name for c in classes.is_wfs(side.cof, side.fib).checks) == (
+                "lifting", "left_maximal", "right_maximal", "factorization")
+            assert tuple(c.name for c in classes.is_mls(side.cof, side.fib).checks) == (
+                "lifting", "left_maximal", "right_maximal")
+    assert not failing.verified
+
+
 def test_verify_rejects_bad_we(s2of3_fail):
     lat = s2of3_fail.lattice
     m = ModelStruct(s2of3_fail, MorphClass.all_morphisms(lat), MorphClass.all_morphisms(lat))

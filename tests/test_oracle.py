@@ -7,6 +7,7 @@ import pytest
 from posetmodels import (
     InstanceGen,
     MorphClass,
+    build_lattice,
     check_s2of3,
     decide_by_enumeration,
     enumerate_model_structures,
@@ -20,7 +21,8 @@ from posetmodels import (
 from posetmodels.errors import CapExceeded
 from posetmodels.oracle import _closed_classes
 
-from helpers import check_all_centers, compose_close, permuted, permuted_instances, pushout_compose_close
+from helpers import all_weak, check_all_centers, compose_close, permuted, permuted_instances, pushout_compose_close
+from test_lattice import _grid
 from test_models import LEFT_SIG, RIGHT_SIG, identity_rel
 
 
@@ -206,3 +208,29 @@ def test_random_stream_matches_naive_compose_close(monkeypatch):
     warshall = {seed: draw(seed) for seed in (0, 5, 42)}
     monkeypatch.setattr(oracle, "_compose_close", lambda n, pairs: compose_close(pairs))
     assert {seed: draw(seed) for seed in (0, 5, 42)} == warshall
+
+
+def _block_chain(blocks):
+    """A chain of sum(blocks) elements with W every pair inside one block."""
+    names = [f"c{i}" for i in range(sum(blocks))]
+    weq, start = [], 0
+    for b in blocks:
+        weq += [(names[i], names[j]) for i in range(start, start + b) for j in range(i + 1, start + b)]
+        start += b
+    return validate_relative(build_lattice(names, zip(names, names[1:])), weq, add_identities=True)
+
+
+@pytest.mark.parametrize("blocks, count", [
+    ((2,), 2), ((3,), 5), ((4,), 14), ((5,), 42),  # Catalan numbers: the n-chain with W every pair
+    ((2, 2, 1), 4), ((3, 2), 10), ((4, 2, 2, 1), 56),  # products of the blocks' Catalan numbers
+])
+def test_chain_structure_counts_are_catalan(blocks, count):
+    # with W every morphism a model structure is a weak factorization
+    # system; on the n-chain these are counted by the Catalan number C_n
+    # (Balchin, Barnes, Roitzheim, "N-infinity operads and associahedra")
+    assert len(enumerate_model_structures(_block_chain(blocks))) == count
+
+
+def test_square_has_ten_structures():
+    # the 2x2 square with W every pair: ten, the transfer-system count for C_pq
+    assert len(enumerate_model_structures(all_weak(build_lattice(*_grid(2, 2))))) == 10
