@@ -12,9 +12,13 @@ complements (formulas derived in their docstrings), composition closure
 (S∘S & ~S = 0), the lifting-system checks and factorization
 (O & ~(lc∘rc) = 0, and O & ~(rc∘lc) in op()).  The lifting-system checks
 read their three differences straight off grids: they build no class and
-convert no grid back to a pair mask.  A pair witness is the lowest set
-bit of a difference, the least pair in pair order on both sides, the
-same pair the mask scans report.  Two witnesses take a short second
+convert no grid back to a pair mask.  The ten conditions of
+``verify_model`` that read cof or fib have one implementation,
+:func:`_model_fails`, which takes a grid or a stack of grids (see
+:class:`~posetmodels.lattice._GridKit`), so the oracle checks a whole
+chunk of candidates in one call.  A pair witness is the lowest set bit
+of a difference, the least pair in pair order on both sides, the same
+pair the mask scans report.  Two witnesses take a short second
 scan: the composition triple (the pair scan, run only once the product
 has found a failure) and the lifting g (the least member of rc among the
 pairs f fails to lift against).  The mask stays a class's identity, so
@@ -214,7 +218,7 @@ def right_complement(s: MorphClass) -> MorphClass:
     lat = s.lattice
     kit = lat._kit
     if kit is not None:
-        return MorphClass._of_grid(lat, (_lc_grid if lat.opposite else _rc_grid)(kit, s._grid))
+        return MorphClass._of_grid(lat, _complement_kernels(lat.opposite)[1](kit, s._grid))
     table = lat.nonlift_right
     mask = 0
     for j in range(len(lat.pairs)):
@@ -236,7 +240,7 @@ def left_complement(s: MorphClass) -> MorphClass:
     lat = s.lattice
     kit = lat._kit
     if kit is not None:
-        return MorphClass._of_grid(lat, (_rc_grid if lat.opposite else _lc_grid)(kit, s._grid))
+        return MorphClass._of_grid(lat, _complement_kernels(lat.opposite)[0](kit, s._grid))
     table = lat.nonlift_left
     mask = 0
     for i in range(len(lat.pairs)):
@@ -338,23 +342,64 @@ def subcategory_check(s: MorphClass, name: str) -> Check:
     return Check(name, closed.ok, closed.witness)
 
 
-def _mls_witness(lc: MorphClass, rc: MorphClass, extra: int, lifting: bool) -> tuple:
-    """The witness of a failed lifting-system check whose difference is
-    `extra`, a pair mask or, on the grid path, a grid: its lowest bit, and
-    for lifting the least g in rc that this f fails to lift against."""
-    lat = lc.lattice
+_WFS_CHECKS = ("lifting", "left_maximal", "right_maximal", "factorization")
+# the ten conditions of verify_model that read cof or fib, in report order
+_MODEL_CHECKS = ("cof_subcategory", "fib_subcategory",
+                 *("cof_afib." + name for name in _WFS_CHECKS), *("acof_fib." + name for name in _WFS_CHECKS))
+
+
+def _complement_kernels(opposite: bool):
+    """(lc, rc): the left and right complement grid kernels of one op() side."""
+    return (_rc_grid, _lc_grid) if opposite else (_lc_grid, _rc_grid)
+
+
+def _wfs_fails(kit, opposite: bool, lg: int, rg: int, factorization: bool = True) -> list[int]:
+    """The difference grids of the lifting-system checks of (lc, rc), whose
+    grids are `lg` and `rg`: with allowed = lc(rc), lifting fails on
+    lc & ~allowed, left maximality on allowed & ~lc, right maximality on
+    rc(lc) & ~rc and, with `factorization`, factorization on O & ~(lc∘rc),
+    O & ~(rc∘lc) in op().  `kit` may be a stack kit, and then each
+    argument and result is a stack, checked block by block."""
+    lc, rc = _complement_kernels(opposite)
+    allowed = lc(kit, rg)
+    fails = [lg & ~allowed, allowed & ~lg, rc(kit, lg) & ~rg]
+    if factorization:
+        first, second = (rg, lg) if opposite else (lg, rg)
+        fails.append(kit.order & ~kit.product(first, second))
+    return fails
+
+
+def _model_fails(kit, opposite: bool, cof: int, fib: int, weq: int) -> list[int]:
+    """The difference grids of the ten conditions :data:`_MODEL_CHECKS` of
+    (cof, fib) over weq, in that order; each condition holds iff its grid
+    is zero.  A subcategory misses ids & ~S or S∘S & ~S; the lifting-system
+    checks are :func:`_wfs_fails` of (cof, fib & weq) and (cof & weq, fib).
+    The one implementation of those conditions: ``verify_model`` passes
+    grids (the stack of one) and the oracle stacks of candidates."""
+    return [(kit.ids | kit.product(cof, cof)) & ~cof, (kit.ids | kit.product(fib, fib)) & ~fib,
+            *_wfs_fails(kit, opposite, cof, fib & weq), *_wfs_fails(kit, opposite, cof & weq, fib)]
+
+
+def _wfs_grid_checks(lat: FiniteLattice, rg: int, fails: list[int], prefix: str) -> list[Check]:
+    """The lifting-system checks whose difference grids are `fails` (see
+    :func:`_wfs_fails`), rc's grid being `rg`.  A witness is the lowest bit
+    of its difference, the least pair f in pair order on both op() sides;
+    for lifting, with the least g in rc that f fails to lift against."""
     kit = lat._kit
-    i = low_bit(extra)
-    if kit is None:
-        f = lat.pairs[i]
-        return (f, lat.pairs[low_bit(lat.nonlift_left[i] & rc.mask)]) if lifting else (f,)
-    f = kit.pair(i, lat.opposite)
-    if not lifting:
-        return (f,)
-    up = lat._up
-    srcs, dsts = up[f.src] & ~up[f.dst], up[f.dst]
-    fails = kit.outer(dsts, srcs) if lat.opposite else kit.outer(srcs, dsts)
-    return (f, kit.pair(low_bit(fails & rc._grid), lat.opposite))
+    checks = []
+    for name, extra in zip(_WFS_CHECKS, fails):
+        if not extra:
+            checks.append(Check(prefix + name, True))
+            continue
+        f = kit.pair(low_bit(extra), lat.opposite)
+        witness = (f,)
+        if name == "lifting":
+            up = lat._up
+            srcs, dsts = up[f.src] & ~up[f.dst], up[f.dst]
+            against = kit.outer(dsts, srcs) if lat.opposite else kit.outer(srcs, dsts)
+            witness = (f, kit.pair(low_bit(against & rg), lat.opposite))
+        checks.append(Check(prefix + name, False, witness))
+    return checks
 
 
 def _wfs_checks(lc: MorphClass, rc: MorphClass, prefix: str = "", factorization: bool = True) -> list[Check]:
@@ -362,29 +407,47 @@ def _wfs_checks(lc: MorphClass, rc: MorphClass, prefix: str = "", factorization:
     lifting, left_maximal, right_maximal and, with `factorization`, the
     factorization check (see :func:`is_mls` and :func:`is_wfs`).
 
-    On the grid path the three differences are read off grids: with
-    allowed = lc(rc), lifting fails on lc & ~allowed, left maximality on
-    allowed & ~lc and right maximality on rc(lc) & ~rc, where lc( ) and
-    rc( ) are the complement kernels, swapped in op().  No class is built
-    and no grid is turned back into a pair mask.
+    On the grid path the differences are read off grids
+    (:func:`_wfs_fails`): no class is built and no grid is turned back
+    into a pair mask.  The pair-table path computes the same three
+    differences as pair masks and scans for the least unfactored pair.
     """
     lat = lc.lattice
     kit = lat._kit
-    if kit is None:
-        allowed = left_complement(rc).mask
-        fails = (lc.mask & ~allowed, allowed & ~lc.mask, right_complement(lc).mask & ~rc.mask)
-    else:
-        lg, rg = lc._grid, rc._grid
-        lc_grid, rc_grid = (_rc_grid, _lc_grid) if lat.opposite else (_lc_grid, _rc_grid)
-        allowed = lc_grid(kit, rg)
-        fails = (lg & ~allowed, allowed & ~lg, rc_grid(kit, lg) & ~rg)
-    checks = [
-        Check(prefix + name, False, _mls_witness(lc, rc, extra, name == "lifting")) if extra else Check(prefix + name, True)
-        for name, extra in zip(("lifting", "left_maximal", "right_maximal"), fails)
-    ]
+    if kit is not None:
+        return _wfs_grid_checks(lat, rc._grid, _wfs_fails(kit, lat.opposite, lc._grid, rc._grid, factorization),
+                                prefix)
+    allowed = left_complement(rc).mask
+    fails = (lc.mask & ~allowed, allowed & ~lc.mask, right_complement(lc).mask & ~rc.mask)
+    checks = []
+    for name, extra in zip(_WFS_CHECKS, fails):
+        if not extra:
+            checks.append(Check(prefix + name, True))
+            continue
+        i = low_bit(extra)
+        f = lat.pairs[i]
+        witness = (f, lat.pairs[low_bit(lat.nonlift_left[i] & rc.mask)]) if name == "lifting" else (f,)
+        checks.append(Check(prefix + name, False, witness))
     if factorization:
         checks.append(_factorization_check(lc, rc, prefix + "factorization"))
     return checks
+
+
+def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Check]:
+    """The ten checks :data:`_MODEL_CHECKS` of ``verify_model``.  On the grid
+    path they read the difference grids of :func:`_model_fails`, with each
+    witness as :func:`subcategory_check` and :func:`_wfs_checks` give it;
+    a subcategory witness is searched only once its difference is nonzero."""
+    lat = cof.lattice
+    kit = lat._kit
+    if kit is None:
+        return [subcategory_check(cof, _MODEL_CHECKS[0]), subcategory_check(fib, _MODEL_CHECKS[1]),
+                *_wfs_checks(cof, fib & weq, "cof_afib."), *_wfs_checks(cof & weq, fib, "acof_fib.")]
+    fg, wg = fib._grid, weq._grid
+    fails = _model_fails(kit, lat.opposite, cof._grid, fg, wg)
+    checks = [subcategory_check(s, name) if extra else Check(name, True)
+              for s, name, extra in zip((cof, fib), _MODEL_CHECKS, fails)]
+    return checks + _wfs_grid_checks(lat, fg & wg, fails[2:6], "cof_afib.") + _wfs_grid_checks(lat, fg, fails[6:], "acof_fib.")
 
 
 def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
@@ -404,15 +467,9 @@ def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
 
 
 def _factorization_check(lc: MorphClass, rc: MorphClass, name: str = "factorization") -> Check:
-    """The least pair with no (lc, rc) factorization.  On the grid path
-    these are O & ~(lc∘rc), and O & ~(rc∘lc) in op()."""
+    """The least pair with no (lc, rc) factorization, by a scan over the
+    pair tables' rows; the grid path reads it off :func:`_wfs_fails`."""
     lat = lc.lattice
-    kit = lat._kit
-    if kit is not None:
-        first, second = (rc, lc) if lat.opposite else (lc, rc)
-        missing = kit.order & ~kit.product(first._grid, second._grid)
-        witness = (kit.pair(low_bit(missing), lat.opposite),) if missing else None
-        return Check(name, not missing, witness)
     lrows = lc.rows
     rcols = rc.cols
     up, down = lat._up, lat._down

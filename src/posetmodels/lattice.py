@@ -31,14 +31,18 @@ shares x's grid, and the lowest set bit is the least pair in pair order on
 both sides.  Complements, composition closure, the lifting-system checks
 and factorization become a few boolean matrix products of n loop steps
 each (V. L. Arlazarov et al., "On economical construction of the transitive
-closure of an oriented graph", 1970).  A product costs ~n^3 bit operations
-whatever the pair count P, the pair tables ~P^2, so a lattice takes the
-grid path iff n^3 <= 4 * P^2 (``_GRID_DENSITY``) and keeps the pair tables
-otherwise.  4 is where the two ``verify_model`` paths measured even: on
-wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about 4.2, on
-parallel 2-chains between 3.6 and 4.3.  L and L.op() have the same n and
-P, so they take the same path; every lattice of at most 33 elements takes
-the grid path, since the wide one has the fewest pairs, 3n - 3.
+closure of an oriented graph", 1970).  A product costs ~n^3 bit
+operations whatever the pair count P, the pair tables ~P^2, so a lattice
+takes the grid path iff n^3 <= 4 * P^2 (``_GRID_DENSITY``) and keeps the
+pair tables otherwise.  4 is where the two ``verify_model`` paths measured
+even: on wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about 4.2,
+on parallel 2-chains between 3.6 and 4.3.  L and L.op() have the same n
+and P, so they take the same path; every lattice of at most 33 elements
+takes the grid path, since the wide one has the fewest pairs, 3n - 3.
+The kernels also run on stacks, many grids side by side in one int,
+bit-parallel across grids ("SIMD within a register": R. J. Fisher and
+H. G. Dietz, "Compiling for SIMD within a register", 1998); the oracle
+grows, generates and verifies all its candidates that way.
 """
 
 from __future__ import annotations
@@ -136,10 +140,11 @@ class _GridKit:
     """The grid kernels of one lattice (module docstring), shared by its two op() sides.
 
     Row a of a grid is bits a*n .. a*n + n - 1.  `order` is the grid of
-    every pair (row a is up(a)) and `order_t` its transpose (row c is
-    down(c)), both in primal terms.  Conversions are C-level gathers:
-    ``f"{x:0{k}b}"`` holds bit k - 1 - j at index j, and an itemgetter
-    over precomputed positions picks the output string.
+    every pair (row a is up(a)), `order_t` its transpose (row c is
+    down(c)) and `ids` the grid of the identities, all in primal terms.
+    Conversions are C-level gathers: ``f"{x:0{k}b}"`` holds bit k - 1 - j
+    at index j, and an itemgetter over precomputed positions picks the
+    output string.
 
     Each complement is two products with O or Oᵀ as one operand, so that
     operand's side of every loop step is precomputed once per lattice:
@@ -148,15 +153,40 @@ class _GridKit:
     column m of O (down(m)) spread over the rows, and of Oᵀ∘Y the same
     with up(m).  A step then shifts and masks once where :meth:`product`
     does twice.
+
+    Stacks.  A stack holds k grids side by side in one int, grid j in
+    block j, bits j*B .. j*B + n^2 - 1, with B = 8*ceil(n^2/8) so that
+    :meth:`pack` and :meth:`unpack` go through ``to_bytes`` and
+    ``from_bytes``; the B - n^2 padding bits of every block stay zero.
+    ``stacked(k)`` is the kit of k-grid stacks: col0, full, order, order_t
+    and ids repeated once per block, the step tables unchanged, so every
+    kernel runs on all k grids at once.  This kit is the stack of one.
+    No term crosses a block.  A shift by m < n of a stack moves a bit of
+    block j + 1 to (j + 1)*B - m or above, past bit j*B + (n - 1)*n, the
+    last column-0 bit of block j, so ``x >> m & col0`` keeps column m of
+    each block alone; likewise a shift by m*n leaves bits j*B + n and above
+    of the next block, so ``y >> m*n & full`` keeps row m of each block
+    alone.  A kept column bit at j*B + a*n times an n-bit row fills only
+    row a of block j, and a kept row at j*B times the one-block column
+    grid (bits a*n, a < n, or col_m of a fixed-operand step) fills only
+    rows of block j, ending at j*B + n^2 - 1.  The kept bits are pairwise
+    that far apart, so no product carries: each output bit is one term.
+    A stack's general product cannot multiply by a row, which differs from
+    block to block; its step is ``((x >> m & col0) * row1) & ((y >> m*n &
+    full) * col1)`` with the one-block row1 = 2^n - 1 and col1 = column 0,
+    x's column m spread along its rows met with y's row m copied down its
+    columns: two multiplies where the stack of one takes one.
     """
 
-    __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "_steps", "_up_rows", "_down_rows",
-                 "_down_cols", "_up_cols", "_from_mask", "_to_mask", "_transpose")
+    __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "ids", "k", "block_bytes", "_steps",
+                 "_up_rows", "_down_rows", "_down_cols", "_up_cols", "_from_mask", "_to_mask", "_transpose")
 
     def __init__(self, up: list[int], down: list[int]):
         """`up` and `down` are the order masks of the primal side."""
         n = self.n = len(up)
         nn = n * n
+        self.k = 1
+        self.block_bytes = (nn + 7) // 8
         cells = [a * n + b for a in range(n) for b in iter_bits(up[a])]  # pair i's grid bit
         p = self.npairs = len(cells)
         ints = list(range(nn + 1))  # one int object per position value
@@ -169,6 +199,7 @@ class _GridKit:
         self._steps = tuple((m, ints[m * n]) for m in range(n))  # (column, row shift)
         self.full = (1 << n) - 1
         self.col0 = sum(1 << a * n for a in range(n))
+        self.ids = sum(1 << a * (n + 1) for a in range(n))
         self.order = sum(m << a * n for a, m in enumerate(up))
         self.order_t = sum(m << a * n for a, m in enumerate(down))
         # step m of x∘O: (shift of x's column m, row m of O); of x∘Oᵀ likewise
@@ -193,6 +224,40 @@ class _GridKit:
         n, full = self.n, self.full
         return [grid >> a * n & full for a in range(n)]
 
+    def stacked(self, k: int) -> "_GridKit":
+        """The kit of k-grid stacks (class docstring); this kit for k = 1."""
+        if k == 1:
+            return self
+        stack = _GridStack.__new__(_GridStack)
+        for name in _GridKit.__slots__:
+            setattr(stack, name, getattr(self, name))
+        stack.k, stack.row1, stack.col1 = k, self.full, self.col0
+        stack.full, stack.col0, stack.order, stack.order_t, stack.ids = map(
+            stack.repeat, (self.full, self.col0, self.order, self.order_t, self.ids))
+        return stack
+
+    def repeat(self, grid: int) -> int:
+        """The stack holding `grid` in each of its k blocks."""
+        return int.from_bytes(grid.to_bytes(self.block_bytes, "little") * self.k, "little")
+
+    def pack(self, grids: list[int]) -> int:
+        """The stack of `grids`, grid j in block j."""
+        width = self.block_bytes
+        return int.from_bytes(b"".join(g.to_bytes(width, "little") for g in grids), "little")
+
+    def unpack(self, stack: int) -> list[int]:
+        """The k grids of `stack`; inverse to :meth:`pack`."""
+        width = self.block_bytes
+        raw = stack.to_bytes(width * self.k, "little")
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+    def zero_blocks(self, stack: int) -> list[int]:
+        """The indices of the blocks of `stack` that are zero, ascending."""
+        width = self.block_bytes
+        raw = stack.to_bytes(width * self.k, "little")
+        zero = bytes(width)
+        return [j for j, i in enumerate(range(0, len(raw), width)) if raw[i:i + width] == zero]
+
     def product(self, x: int, y: int) -> int:
         """The boolean matrix product x∘y: the OR over m of column m of x,
         spread over the rows, times row m of y.  A row has n bits, so the
@@ -204,6 +269,14 @@ class _GridKit:
             if row:
                 out |= (x >> m & col0) * row
         return out
+
+    def closure(self, x: int) -> int:
+        """The transitive closure of x (Warshall): step m adds (a, c) for
+        every (a, m) and (m, c) present after the earlier steps."""
+        full, col0 = self.full, self.col0
+        for m, shift in self._steps:
+            x |= (x >> m & col0) * (x >> shift & full)
+        return x
 
     def _times_rows(self, x: int, rows) -> int:
         col0 = self.col0
@@ -245,6 +318,26 @@ class _GridKit:
         """The pair at grid bit `bit`, read on the primal or the opposite side."""
         a, b = divmod(bit, self.n)
         return Pair(b, a) if opposite else Pair(a, b)
+
+
+class _GridStack(_GridKit):
+    """The kit of k-grid stacks, k > 1 (see :meth:`_GridKit.stacked`):
+    the general product and the closure take two multiplies a step."""
+
+    __slots__ = ("row1", "col1")
+
+    def product(self, x: int, y: int) -> int:
+        full, col0, row1, col1 = self.full, self.col0, self.row1, self.col1
+        out = 0
+        for m, shift in self._steps:
+            out |= (x >> m & col0) * row1 & (y >> shift & full) * col1
+        return out
+
+    def closure(self, x: int) -> int:
+        full, col0, row1, col1 = self.full, self.col0, self.row1, self.col1
+        for m, shift in self._steps:
+            x |= (x >> m & col0) * row1 & (x >> shift & full) * col1
+        return x
 
 
 def _build_kit(lat: "FiniteLattice") -> _GridKit | None:

@@ -22,7 +22,7 @@ from .centers import (
 )
 from .classes import (
     MorphClass,
-    _wfs_checks,
+    _model_checks,
     factorize,
     left_complement,
     right_complement,
@@ -131,17 +131,13 @@ def verify_model(m: ModelStruct) -> Report:
     has 2-of-3.  They are pure functions of the immutable W, so they are
     memoised on ``m.rel`` (see :class:`~posetmodels.lattice.Dualizable`)
     and shared by every structure over it.  Every check that reads cof or
-    fib runs in full on each call, so the verification stays exhaustive.
+    fib runs in full on each call, so the verification stays exhaustive;
+    on the grid path those ten are the difference grids of
+    :func:`~posetmodels.classes._model_fails` for the stack of one, the
+    implementation the oracle runs on stacks of candidates.
     """
     we_sub, two_of_three = _weq_checks(m.rel)
-    m.report = Report((
-        we_sub,
-        subcategory_check(m.cof, "cof_subcategory"),
-        subcategory_check(m.fib, "fib_subcategory"),
-        *_wfs_checks(m.cof, m.acyclic_fibrations(), "cof_afib."),
-        *_wfs_checks(m.acyclic_cofibrations(), m.fib, "acof_fib."),
-        two_of_three,
-    ))
+    m.report = Report((we_sub, *_model_checks(m.cof, m.fib, m.we), two_of_three))
     return m.report
 
 

@@ -6,20 +6,42 @@ and pushout, and that class determines the rest: fibrations are its right
 complement and cofibrations the left complement of the acyclic fibrations.
 Every such closed class is the closure of its own non-identity members, so
 growing closures one generator at a time, from the identities, visits all
-of them.
+of them.  The closure of a set is unique, so the sorted class list does
+not depend on the order of growth.
 
-Growth is incremental.  Each closed class is kept with its element rows
-and columns (rows[a] = the b with (a, b) in the class).  To extend a
-closed class by a generator, only the generator and the pairs it brings in
-are processed, on copies of those rows and columns: the pushouts of a new
-pair (a, b) are its pushout targets, its composites are (a, c) for c in
-rows[b] and (c, b) for c in cols[a], looked up in a 2-D pair index.  A
-growth that leaves W stops at once: such a class can never be an
-acyclic-cofibration class for this W.  The closure of a set is unique, so
-the sorted class list does not depend on the order of growth.  Candidates
-are then filtered through the exhaustive verifier, which is what makes the
-result an oracle rather than a construction: the recognition theorem is
-never used.
+Closure lemma.  Let s be closed, g = (a, b) a pair and PO(g) the set of
+its pushouts (c, b v c), c >= a, which holds g.  Then the closure of
+s + {g} is the transitive closure T of s | PO(g).  T lies in that closure
+and holds s and g, and it is composition-closed.  It is pushout-closed:
+s is, and so is PO(g), since the pushout of (c, b v c) along c <= d is
+(d, b v d), again in PO(g); a union of pushout-closed classes is
+pushout-closed; and the pushout of a composite is the composite of the
+pushouts: along x <= d, (x, z) = (y, z)∘(x, y) pushes out to
+(d, z v d) = (y v d, z v d)∘(d, y v d), the pushout of (x, y) along d and
+of (y, z) along y v d.  So T is closed, and it is the closure.  A
+generator whose own pushouts leave W lies in no class inside W and is
+dropped up front.
+
+Everything runs on stacks of grids (:class:`~posetmodels.lattice._GridKit`),
+cut into chunks of at most ``_STACK_BYTES`` bytes, on either side of the
+density gate: a sparse lattice builds its kit for the call.  Growth goes
+one breadth-first level at a time: every frontier class s and generator g
+not in s give s | PO(g), PO(g) read off the join table, and one stacked
+Warshall pass of n steps closes them all; a block that leaves W is
+dropped, and the rest are deduplicated.  One stacked pass of the
+complement kernels then gives every closed class J its candidate
+(lc(W & rc(J)), rc(J)), and :func:`~posetmodels.classes._model_fails`, the
+one implementation of the ten cof/fib conditions of
+:func:`~posetmodels.models.verify_model`, checks all candidates at once:
+a candidate passes iff its block of the OR of the ten differences is
+zero.  The W-only checks of ``verify_model``, memoised on the relative
+structure, gate every candidate, so the check is as exhaustive as
+``verify_model``'s, and an accepted structure carries the passing report
+``verify_model`` gives it.  Pair index -> grid bit is increasing on both
+op() sides, so grids sort as their pair masks do; masks are built only for
+accepted structures.  Candidates are filtered through this exhaustive
+check, which is what makes the result an oracle rather than a
+construction: the recognition theorem is never used.
 """
 
 from __future__ import annotations
@@ -28,62 +50,83 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .classes import MorphClass
-from .errors import CapExceeded, NotALattice, Unbounded
-from .lattice import build_lattice, iter_bits
-from .models import ModelStruct, _generated_by, verify_model
+from .classes import _MODEL_CHECKS, MorphClass, _complement_kernels, _model_fails
+from .errors import CapExceeded, InvalidInput, NotALattice, Unbounded
+from .lattice import _GridKit, build_lattice, iter_bits
+from .models import ModelStruct, _weq_checks
 from .relative import RelStruct, check_s2of3, validate_relative
+from .report import Check, Report
 
 DEFAULT_MAX_ELEMENTS = 10
 DEFAULT_MAX_GENERATORS = 14
+_STACK_BYTES = 1 << 15  # the most bytes one stack spans (module docstring)
+
+
+def _require_cap(name: str, cap: int) -> None:
+    if cap < 0:
+        raise InvalidInput(f"{name} must be at least 0, got {cap}")
+
+
+def _side_kit(lat) -> _GridKit:
+    """The lattice's grid kit; a sparse lattice builds one for the call."""
+    if lat._kit is not None:
+        return lat._kit
+    return _GridKit(lat._down, lat._up) if lat.opposite else _GridKit(lat._up, lat._down)
+
+
+def _chunks(kit: _GridKit, grids: list[int]) -> Iterator[tuple[_GridKit, list[int]]]:
+    """`grids` cut into runs of at most _STACK_BYTES bytes, each with its stack kit."""
+    per = max(1, _STACK_BYTES // kit.block_bytes)
+    for i in range(0, len(grids), per):
+        chunk = grids[i:i + per]
+        yield kit.stacked(len(chunk)), chunk
+
+
+def _closed_grids(rel: RelStruct, kit: _GridKit, weq: int, max_generators: int) -> list[int]:
+    """The grid of every identity-containing class inside W, whose grid is
+    `weq`, closed under composition and pushout (module docstring), in no
+    fixed order."""
+    lat = rel.lattice
+    n = lat.n
+    gens = rel.weq.nonidentity_pairs()
+    if len(gens) > max_generators:
+        raise CapExceeded("non-identity weak equivalences", max_generators, len(gens))
+
+    def bit(a: int, b: int) -> int:  # the grid bit of this side's pair (a, b)
+        return 1 << (b * n + a if lat.opposite else a * n + b)
+
+    grown = []  # (g's grid bit, PO(g)) of each generator whose pushouts stay in W
+    for (a, b) in gens:
+        pushouts = sum(bit(c, lat.join(b, c)) for c in iter_bits(lat.up_mask(a)))
+        if not pushouts & ~weq:
+            grown.append((bit(a, b), pushouts))
+    seen = {kit.ids}
+    frontier = [kit.ids]
+    while frontier:
+        seeds = dict.fromkeys(s | pushouts for s in frontier for g, pushouts in grown if not s & g)
+        frontier = []
+        for stack, chunk in _chunks(kit, [s for s in seeds if s not in seen]):
+            closed = stack.closure(stack.pack(chunk))
+            blocks = stack.unpack(closed)
+            for j in stack.zero_blocks(closed & ~stack.repeat(weq)):
+                if blocks[j] not in seen:
+                    seen.add(blocks[j])
+                    frontier.append(blocks[j])
+    return list(seen)
 
 
 def _closed_classes(rel: RelStruct, max_generators: int) -> list[int]:
     """Every identity-containing class inside W closed under composition
     and pushout, as sorted pair masks (see the module docstring)."""
-    lat = rel.lattice
-    ps = lat.pairs
-    weq_mask = rel.weq.mask
-    gens = [i for i in iter_bits(weq_mask) if ps[i].src != ps[i].dst]
-    if len(gens) > max_generators:
-        raise CapExceeded("non-identity weak equivalences", max_generators, len(gens))
-    pushouts = lat.pushout_targets
-    bit = [[0] * lat.n for _ in range(lat.n)]  # bit[a][b]: the bit of pair (a, b)
-    for i, (a, b) in enumerate(ps):
-        bit[a][b] = 1 << i
-    root = MorphClass.identities(lat)
-    seen = {root.mask: (root.rows, root.cols)}
-    queue = [root.mask]
-    while queue:
-        s = queue.pop()
-        s_rows, s_cols = seen[s]
-        for g in gens:
-            if (s >> g) & 1:
-                continue
-            # s is closed: only g and the pairs it brings in need processing
-            rows, cols = s_rows[:], s_cols[:]
-            mask = s | (1 << g)
-            work = [g]
-            while work:
-                i = work.pop()
-                a, b = ps[i]
-                new = pushouts[i]
-                for c in iter_bits(rows[b]):  # (b, c) present: compose to (a, c)
-                    new |= bit[a][c]
-                for c in iter_bits(cols[a]):  # (c, a) present: compose to (c, b)
-                    new |= bit[c][b]
-                rows[a] |= 1 << b
-                cols[b] |= 1 << a
-                new &= ~mask
-                if new & ~weq_mask:  # escaped W: never an acyclic-cofibration class
-                    break
-                mask |= new
-                work.extend(iter_bits(new))
-            else:
-                if mask not in seen:
-                    seen[mask] = (rows, cols)
-                    queue.append(mask)
-    return sorted(seen)
+    kit = _side_kit(rel.lattice)
+    return sorted(map(kit.to_mask, _closed_grids(rel, kit, kit.from_mask(rel.weq.mask), max_generators)))
+
+
+def _class_of(lat, kit: _GridKit, grid: int) -> MorphClass:
+    """The class of `grid`, carrying the grid where the lattice keeps grids."""
+    if lat._kit is None:
+        return MorphClass(lat, kit.to_mask(grid))
+    return MorphClass._of_grid(lat, grid)
 
 
 def enumerate_model_structures(
@@ -91,20 +134,32 @@ def enumerate_model_structures(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> list[ModelStruct]:
-    """All model structures with weak equivalences W, deterministically ordered."""
+    """All model structures with weak equivalences W, ordered by (cof mask,
+    fib mask).  A cap below 0 is an input error."""
+    _require_cap("max_elements", max_elements)
+    _require_cap("max_generators", max_generators)
     lat = rel.lattice
     if lat.n > max_elements:
         raise CapExceeded("lattice elements", max_elements, lat.n)
-    candidates: dict[tuple[int, int], tuple[MorphClass, MorphClass]] = {}
-    for a_mask in _closed_classes(rel, max_generators):
-        cof, fib = _generated_by(rel, MorphClass(lat, a_mask))
-        candidates.setdefault((cof.mask, fib.mask), (cof, fib))
-    out = []
-    for key in sorted(candidates):
-        m = ModelStruct(rel, *candidates[key])  # the complements' own classes, grids included
-        if verify_model(m).ok:
-            out.append(m)
-    return out
+    kit = _side_kit(lat)
+    weq = kit.from_mask(rel.weq.mask)
+    classes = _closed_grids(rel, kit, weq, max_generators)
+    we_sub, two_of_three = _weq_checks(rel)
+    if not (we_sub.ok and two_of_three.ok):
+        return []
+    report = Report((we_sub, *(Check(name, True) for name in _MODEL_CHECKS), two_of_three))
+    lc, rc = _complement_kernels(lat.opposite)
+    found = set()
+    for stack, chunk in _chunks(kit, classes):
+        weqs = stack.repeat(weq)
+        fib = rc(stack, stack.pack(chunk))
+        cof = lc(stack, fib & weqs)
+        failed = 0
+        for fails in _model_fails(stack, lat.opposite, cof, fib, weqs):
+            failed |= fails
+        cofs, fibs = stack.unpack(cof), stack.unpack(fib)
+        found.update((cofs[j], fibs[j]) for j in stack.zero_blocks(failed))
+    return [ModelStruct(rel, _class_of(lat, kit, c), _class_of(lat, kit, f), report) for c, f in sorted(found)]
 
 
 def decide_by_enumeration(rel: RelStruct, **caps) -> bool:

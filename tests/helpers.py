@@ -7,6 +7,7 @@ against them are genuine dual-route checks.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from posetmodels import (
@@ -39,6 +40,8 @@ from posetmodels import (
     validate_relative,
     verify_model,
 )
+from posetmodels.errors import NotALattice
+from posetmodels.models import _generated_by
 
 
 def naive_upper_bounds(lattice, elems):
@@ -111,6 +114,87 @@ def pushout_compose_close(lattice, pairs) -> set:
         if grown == out:
             return out
         out = grown
+
+
+def naive_closed_classes(rel) -> list[int]:
+    """The masks of pushout_compose_close(ids | S) over every subset S of
+    the non-identity weak equivalences, kept when they stay inside W.
+
+    Closure is monotone and idempotent, so the closure of S is that of
+    (closure of S minus its last generator) plus that generator; starts
+    are memoised, and a subset whose smaller closure left W leaves it too.
+    """
+    lat = rel.lattice
+    gens = [tuple(p) for p in rel.weq.nonidentity_pairs()]
+    weq = {tuple(p) for p in rel.weq}
+    ids = frozenset(pushout_compose_close(lat, {(x, x) for x in range(lat.n)}))
+    closure = {(): ids}
+    memo = {}
+    for k in range(1, len(gens) + 1):
+        for subset in itertools.combinations(range(len(gens)), k):
+            below = closure[subset[:-1]]
+            if below is not None:
+                start = below | {gens[subset[-1]]}
+                if start not in memo:
+                    c = frozenset(pushout_compose_close(lat, start))
+                    memo[start] = c if c <= weq else None
+                below = memo[start]
+            closure[subset] = below
+    return sorted({MorphClass.from_pairs(lat, c).mask for c in closure.values() if c is not None})
+
+
+
+
+def reference_enumeration(rel) -> list:
+    """The oracle's route through the library's single-structure parts:
+    :func:`naive_closed_classes`, then ``_generated_by`` and ``verify_model``
+    on each candidate.  ((cof mask, fib mask), report) of each structure
+    that passes, sorted."""
+    found = {}
+    for mask in naive_closed_classes(rel):
+        m = ModelStruct(rel, *_generated_by(rel, MorphClass(rel.lattice, mask)))
+        if verify_model(m).ok:
+            found[m.cof.mask, m.fib.mask] = m.report
+    return sorted(found.items())
+
+
+def small_lattices(n: int) -> list:
+    """Every n-element lattice up to isomorphism.  Each is a bottom, a top
+    and a naturally labelled poset on the n - 2 elements between them (its
+    relations (i, j) have i < j); those that are lattices are kept, one per
+    class: the least sorted relation list over relabellings of the middle."""
+    if n == 1:
+        return [build_lattice(["0"], [])]
+    middle = range(1, n - 1)
+    top = str(n - 1)
+    found = {}
+    for chosen in itertools.product((False, True), repeat=len(list(itertools.combinations(middle, 2)))):
+        order = {p for p, keep in zip(itertools.combinations(middle, 2), chosen) if keep}
+        if any((i, j) in order and (j, k) in order and (i, k) not in order for i in middle for j in middle for k in middle):
+            continue  # not transitively closed: its closure is listed on its own
+        key = min(tuple(sorted((perm[i - 1], perm[j - 1]) for (i, j) in order))
+                  for perm in itertools.permutations(middle))
+        if key in found:
+            continue
+        names = [str(x) for x in range(n)]
+        rels = [("0", str(x)) for x in middle] + [(str(x), top) for x in middle] + [("0", top)]
+        try:
+            found[key] = build_lattice(names, rels + [(str(i), str(j)) for (i, j) in order])
+        except NotALattice:
+            found[key] = None
+    return [lat for lat in found.values() if lat is not None]
+
+
+def composition_closed_weqs(lat) -> list:
+    """Every subcategory W of `lat`: the identities plus each
+    composition-closed set of non-identity pairs, as relative structures."""
+    pairs = [p for p in lat.pairs if p.src != p.dst]
+    out = []
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        w = {p for p, keep in zip(pairs, chosen) if keep}
+        if all((a, d) in w for (a, b) in w for (c, d) in w if b == c):
+            out.append(validate_relative(lat, [lat.pair_names(p) for p in w], add_identities=True))
+    return out
 
 
 def memo_entry(x, key):

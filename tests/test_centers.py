@@ -1,10 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from posetmodels import (
     CenterMap,
+    InstanceGen,
     MorphClass,
     Pair,
     build_lattice,
+    check_s2of3,
     compute_Jchi,
     compute_Qchi,
     compute_Wc_chi,
@@ -14,12 +19,14 @@ from posetmodels import (
     find_centers,
     load,
     product_centers,
+    random_instances,
     validate_centers,
     validate_relative,
 )
 from posetmodels.errors import S2OF3Failed
 
 from helpers import check_all_centers, memo_entry
+from test_grid import _wide
 
 
 def identity_rel():
@@ -149,6 +156,24 @@ def test_jchi_qchi(two_structures, forced):
     fchi = const_chi(forced, "C")
     assert (flat.index("U"), flat.index("C")) in compute_Jchi(forced, fchi)
     assert (flat.index("C"), flat.index("D")) in compute_Qchi(forced, fchi)
+
+
+def test_jchi_matches_scan_over_w(two_structures, forced, trunc1):
+    """J_chi, read off grids on dense lattices, against a scan over W, on
+    both op() sides; for valid center maps and for arbitrary maps."""
+    rng = random.Random(3)
+    wide = validate_relative(_wide(36), [("a0", "t"), ("b", "a1")], add_identities=True)
+    rels = [two_structures, forced, trunc1, wide]
+    rels += list(itertools.islice(random_instances(InstanceGen(seed=21)), 120))
+    for rel in rels:
+        for side in (rel, rel.op()):
+            lat = side.lattice
+            maps = [chi for chi in enumerate_centers(rel, limit=8).maps] if check_s2of3(rel).ok else []
+            maps += [CenterMap(tuple(rng.randrange(lat.n) for _ in range(lat.n))) for _ in range(3)]
+            for chi in maps:
+                scan = sum(1 << i for i in range(len(lat.pairs))
+                           if side.weq.mask >> i & 1 and lat.leq(lat.pairs[i].dst, chi(lat.pairs[i].dst)))
+                assert compute_Jchi(side, chi).mask == scan
 
 
 def test_wc_chi(two_structures):

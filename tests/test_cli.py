@@ -6,7 +6,15 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from posetmodels import MorphClass, ModelStruct, build_lattice, enumerate_centers, fixture, validate_relative
+from posetmodels import (
+    MorphClass,
+    ModelStruct,
+    build_lattice,
+    enumerate_centers,
+    enumerate_model_structures,
+    fixture,
+    validate_relative,
+)
 from posetmodels.cli import run_cli
 from posetmodels.dot import export_dot
 from posetmodels.errors import InvalidInput, UnknownFixture
@@ -431,3 +439,16 @@ def test_negative_enumeration_limit_is_an_input_error(tmp_path, capsys, two_stru
     code, out = run(["centers", "enumerate", "--limit", "-1", path])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: InvalidInput: limit must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("flag, name, cap", [("--max-elements", "max_elements", -3),
+                                             ("--max-generators", "max_generators", -1)])
+def test_negative_oracle_caps_are_input_errors(tmp_path, capsys, two_structures, flag, name, cap):
+    message = f"{name} must be at least 0, got {cap}"
+    with pytest.raises(InvalidInput, match=message):
+        enumerate_model_structures(two_structures, **{name: cap})
+    path = write_fixture(tmp_path, "two-structures")
+    capsys.readouterr()
+    code, out = run(["enumerate", flag, str(cap), path])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: InvalidInput: {message}\n"

@@ -25,9 +25,10 @@ from posetmodels import (
     validate_relative,
     verify_model,
 )
+from posetmodels.classes import _complement_kernels, _model_fails
 from posetmodels.models import _generated_by
 
-from helpers import naive_left_complement, naive_right_complement, permuted_instances
+from helpers import compose_close, naive_left_complement, naive_right_complement, permuted_instances
 from test_lattice import _grid
 
 ALWAYS, NEVER = 10**12, 0  # gate constants that force the grid path and the table path
@@ -141,6 +142,69 @@ def test_product_matches_naive_triple_loop():
         for _ in range(20):
             x, y = rng.getrandbits(n * n), rng.getrandbits(n * n)
             assert kit.product(x, y) == _naive_product(n, x, y)
+
+
+def _naive_closure(n, x):
+    pairs = compose_close({divmod(t, n) for t in range(n * n) if x >> t & 1})
+    return sum(1 << a * n + b for (a, b) in pairs)
+
+
+def _stack_battery(lat, rng):
+    """Every stacked kernel against the single-grid kernel, block by block,
+    for stacks of 1, 2, 7 and 64 grids.  Saturated grids sit next to every
+    operand grid, so a term that crossed a block boundary would show."""
+    kit = lat._kit
+    n = kit.n
+    assert kit.block_bytes * 8 - 8 < n * n <= kit.block_bytes * 8
+    sat = (1 << n * n) - 1
+    lc, rc = _complement_kernels(lat.opposite)
+    for k in (1, 2, 7, 64):
+        stack = kit.stacked(k)
+        assert (stack is kit) == (k == 1)
+        xs = [sat if j % 2 else rng.getrandbits(n * n) for j in range(k)]
+        ys = [rng.getrandbits(n * n) if j % 2 else sat for j in range(k)]
+        zs = [(0, sat, rng.getrandbits(n * n) | 1)[j % 3] for j in range(k)]
+        x, y, z = stack.pack(xs), stack.pack(ys), stack.pack(zs)
+        assert stack.unpack(x) == xs and x >> k * kit.block_bytes * 8 == 0
+        for grid in (kit.order, kit.order_t, kit.ids, kit.col0, kit.full):
+            assert stack.unpack(stack.repeat(grid)) == [grid] * k
+        assert [stack.order, stack.order_t, stack.ids] == [stack.repeat(g) for g in (kit.order, kit.order_t, kit.ids)]
+        assert stack.unpack(stack.product(x, y)) == [kit.product(a, b) for a, b in zip(xs, ys)]
+        assert stack.unpack(stack.product(y, x)) == [kit.product(b, a) for a, b in zip(xs, ys)]
+        assert stack.unpack(stack.closure(x)) == [kit.closure(a) for a in xs]
+        for kernel in (lc, rc):
+            assert stack.unpack(kernel(stack, x)) == [kernel(kit, a) for a in xs]
+            assert stack.unpack(kernel(stack, y)) == [kernel(kit, b) for b in ys]
+        assert stack.zero_blocks(z) == [j for j, g in enumerate(zs) if g == 0]
+        assert stack.zero_blocks(x) == [j for j, g in enumerate(xs) if g == 0]
+        weq = rng.getrandbits(n * n)
+        stacked = _model_fails(stack, lat.opposite, x, y, stack.repeat(weq))
+        assert [stack.unpack(d) for d in stacked] == [list(col) for col in zip(
+            *(_model_fails(kit, lat.opposite, a, b, weq) for a, b in zip(xs, ys)))]
+    for _ in range(4):
+        a = rng.getrandbits(n * n)
+        assert kit.closure(a) == _naive_closure(n, a)
+
+
+def _stack_lattices():
+    one = build_lattice(["x"], [])
+    return [one, _chain(2), _chain(3), _chain(5), build_lattice(*_grid(3, 3)), load("trunc-3").lattice]
+
+
+def test_stacked_kernels_on_fixtures(two_structures, forced, s2of3_fail, trunc1):
+    # n = 1, 2, 3, 5, 9 and 27: no n^2 is a multiple of 8, so every block has padding bits
+    rng = random.Random(8)
+    lats = _stack_lattices() + [rel.lattice for rel in (two_structures, forced, s2of3_fail, trunc1)]
+    for lat in lats:
+        for side in (lat, lat.op()):
+            _stack_battery(side, rng)
+
+
+def test_stacked_kernels_on_permuted_instances():
+    rng = random.Random(9)
+    for rel in (r for _, r in zip(range(25), permuted_instances(InstanceGen(seed=13)))):
+        for side in (rel.lattice, rel.lattice.op()):
+            _stack_battery(side, rng)
 
 
 def _random_class(lat, rng):

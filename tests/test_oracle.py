@@ -6,22 +6,38 @@ import pytest
 
 from posetmodels import (
     InstanceGen,
+    ModelStruct,
     MorphClass,
     build_lattice,
     check_s2of3,
     decide_by_enumeration,
     enumerate_model_structures,
     find_centers,
+    left_complement,
     load,
     oracle,
     random_instances,
     recognize_finite,
+    right_complement,
     validate_relative,
+    verify_model,
 )
-from posetmodels.errors import CapExceeded
+from posetmodels.errors import CapExceeded, S2OF3Failed
 from posetmodels.oracle import _closed_classes
 
-from helpers import all_weak, check_all_centers, compose_close, permuted, permuted_instances, pushout_compose_close
+from helpers import (
+    all_weak,
+    check_all_centers,
+    composition_closed_weqs,
+    compose_close,
+    naive_closed_classes,
+    pentagon,
+    permuted,
+    permuted_instances,
+    reference_enumeration,
+    small_lattices,
+)
+from test_grid import _chain, _wide
 from test_lattice import _grid
 from test_models import LEFT_SIG, RIGHT_SIG, identity_rel
 
@@ -134,33 +150,6 @@ def test_closures_match_naive_on_permuted_indices():
     assert unsorted >= 150
 
 
-def naive_closed_classes(rel) -> list[int]:
-    """The masks of pushout_compose_close(ids | S) over every subset S of
-    the non-identity weak equivalences, kept when they stay inside W.
-
-    Closure is monotone and idempotent, so the closure of S is that of
-    (closure of S minus its last generator) plus that generator; starts
-    are memoised, and a subset whose smaller closure left W leaves it too.
-    """
-    lat = rel.lattice
-    gens = [tuple(p) for p in rel.weq.nonidentity_pairs()]
-    weq = {tuple(p) for p in rel.weq}
-    ids = frozenset(pushout_compose_close(lat, {(x, x) for x in range(lat.n)}))
-    closure = {(): ids}
-    memo = {}
-    for k in range(1, len(gens) + 1):
-        for subset in itertools.combinations(range(len(gens)), k):
-            below = closure[subset[:-1]]
-            if below is not None:
-                start = below | {gens[subset[-1]]}
-                if start not in memo:
-                    c = frozenset(pushout_compose_close(lat, start))
-                    memo[start] = c if c <= weq else None
-                below = memo[start]
-            closure[subset] = below
-    return sorted({MorphClass.from_pairs(lat, c).mask for c in closure.values() if c is not None})
-
-
 def test_closed_classes_match_naive_closure(two_structures, forced, s2of3_fail, trunc1, two_chain):
     for rel in (two_structures, forced, s2of3_fail, trunc1, two_chain):
         assert _closed_classes(rel, 14) == naive_closed_classes(rel)
@@ -234,3 +223,108 @@ def test_chain_structure_counts_are_catalan(blocks, count):
 def test_square_has_ten_structures():
     # the 2x2 square with W every pair: ten, the transfer-system count for C_pq
     assert len(enumerate_model_structures(all_weak(build_lattice(*_grid(2, 2))))) == 10
+
+
+def _enumerated(rel):
+    """((cof mask, fib mask), report) of each enumerated structure, the
+    element cap raised to fit; each report equals the one a fresh
+    verify_model gives."""
+    out = []
+    for m in enumerate_model_structures(rel, max_elements=rel.lattice.n):
+        assert m.report == verify_model(ModelStruct(rel, m.cof, m.fib))
+        out.append(((m.cof.mask, m.fib.mask), m.report))
+    return out
+
+
+def test_oracle_matches_reference_route(two_structures, forced, s2of3_fail, trunc1, two_chain):
+    """The stacked oracle against naive closure, _generated_by and verify_model, structure by structure."""
+    rels = [two_structures, forced, s2of3_fail, trunc1, two_chain]
+    stream = random_instances(InstanceGen(seed=13, max_elements=8))
+    rels += list(itertools.islice((rel for rel in stream if len(rel.weq.nonidentity_pairs()) <= 8), 150))
+    found = 0
+    for rel in rels:
+        for side in (rel, rel.op()):
+            expected = reference_enumeration(side)
+            assert _enumerated(side) == expected
+            found += len(expected)
+    assert found >= 300
+
+
+def test_oracle_on_sparse_lattice_matches_reference_route():
+    # a wide lattice past the density gate: the oracle builds its grid kit for
+    # the call; b -> a1 and b -> a2 push out to (x, t) outside W, so four
+    # closed classes grow, and three of their candidates fail verification
+    lat = _wide(36)
+    assert lat._kit is None
+    rel = validate_relative(lat, [("a0", "t"), ("b", "a1"), ("b", "a2"), ("a3", "t")], add_identities=True)
+    for side in (rel, rel.op()):
+        expected = reference_enumeration(side)
+        assert len(expected) == 1
+        assert _enumerated(side) == expected
+        assert _closed_classes(side, 14) == naive_closed_classes(side) and len(naive_closed_classes(side)) == 4
+
+
+def test_enumeration_does_not_depend_on_chunk_size(two_structures, forced, monkeypatch):
+    # the default chunk holds every stack of these instances; smaller ones
+    # split closure growth and verification across many stacks
+    rels = [two_structures, forced, _block_chain((4, 2, 2, 1))]
+    rels += list(itertools.islice(random_instances(InstanceGen(seed=19)), 30))
+    expected = [(_enumerated(rel), _closed_classes(rel, 14)) for rel in rels]
+    assert sum(len(structures) for structures, _ in expected) >= 90
+    for size in (1, 40, 200):
+        monkeypatch.setattr(oracle, "_STACK_BYTES", size)
+        assert [(_enumerated(rel), _closed_classes(rel, 14)) for rel in rels] == expected
+
+
+def _m3():
+    return build_lattice(["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+@pytest.mark.parametrize("rel, count", [
+    (all_weak(build_lattice(*_grid(2, 3))), 68), (all_weak(_m3()), 19), (pentagon(), 26),
+])
+def test_closed_class_counts_with_every_pair_weak(rel, count):
+    # with W every pair the closed classes are the left classes of the weak
+    # factorization systems, and J -> rc(J) is an inclusion-reversing bijection
+    # onto the pullback-closed classes (Franchere, Ormsby, Osorno, Qin, Waugh,
+    # "Self-duality of the lattice of transfer systems via weak factorization
+    # systems"): L and L.op() have as many
+    for side in (rel, rel.op()):
+        assert len(_closed_classes(side, 14)) == count
+
+
+def test_closed_classes_are_left_complements_of_their_right_complements():
+    checked = 0
+    stream = random_instances(InstanceGen(seed=17, weq_density=0.6))
+    for rel in itertools.islice((rel for rel in stream if len(rel.weq.nonidentity_pairs()) <= 14), 100):
+        for side in (rel, rel.op()):
+            for mask in _closed_classes(side, 14):
+                j = MorphClass(side.lattice, mask)
+                assert left_complement(right_complement(j)).mask == mask
+                checked += 1
+    assert checked >= 1000
+
+
+def test_exhaustive_small_world():
+    """Every lattice of at most 5 elements with every subcategory W: the
+    counts match OEIS A006966 and A006455, and recognition, the center
+    search and the oracle agree on every instance, on both op() sides."""
+    lattices = {n: small_lattices(n) for n in range(1, 6)}
+    assert [len(lattices[n]) for n in range(1, 6)] == [1, 1, 1, 2, 5]
+    chains = [composition_closed_weqs(_chain(n)) for n in range(2, 6)]
+    assert [len(ws) for ws in chains] == [2, 7, 40, 357]
+    instances = yes = 0
+    for n, lats in lattices.items():
+        for lat in lats:
+            for rel in composition_closed_weqs(lat):
+                for side in (rel, rel.op()):
+                    decision = recognize_finite(side).yes
+                    try:
+                        centers = find_centers(side) is not None
+                    except S2OF3Failed:
+                        centers = False
+                    assert decision == centers == decide_by_enumeration(side)
+                instances += 1
+                yes += decision
+    assert (instances, yes) == (1144, 131)
+
