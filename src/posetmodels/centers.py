@@ -216,22 +216,15 @@ def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:
 def compute_Jchi(rel: RelStruct, chi: CenterMap) -> MorphClass:
     """W-morphisms whose codomain sits below its center.
 
-    On the grid path this is W & (every row, the columns b <= chi(b)): a
-    grid's column is the primal codomain, and in op() the primal domain,
-    so there rows and columns swap.  The pair-table path scans W.
+    On the grid path this is W & (every domain, the codomains b <= chi(b)),
+    read on W's op() side by its kit.  The pair-table path scans W.
     """
     lat = rel.lattice
     below = sum(1 << b for b in range(lat.n) if lat.leq(b, chi.chi[b]))
     kit = lat._kit
     if kit is not None:
-        every = (1 << lat.n) - 1
-        return MorphClass._of_grid(lat, rel.weq._grid & (kit.outer(below, every) if lat.opposite
-                                                          else kit.outer(every, below)))
-    mask = 0
-    for i in iter_bits(rel.weq.mask):
-        if below >> lat.pairs[i].dst & 1:
-            mask |= 1 << i
-    return MorphClass(lat, mask)
+        return MorphClass._of_grid(lat, rel.weq._grid & kit.outer((1 << lat.n) - 1, below))
+    return MorphClass(lat, sum(1 << i for i in iter_bits(rel.weq.mask) if below >> lat.pairs[i].dst & 1))
 
 
 def compute_Qchi(rel: RelStruct, chi: CenterMap) -> MorphClass:

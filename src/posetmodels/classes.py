@@ -10,21 +10,22 @@ docstring) the algebra that ``verify_model`` uses runs on grids, n^2-bit
 ints whose bit a*n + b holds the pair with primal reading (a, b): both
 complements (formulas derived in their docstrings), composition closure
 (S∘S & ~S = 0), the lifting-system checks and factorization
-(O & ~(lc∘rc) = 0, and O & ~(rc∘lc) in op()).  The lifting-system checks
-read their three differences straight off grids: they build no class and
-convert no grid back to a pair mask.  The ten conditions of
-``verify_model`` that read cof or fib have one implementation,
-:func:`_model_fails`, which takes a grid or a stack of grids (see
-:class:`~posetmodels.lattice._GridKit`), so the oracle checks a whole
-chunk of candidates in one call.  A pair witness is the lowest set bit
-of a difference, the least pair in pair order on both sides, the same
-pair the mask scans report.  Two witnesses take a short second
+(O & ~(lc∘rc) = 0).  The kit of each op() side answers in that side's
+terms (:class:`~posetmodels.lattice._GridKit`), so no code here asks for
+the side.  The lifting-system checks read their differences straight off
+grids: they build no class and convert no grid back to a pair mask.  The
+ten conditions of ``verify_model`` that read cof or fib have one
+implementation, :func:`_model_fails`, which takes a grid or a stack of
+grids, so the oracle checks a whole chunk of candidates in one call.
+Sparse lattices compute the same differences as pair masks from the pair
+tables, and one reader, :func:`_wfs_read`, takes the witnesses on both
+paths.  A pair witness is the lowest set bit of a difference, the least
+pair in pair order on both sides.  Two witnesses take a short second
 scan: the composition triple (the pair scan, run only once the product
 has found a failure) and the lifting g (the least member of rc among the
 pairs f fails to lift against).  The mask stays a class's identity, so
 equality, hashing and candidate order do not depend on the path; ``|``,
-``&`` and ``-`` carry grids when both operands have one.  Sparse
-lattices run the pair-table scans below unchanged.
+``&`` and ``-`` carry grids when both operands have one.
 """
 
 from __future__ import annotations
@@ -145,17 +146,14 @@ class MorphClass(Dualizable):
     def has_identities(self) -> bool:
         return self.lattice.identity_mask & ~self.mask == 0
 
-    def _grid_rows(self, transposed: bool) -> list[int]:
-        kit = self.lattice._kit
-        return kit.rows(kit.transpose(self._grid) if transposed else self._grid)
-
     @property
     def rows(self) -> list[int]:
         """rows[a] = element mask of all b with (a, b) in the class: on the
-        grid path, slices of the grid (of its transpose in op())."""
+        grid path, read off the grid by the kit of the class's side."""
         if self._rows is None:
-            if self.lattice._kit is not None:
-                self._rows = self._grid_rows(self.lattice.opposite)
+            kit = self.lattice._kit
+            if kit is not None:
+                self._rows = kit.rows(self._grid)
                 return self._rows
             rows = [0] * self.lattice.n
             cols = [0] * self.lattice.n
@@ -172,8 +170,9 @@ class MorphClass(Dualizable):
     def cols(self) -> list[int]:
         """cols[b] = element mask of all a with (a, b) in the class."""
         if self._cols is None:
-            if self.lattice._kit is not None:
-                self._cols = self._grid_rows(not self.lattice.opposite)
+            kit = self.lattice._kit
+            if kit is not None:
+                self._cols = kit.cols(self._grid)
             else:
                 self.rows
         return self._cols
@@ -192,18 +191,12 @@ def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
     return True
 
 
-def _rc_grid(kit, s: int) -> int:
-    return kit.order & ~kit.times_order(kit.order_t_times(s) & ~kit.order_t)
-
-
-def _lc_grid(kit, s: int) -> int:
-    return kit.order & ~kit.order_times(kit.times_order_t(s) & ~kit.order_t)
-
-
 def right_complement(s: MorphClass) -> MorphClass:
-    """All g such that every f in s lifts on the left of g.
+    """All g such that every f in s lifts on the left of g.  On the pair
+    tables this is the left complement of s in the opposite lattice, where
+    lifting reverses (f lifts against g there iff g lifts against f in L).
 
-    On the grid path this is rc(S) = O & ~((Oᵀ∘S & ~Oᵀ)∘O), where O is the
+    On grids it is rc(S) = O & ~((Oᵀ∘S & ~Oᵀ)∘O), where O is the
     order grid (row a is up(a)), Oᵀ its transpose (row c is down(c)) and ∘
     the boolean matrix product.  f = (a, b) fails to lift against
     g = (c, d) exactly when a <= c and b <= d (the one square commutes)
@@ -211,20 +204,14 @@ def right_complement(s: MorphClass) -> MorphClass:
     with (a, b) in S for some a <= c; masking out Oᵀ keeps those with b
     not <= c; the product with O then marks (c, d) for every d >= such a
     b.  Those are exactly the g some member of S fails to lift against,
-    and rc(S) is every other pair.  In op() the grid is the same and
-    lifting reverses (f lifts against g there iff g lifts against f in L),
-    so its right complement is the primal left-complement formula.
+    and rc(S) is every other pair.  The grid is the same on both op()
+    sides, so the kit of L.op() takes this formula as its left complement.
     """
     lat = s.lattice
     kit = lat._kit
     if kit is not None:
-        return MorphClass._of_grid(lat, _complement_kernels(lat.opposite)[1](kit, s._grid))
-    table = lat.nonlift_right
-    mask = 0
-    for j in range(len(lat.pairs)):
-        if s.mask & table[j] == 0:
-            mask |= 1 << j
-    return MorphClass(lat, mask)
+        return MorphClass._of_grid(lat, kit.rc(s._grid))
+    return left_complement(s.op()).op()
 
 
 def left_complement(s: MorphClass) -> MorphClass:
@@ -235,12 +222,13 @@ def left_complement(s: MorphClass) -> MorphClass:
     from the other end: row c of S∘Oᵀ holds the b <= d for some (c, d) in
     S; masking out Oᵀ keeps those with b not <= c; the product O∘ then
     marks (a, b) for every a <= such a c.  Those are exactly the f that
-    fail to lift against some member of S.  In op() the two formulas swap.
+    fail to lift against some member of S.  The kit of L.op() takes this
+    formula as its right complement.
     """
     lat = s.lattice
     kit = lat._kit
     if kit is not None:
-        return MorphClass._of_grid(lat, _complement_kernels(lat.opposite)[0](kit, s._grid))
+        return MorphClass._of_grid(lat, kit.lc(s._grid))
     table = lat.nonlift_left
     mask = 0
     for i in range(len(lat.pairs)):
@@ -348,28 +336,22 @@ _MODEL_CHECKS = ("cof_subcategory", "fib_subcategory",
                  *("cof_afib." + name for name in _WFS_CHECKS), *("acof_fib." + name for name in _WFS_CHECKS))
 
 
-def _complement_kernels(opposite: bool):
-    """(lc, rc): the left and right complement grid kernels of one op() side."""
-    return (_rc_grid, _lc_grid) if opposite else (_lc_grid, _rc_grid)
-
-
-def _wfs_fails(kit, opposite: bool, lg: int, rg: int, factorization: bool = True) -> list[int]:
+def _wfs_fails(kit, lg: int, rg: int, factorization: bool = True) -> list[int]:
     """The difference grids of the lifting-system checks of (lc, rc), whose
     grids are `lg` and `rg`: with allowed = lc(rc), lifting fails on
     lc & ~allowed, left maximality on allowed & ~lc, right maximality on
     rc(lc) & ~rc and, with `factorization`, factorization on O & ~(lc∘rc),
-    O & ~(rc∘lc) in op().  `kit` may be a stack kit, and then each
-    argument and result is a stack, checked block by block."""
-    lc, rc = _complement_kernels(opposite)
-    allowed = lc(kit, rg)
-    fails = [lg & ~allowed, allowed & ~lg, rc(kit, lg) & ~rg]
+    the pairs that are no composite of an lc member followed by an rc
+    member.  `kit` reads the lattice's side, and may be a stack kit: then
+    each argument and result is a stack, checked block by block."""
+    allowed = kit.lc(rg)
+    fails = [lg & ~allowed, allowed & ~lg, kit.rc(lg) & ~rg]
     if factorization:
-        first, second = (rg, lg) if opposite else (lg, rg)
-        fails.append(kit.order & ~kit.product(first, second))
+        fails.append(kit.order & ~kit.composite(lg, rg))
     return fails
 
 
-def _model_fails(kit, opposite: bool, cof: int, fib: int, weq: int) -> list[int]:
+def _model_fails(kit, cof: int, fib: int, weq: int) -> list[int]:
     """The difference grids of the ten conditions :data:`_MODEL_CHECKS` of
     (cof, fib) over weq, in that order; each condition holds iff its grid
     is zero.  A subcategory misses ids & ~S or S∘S & ~S; the lifting-system
@@ -377,27 +359,30 @@ def _model_fails(kit, opposite: bool, cof: int, fib: int, weq: int) -> list[int]
     The one implementation of those conditions: ``verify_model`` passes
     grids (the stack of one) and the oracle stacks of candidates."""
     return [(kit.ids | kit.product(cof, cof)) & ~cof, (kit.ids | kit.product(fib, fib)) & ~fib,
-            *_wfs_fails(kit, opposite, cof, fib & weq), *_wfs_fails(kit, opposite, cof & weq, fib)]
+            *_wfs_fails(kit, cof, fib & weq), *_wfs_fails(kit, cof & weq, fib)]
 
 
-def _wfs_grid_checks(lat: FiniteLattice, rg: int, fails: list[int], prefix: str) -> list[Check]:
-    """The lifting-system checks whose difference grids are `fails` (see
-    :func:`_wfs_fails`), rc's grid being `rg`.  A witness is the lowest bit
-    of its difference, the least pair f in pair order on both op() sides;
-    for lifting, with the least g in rc that f fails to lift against."""
-    kit = lat._kit
+def _wfs_read(lat: FiniteLattice, rc: int, fails: list[int], prefix: str) -> list[Check]:
+    """The lifting-system checks whose differences are `fails`, rc being
+    `rc`: grids on the grid path (:func:`_wfs_fails`), pair masks on the
+    pair-table path.  A witness is the lowest bit of its difference, the
+    least pair f in pair order on both op() sides; for lifting, with the
+    least g in rc that f fails to lift against.  f = (a, b) fails against
+    the g = (c, d) with c in up(a) & ~up(b) and d in up(b): the row of f
+    in the left lift table, or on grids that outer product."""
+    kit, up = lat._kit, lat._up
+    pair_at = lat.pairs.__getitem__ if kit is None else kit.pair
     checks = []
     for name, extra in zip(_WFS_CHECKS, fails):
         if not extra:
             checks.append(Check(prefix + name, True))
             continue
-        f = kit.pair(low_bit(extra), lat.opposite)
+        bit = low_bit(extra)
+        f = pair_at(bit)
         witness = (f,)
-        if name == "lifting":
-            up = lat._up
-            srcs, dsts = up[f.src] & ~up[f.dst], up[f.dst]
-            against = kit.outer(dsts, srcs) if lat.opposite else kit.outer(srcs, dsts)
-            witness = (f, kit.pair(low_bit(against & rg), lat.opposite))
+        if name == "lifting":  # the pairs f fails to lift against, then the least of them in rc
+            against = lat.nonlift_left[bit] if kit is None else kit.outer(up[f.src] & ~up[f.dst], up[f.dst])
+            witness = (f, pair_at(low_bit(against & rc)))
         checks.append(Check(prefix + name, False, witness))
     return checks
 
@@ -409,28 +394,21 @@ def _wfs_checks(lc: MorphClass, rc: MorphClass, prefix: str = "", factorization:
 
     On the grid path the differences are read off grids
     (:func:`_wfs_fails`): no class is built and no grid is turned back
-    into a pair mask.  The pair-table path computes the same three
-    differences as pair masks and scans for the least unfactored pair.
+    into a pair mask.  The pair-table path computes the same differences
+    as pair masks, factorization's being the pairs (a, b) with no middle
+    in lc's row a and rc's column b.  One reader, :func:`_wfs_read`, takes
+    the witnesses on both paths.
     """
     lat = lc.lattice
     kit = lat._kit
     if kit is not None:
-        return _wfs_grid_checks(lat, rc._grid, _wfs_fails(kit, lat.opposite, lc._grid, rc._grid, factorization),
-                                prefix)
+        return _wfs_read(lat, rc._grid, _wfs_fails(kit, lc._grid, rc._grid, factorization), prefix)
     allowed = left_complement(rc).mask
-    fails = (lc.mask & ~allowed, allowed & ~lc.mask, right_complement(lc).mask & ~rc.mask)
-    checks = []
-    for name, extra in zip(_WFS_CHECKS, fails):
-        if not extra:
-            checks.append(Check(prefix + name, True))
-            continue
-        i = low_bit(extra)
-        f = lat.pairs[i]
-        witness = (f, lat.pairs[low_bit(lat.nonlift_left[i] & rc.mask)]) if name == "lifting" else (f,)
-        checks.append(Check(prefix + name, False, witness))
+    fails = [lc.mask & ~allowed, allowed & ~lc.mask, right_complement(lc).mask & ~rc.mask]
     if factorization:
-        checks.append(_factorization_check(lc, rc, prefix + "factorization"))
-    return checks
+        lrows, rcols = lc.rows, rc.cols  # rows[a] lies in up(a) and cols[b] in down(b)
+        fails.append(sum(1 << i for i, (a, b) in enumerate(lat.pairs) if not lrows[a] & rcols[b]))
+    return _wfs_read(lat, rc.mask, fails, prefix)
 
 
 def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Check]:
@@ -444,10 +422,10 @@ def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Che
         return [subcategory_check(cof, _MODEL_CHECKS[0]), subcategory_check(fib, _MODEL_CHECKS[1]),
                 *_wfs_checks(cof, fib & weq, "cof_afib."), *_wfs_checks(cof & weq, fib, "acof_fib.")]
     fg, wg = fib._grid, weq._grid
-    fails = _model_fails(kit, lat.opposite, cof._grid, fg, wg)
+    fails = _model_fails(kit, cof._grid, fg, wg)
     checks = [subcategory_check(s, name) if extra else Check(name, True)
               for s, name, extra in zip((cof, fib), _MODEL_CHECKS, fails)]
-    return checks + _wfs_grid_checks(lat, fg & wg, fails[2:6], "cof_afib.") + _wfs_grid_checks(lat, fg, fails[6:], "acof_fib.")
+    return checks + _wfs_read(lat, fg & wg, fails[2:6], "cof_afib.") + _wfs_read(lat, fg, fails[6:], "acof_fib.")
 
 
 def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
@@ -455,29 +433,10 @@ def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
 
     Each witness is least in pair order.  Lifting fails exactly at the
     members of lc outside the left complement of rc; its witness pairs the
-    least such f with the least g in rc that f does not lift against.  On
-    the grid path the three conditions are read straight off grids, with
-    no pair-mask round trip, and each witness is the lowest bit of its
-    difference grid, the least pair in pair order on both op() sides.
-    f = (a, b) fails against the g = (c, d) with c in up(a) & ~up(b) and
-    d in up(b): that outer product, met with rc's grid, has the least g at
-    its lowest bit.
+    least such f with the least g in rc that f does not lift against
+    (:func:`_wfs_read`).
     """
     return Report(tuple(_wfs_checks(lc, rc, factorization=False)))
-
-
-def _factorization_check(lc: MorphClass, rc: MorphClass, name: str = "factorization") -> Check:
-    """The least pair with no (lc, rc) factorization, by a scan over the
-    pair tables' rows; the grid path reads it off :func:`_wfs_fails`."""
-    lat = lc.lattice
-    lrows = lc.rows
-    rcols = rc.cols
-    up, down = lat._up, lat._down
-    for (a, b) in lat.pairs:
-        middles = lrows[a] & rcols[b] & up[a] & down[b]
-        if middles == 0:
-            return Check(name, False, (Pair(a, b),))
-    return Check(name, True)
 
 
 def is_wfs(lc: MorphClass, rc: MorphClass) -> Report:

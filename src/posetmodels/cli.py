@@ -103,20 +103,20 @@ def cmd_recognize(ns) -> int:
 
 def cmd_centers(ns) -> int:
     rel = build_relative(_read_instance(ns, ns.instance))
-    witnesses = []
+    truncated = False
     try:
         if ns.action == "find":
             chi = find_centers(rel)
             found = [] if chi is None else [chi]
         else:
             result = enumerate_centers(rel, limit=ns.limit)
-            found = list(result.maps)
-            if result.truncated:
-                witnesses.append({"check": "enumeration_truncated", "witness": []})
+            found, truncated = list(result.maps), result.truncated
     except S2OF3Failed as e:
         return _report(ns, "absent", 1, witnesses=[_witness(rel.lattice, "s2of3", e.witness)])
-    return _report(ns, "found" if found else "absent", 0 if found else 1,
-                   witnesses=witnesses, centers=[center_map_names(rel, chi) for chi in found])
+    exists = bool(found) or truncated  # a truncated enumeration saw a map past the limit
+    return _report(ns, "found" if exists else "absent", 0 if exists else 1,
+                   witnesses=[{"check": "enumeration_truncated", "witness": []}] if truncated else [],
+                   centers=[center_map_names(rel, chi) for chi in found])
 
 
 def cmd_synthesize(ns) -> int:
@@ -186,10 +186,8 @@ def cmd_reduce(ns) -> int:
 
 def cmd_export_dot(ns) -> int:
     inst = _read_instance(ns, ns.instance)
-    if inst.cof is not None and inst.fib is not None:
-        target = build_structure(inst)
-    else:
-        target = build_relative(inst)
+    # a structure file needs both fields: build_structure rejects one alone
+    target = build_relative(inst) if inst.cof is None and inst.fib is None else build_structure(inst)
     _emit(ns, export_dot(target))
     return 0
 

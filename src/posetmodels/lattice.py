@@ -21,7 +21,8 @@ order, so a class mask names the same morphisms on both sides and witnesses
 stay the same least pairs.  Each side builds only its own left lift table;
 L's right table is the left table of ``L.op()``.  Orientation is part of
 equality: ``L.op()`` is not equal to the lattice built from the reversed
-order.
+order.  Every table is memoised per side (:class:`Dualizable`); a hit
+reads the memo directly (:func:`_memoised`).
 
 Dense lattices also hold grid kernels (:class:`_GridKit`).  A grid packs a
 class into one n^2-bit int: bit a*n + b is set when the class holds the
@@ -37,7 +38,8 @@ takes the grid path iff n^3 <= 4 * P^2 (``_GRID_DENSITY``) and keeps the
 pair tables otherwise.  4 is where the two ``verify_model`` paths measured
 even: on wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about 4.2,
 on parallel 2-chains between 3.6 and 4.3.  L and L.op() have the same n
-and P, so they take the same path; every lattice of at most 33 elements
+and P, so they take the same path, and ``L.op()._kit`` is a view of L's
+kit that answers in L.op()'s terms; every lattice of at most 33 elements
 takes the grid path, since the wide one has the fewest pairs, 3n - 3.
 The kernels also run on stacks, many grids side by side in one int,
 bit-parallel across grids ("SIMD within a register": R. J. Fisher and
@@ -122,8 +124,17 @@ class Dualizable:
 
 
 def _memoised(fn):
-    """Memoise ``fn(x)`` on x, under fn's name (see :class:`Dualizable`)."""
-    return functools.wraps(fn)(lambda x: x._cached(fn.__name__, fn))
+    """Memoise ``fn(x)`` on x, under fn's name (see :class:`Dualizable`): a hit
+    reads the memo directly, and only a miss calls :meth:`Dualizable._cached`."""
+    key = fn.__name__
+
+    @functools.wraps(fn)
+    def read(x):
+        try:
+            return x._memo[key]
+        except KeyError:
+            return x._cached(key, fn)
+    return read
 
 
 class Pair(NamedTuple):
@@ -137,14 +148,22 @@ class Pair(NamedTuple):
 
 
 class _GridKit:
-    """The grid kernels of one lattice (module docstring), shared by its two op() sides.
+    """The grid kernels of one lattice side (module docstring).
 
     Row a of a grid is bits a*n .. a*n + n - 1.  `order` is the grid of
     every pair (row a is up(a)), `order_t` its transpose (row c is
-    down(c)) and `ids` the grid of the identities, all in primal terms.
-    Conversions are C-level gathers: ``f"{x:0{k}b}"`` holds bit k - 1 - j
-    at index j, and an itemgetter over precomputed positions picks the
-    output string.
+    down(c)) and `ids` the grid of the identities, all in primal terms,
+    as are the grids themselves and :meth:`product`, :meth:`closure` and
+    the fixed-operand products.  Conversions are C-level gathers:
+    ``f"{x:0{k}b}"`` holds bit k - 1 - j at index j, and an itemgetter
+    over precomputed positions picks the output string.
+
+    Sides.  ``L.op()._kit`` is ``L._kit.flipped()``, a view sharing every
+    table, and :meth:`lc`, :meth:`rc`, :meth:`composite`, :meth:`pair`,
+    :meth:`bit`, :meth:`outer`, :meth:`rows` and :meth:`cols` answer in
+    its side's terms, so no caller asks for the side.  In L.op(), (a, b)
+    is the primal (b, a); lifting reverses, so lc and rc swap; a composite
+    reverses its factors; rows are the primal columns.
 
     Each complement is two products with O or Oᵀ as one operand, so that
     operand's side of every loop step is precomputed once per lattice:
@@ -178,14 +197,15 @@ class _GridKit:
     columns: two multiplies where the stack of one takes one.
     """
 
-    __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "ids", "k", "block_bytes", "_steps",
+    __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "ids", "k", "block_bytes", "opposite", "_steps",
                  "_up_rows", "_down_rows", "_down_cols", "_up_cols", "_from_mask", "_to_mask", "_transpose")
 
     def __init__(self, up: list[int], down: list[int]):
-        """`up` and `down` are the order masks of the primal side."""
+        """`up` and `down` are the order masks of the primal side; this kit reads the primal side."""
         n = self.n = len(up)
         nn = n * n
         self.k = 1
+        self.opposite = False
         self.block_bytes = (nn + 7) // 8
         cells = [a * n + b for a in range(n) for b in iter_bits(up[a])]  # pair i's grid bit
         p = self.npairs = len(cells)
@@ -221,11 +241,26 @@ class _GridKit:
         return int("".join(self._transpose(f"{grid:0{self.n * self.n}b}")), 2)
 
     def rows(self, grid: int) -> list[int]:
+        """rows[a] = the element mask of the b with (a, b) in `grid`; cols[b] likewise of the a."""
+        return self._slices(self.transpose(grid) if self.opposite else grid)
+
+    def cols(self, grid: int) -> list[int]:
+        return self._slices(grid if self.opposite else self.transpose(grid))
+
+    def _slices(self, grid: int) -> list[int]:
         n, full = self.n, self.full
         return [grid >> a * n & full for a in range(n)]
 
+    def flipped(self) -> "_GridKit":
+        """This single-grid kit read on the other op() side, sharing every table (class docstring)."""
+        view = _GridKit.__new__(_GridKit)
+        for name in _GridKit.__slots__:
+            setattr(view, name, getattr(self, name))
+        view.opposite = not self.opposite
+        return view
+
     def stacked(self, k: int) -> "_GridKit":
-        """The kit of k-grid stacks (class docstring); this kit for k = 1."""
+        """The kit of k-grid stacks (class docstring), on this kit's side; this kit for k = 1."""
         if k == 1:
             return self
         stack = _GridStack.__new__(_GridStack)
@@ -310,14 +345,37 @@ class _GridKit:
         """Oᵀ∘y, equal to ``product(order_t, y)``."""
         return self._cols_times(self._up_cols, y)
 
-    def outer(self, rows: int, cols: int) -> int:
-        """The grid with row r equal to `cols` for each r in `rows`."""
-        return sum(cols << r * self.n for r in iter_bits(rows))
+    def lc(self, s: int) -> int:
+        """lc(S) of the grid S; the formulas are derived in :mod:`~posetmodels.classes`."""
+        return self._rc(s) if self.opposite else self._lc(s)
 
-    def pair(self, bit: int, opposite: bool) -> Pair:
-        """The pair at grid bit `bit`, read on the primal or the opposite side."""
+    def rc(self, s: int) -> int:
+        return self._lc(s) if self.opposite else self._rc(s)
+
+    def _lc(self, s: int) -> int:  # the primal left complement
+        return self.order & ~self.order_times(self.times_order_t(s) & ~self.order_t)
+
+    def _rc(self, s: int) -> int:  # the primal right complement
+        return self.order & ~self.times_order(self.order_t_times(s) & ~self.order_t)
+
+    def composite(self, first: int, second: int) -> int:
+        """The grid of every composite of a pair of `first` followed by a pair of `second`."""
+        return self.product(second, first) if self.opposite else self.product(first, second)
+
+    def outer(self, srcs: int, dsts: int) -> int:
+        """The grid of every pair (a, b) with a in `srcs` and b in `dsts`."""
+        if self.opposite:
+            srcs, dsts = dsts, srcs
+        return sum(dsts << a * self.n for a in iter_bits(srcs))
+
+    def pair(self, bit: int) -> Pair:
+        """The pair at grid bit `bit`."""
         a, b = divmod(bit, self.n)
-        return Pair(b, a) if opposite else Pair(a, b)
+        return Pair(b, a) if self.opposite else Pair(a, b)
+
+    def bit(self, a: int, b: int) -> int:
+        """The grid holding the pair (a, b) alone."""
+        return 1 << (b * self.n + a if self.opposite else a * self.n + b)
 
 
 class _GridStack(_GridKit):
@@ -340,13 +398,12 @@ class _GridStack(_GridKit):
         return x
 
 
-def _build_kit(lat: "FiniteLattice") -> _GridKit | None:
-    """The grid kernels on the dense path, None on the sparse one (module
-    docstring); L and L.op() have the same n and P, so they share one."""
+def _side_kit(lat: "FiniteLattice") -> _GridKit:
+    """A grid kit read on `lat`'s op() side: in L.op(), the flipped view of
+    L's kit, or of a new one where L keeps none."""
     if lat.opposite:
-        return lat.op()._kit
-    pairs = sum(m.bit_count() for m in lat._up)
-    return _GridKit(lat._up, lat._down) if lat.n ** 3 <= _GRID_DENSITY * pairs * pairs else None
+        return (lat.op()._kit or _side_kit(lat.op())).flipped()
+    return _GridKit(lat._up, lat._down)
 
 
 class FiniteLattice(Dualizable):
@@ -442,42 +499,33 @@ class FiniteLattice(Dualizable):
 
     # -- morphism bookkeeping -------------------------------------------
 
-    # the pair list, its index, the identity mask and the two tables are hot:
-    # a hit reads the memo directly, and only a miss calls _cached
     @property
+    @_memoised
     def pairs(self) -> tuple[Pair, ...]:
         """All comparable pairs (morphisms), sorted lexicographically; in op(), by their primal reading."""
-        try:
-            return self._memo["pairs"]
-        except KeyError:
-            # rows ascending, each row's bits ascending: lexicographic already;
-            # in op() the primal up-masks are this side's down-masks
-            if self.opposite:
-                ps = (Pair(b, a) for a in range(self.n) for b in iter_bits(self._down[a]))
-            else:
-                ps = (Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a]))
-            return self._cached("pairs", lambda _: tuple(ps))
+        # rows ascending, each row's bits ascending: lexicographic already;
+        # in op() the primal up-masks are this side's down-masks
+        if self.opposite:
+            return tuple(Pair(b, a) for a in range(self.n) for b in iter_bits(self._down[a]))
+        return tuple(Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a]))
 
     @property
+    @_memoised
     def pair_index(self) -> dict[Pair, int]:
-        try:
-            return self._memo["pair_index"]
-        except KeyError:
-            return self._cached("pair_index", lambda lat: {p: i for i, p in enumerate(lat.pairs)})
+        return {p: i for i, p in enumerate(self.pairs)}
 
     @property
+    @_memoised
     def identity_mask(self) -> int:
-        try:
-            return self._memo["identity_mask"]
-        except KeyError:
-            return self._cached("identity_mask", lambda lat: sum(1 << i for i, (a, b) in enumerate(lat.pairs) if a == b))
+        return sum(1 << i for i, (a, b) in enumerate(self.pairs) if a == b)
 
     @property
+    @_memoised
     def _kit(self) -> _GridKit | None:
-        try:
-            return self._memo["_kit"]
-        except KeyError:
-            return self._cached("_kit", _build_kit)
+        """The grid kernels on the dense path, None on the sparse one (module
+        docstring); L and L.op() have the same n and P, so they take one path."""
+        pairs = sum(m.bit_count() for m in self._up)
+        return _side_kit(self) if self.n ** 3 <= _GRID_DENSITY * pairs * pairs else None
 
     @property
     def all_pairs_mask(self) -> int:
@@ -502,17 +550,14 @@ class FiniteLattice(Dualizable):
         return (by_src, by_dst, src_up, dst_up)
 
     @property
+    @_memoised
     def nonlift_left(self) -> list[int]:
         """nonlift_left[i] = mask of j such that pairs[i] does NOT lift left of
         pairs[j]: for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and y in up[b]."""
-        try:
-            return self._memo["nonlift_left"]
-        except KeyError:
-            _, _, src_up, dst_up = self._pair_masks()
-            table = self._cached("nonlift_left", lambda lat: [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in lat.pairs])
+        _, _, src_up, dst_up = self._pair_masks()
         if "pushout_targets" in self._memo:
             self._memo.pop("_pair_masks", None)
-        return table
+        return [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in self.pairs]
 
     @property
     def nonlift_right(self) -> list[int]:
@@ -521,6 +566,7 @@ class FiniteLattice(Dualizable):
         return self.op().nonlift_left
 
     @property
+    @_memoised
     def pushout_targets(self) -> list[int]:
         """For each pair index i=(a,b): the pair mask of (c, b v c) over all c >= a.
 
@@ -528,20 +574,16 @@ class FiniteLattice(Dualizable):
         by_src[c] & by_dst[b v c] (each term the single bit of one pair),
         holds every pushout of a pair ending in b.
         """
-        try:
-            return self._memo["pushout_targets"]
-        except KeyError:
-            by_src, by_dst, src_up, _ = self._pair_masks()
-            po = []
-            for row in self._join:
-                m = 0
-                for c, bc in enumerate(row):
-                    m |= by_src[c] & by_dst[bc]
-                po.append(m)
-            table = self._cached("pushout_targets", lambda lat: [po[b] & src_up[a] for (a, b) in lat.pairs])
+        by_src, by_dst, src_up, _ = self._pair_masks()
         if "nonlift_left" in self._memo:
             self._memo.pop("_pair_masks", None)
-        return table
+        po = []
+        for row in self._join:
+            m = 0
+            for c, bc in enumerate(row):
+                m |= by_src[c] & by_dst[bc]
+            po.append(m)
+        return [po[b] & src_up[a] for (a, b) in self.pairs]
 
     @property
     def pullback_targets(self) -> list[int]:

@@ -50,9 +50,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .classes import _MODEL_CHECKS, MorphClass, _complement_kernels, _model_fails
+from .classes import _MODEL_CHECKS, MorphClass, _model_fails
 from .errors import CapExceeded, InvalidInput, NotALattice, Unbounded
-from .lattice import _GridKit, build_lattice, iter_bits
+from .lattice import _GridKit, _side_kit, build_lattice, iter_bits
 from .models import ModelStruct, _weq_checks
 from .relative import RelStruct, check_s2of3, validate_relative
 from .report import Check, Report
@@ -65,13 +65,6 @@ _STACK_BYTES = 1 << 15  # the most bytes one stack spans (module docstring)
 def _require_cap(name: str, cap: int) -> None:
     if cap < 0:
         raise InvalidInput(f"{name} must be at least 0, got {cap}")
-
-
-def _side_kit(lat) -> _GridKit:
-    """The lattice's grid kit; a sparse lattice builds one for the call."""
-    if lat._kit is not None:
-        return lat._kit
-    return _GridKit(lat._down, lat._up) if lat.opposite else _GridKit(lat._up, lat._down)
 
 
 def _chunks(kit: _GridKit, grids: list[int]) -> Iterator[tuple[_GridKit, list[int]]]:
@@ -87,19 +80,14 @@ def _closed_grids(rel: RelStruct, kit: _GridKit, weq: int, max_generators: int) 
     `weq`, closed under composition and pushout (module docstring), in no
     fixed order."""
     lat = rel.lattice
-    n = lat.n
     gens = rel.weq.nonidentity_pairs()
     if len(gens) > max_generators:
         raise CapExceeded("non-identity weak equivalences", max_generators, len(gens))
-
-    def bit(a: int, b: int) -> int:  # the grid bit of this side's pair (a, b)
-        return 1 << (b * n + a if lat.opposite else a * n + b)
-
     grown = []  # (g's grid bit, PO(g)) of each generator whose pushouts stay in W
     for (a, b) in gens:
-        pushouts = sum(bit(c, lat.join(b, c)) for c in iter_bits(lat.up_mask(a)))
+        pushouts = sum(kit.bit(c, lat.join(b, c)) for c in iter_bits(lat.up_mask(a)))
         if not pushouts & ~weq:
-            grown.append((bit(a, b), pushouts))
+            grown.append((kit.bit(a, b), pushouts))
     seen = {kit.ids}
     frontier = [kit.ids]
     while frontier:
@@ -118,7 +106,7 @@ def _closed_grids(rel: RelStruct, kit: _GridKit, weq: int, max_generators: int) 
 def _closed_classes(rel: RelStruct, max_generators: int) -> list[int]:
     """Every identity-containing class inside W closed under composition
     and pushout, as sorted pair masks (see the module docstring)."""
-    kit = _side_kit(rel.lattice)
+    kit = rel.lattice._kit or _side_kit(rel.lattice)
     return sorted(map(kit.to_mask, _closed_grids(rel, kit, kit.from_mask(rel.weq.mask), max_generators)))
 
 
@@ -141,21 +129,20 @@ def enumerate_model_structures(
     lat = rel.lattice
     if lat.n > max_elements:
         raise CapExceeded("lattice elements", max_elements, lat.n)
-    kit = _side_kit(lat)
+    kit = lat._kit or _side_kit(lat)  # a sparse lattice builds a kit for the call
     weq = kit.from_mask(rel.weq.mask)
     classes = _closed_grids(rel, kit, weq, max_generators)
     we_sub, two_of_three = _weq_checks(rel)
     if not (we_sub.ok and two_of_three.ok):
         return []
     report = Report((we_sub, *(Check(name, True) for name in _MODEL_CHECKS), two_of_three))
-    lc, rc = _complement_kernels(lat.opposite)
     found = set()
     for stack, chunk in _chunks(kit, classes):
         weqs = stack.repeat(weq)
-        fib = rc(stack, stack.pack(chunk))
-        cof = lc(stack, fib & weqs)
+        fib = stack.rc(stack.pack(chunk))
+        cof = stack.lc(fib & weqs)
         failed = 0
-        for fails in _model_fails(stack, lat.opposite, cof, fib, weqs):
+        for fails in _model_fails(stack, cof, fib, weqs):
             failed |= fails
         cofs, fibs = stack.unpack(cof), stack.unpack(fib)
         found.update((cofs[j], fibs[j]) for j in stack.zero_blocks(failed))

@@ -125,6 +125,14 @@ def test_enumeration_cap(two_structures):
     assert found.truncated and len(found.maps) == 2
 
 
+def test_enumeration_limit_zero_still_proves_existence(two_structures, s2of3_fail):
+    # a truncated enumeration has seen a map, even when the limit keeps none
+    found = enumerate_centers(two_structures, limit=0)
+    assert found.truncated and found.maps == ()
+    with pytest.raises(S2OF3Failed):
+        enumerate_centers(s2of3_fail, limit=0)
+
+
 def test_forced_center(forced):
     lat = forced.lattice
     chi = const_chi(forced, "C")

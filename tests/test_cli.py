@@ -218,6 +218,32 @@ def test_zigzag_and_reduce_commands(tmp_path, two_structures):
                               ["Bp", "C"], ["C", "C"], ["top", "top"]]
 
 
+def test_centers_enumerate_limit_zero(tmp_path):
+    # YES: the limit keeps no map, but the truncated enumeration saw one
+    code, out = run(["centers", "enumerate", "--limit", "0", write_fixture(tmp_path, "two-structures")])
+    rep = parse_report(out)
+    assert (code, rep.decision, rep.centers) == (0, "found", [])
+    assert rep.witnesses == [{"check": "enumeration_truncated", "witness": []}]
+    # NO: strong 2-of-3 fails, so no map exists
+    code, out = run(["centers", "enumerate", "--limit", "0", write_fixture(tmp_path, "s2of3-fail")])
+    rep = parse_report(out)
+    assert (code, rep.decision, rep.centers) == (1, "absent", [])
+    assert [w["check"] for w in rep.witnesses] == ["s2of3"]
+
+
+def test_half_structure_files_are_input_errors(tmp_path, capsys):
+    for field in ("cof", "fib"):
+        inst = fixture("two-structures")
+        setattr(inst, field, [("A", "B")])
+        path = tmp_path / f"only-{field}.json"
+        path.write_text(print_instance(inst), encoding="utf-8")
+        for command in ("export-dot", "verify", "reduce"):
+            capsys.readouterr()
+            code, out = run([command, str(path)])
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == "error: InvalidInput: structure file requires 'cof' and 'fib' fields\n"
+
+
 def test_export_dot(tmp_path, two_structures):
     code, out = run(["export-dot", write_fixture(tmp_path, "two-structures")])
     assert code == 0
