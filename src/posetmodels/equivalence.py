@@ -15,16 +15,16 @@ from .errors import InternalCheckFailed, MismatchedBase, NotALattice, Unbounded
 from .lattice import FiniteLattice, build_lattice
 from .models import (
     ModelStruct,
+    _enlarged,
     _generated_by,
     _require_verified,
     _verified,
-    construct_newcofib,
     extract_centers,
     replacement,
     verify_model,
 )
-from .centers import CenterMap, compute_Jchi, product_centers
-from .relative import RelStruct, validate_relative
+from .centers import compute_Jchi, product_centers
+from .relative import validate_relative
 
 
 def _require_same_base(m1: ModelStruct, m2: ModelStruct) -> None:
@@ -53,7 +53,8 @@ class Zigzag:
     """Alternating chain of identity Quillen equivalences.
 
     directions[i] is "lr" when the identity is left Quillen from nodes[i]
-    to nodes[i+1] and "rl" for the opposite direction.
+    to nodes[i+1] and "rl" for the opposite direction.  Equal nodes built
+    by :func:`build_zigzag` are the same object.
     """
 
     nodes: list[ModelStruct]
@@ -70,12 +71,6 @@ class Zigzag:
         return all(self.edge_ok(i) for i in range(len(self.directions)))
 
 
-def _jchi_structure(rel: RelStruct, chi: CenterMap) -> ModelStruct:
-    """The structure generated by J_chi: fibrations rc(J_chi), cofibrations
-    lc(W & rc(J_chi)), with rc and lc the right and left complements."""
-    return _verified(rel, *_generated_by(rel, compute_Jchi(rel, chi)), "J_chi structure")
-
-
 def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zigzag:
     """The comparison zigzag through the enlarged and the J_chi structures.
 
@@ -85,6 +80,12 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     are the structures generated by J_chik, J_chi.  Emits the full chain;
     pass contract=True to drop interior nodes wherever a direct identity
     Quillen equivalence already exists.
+
+    Each J_chi is computed once, and a node equal to an end or to an
+    earlier node is that node's object: Ni is mi itself when J_chii lies in
+    mi's acyclic cofibrations (the lemma of :func:`construct_newcofib`),
+    and any other node whose classes an end or an earlier node has is not
+    verified again.
 
     An edge is left Quillen from x to y iff cof(x) <= cof(y).  Write
     G(J) for the structure generated by J: fibrations rc(J), cofibrations
@@ -100,7 +101,9 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     The center structures of :func:`construct_from_centers` do not serve as
     Ck: their fibrations rc(W_c^chi) can lie strictly inside rc(J_chi), and
     then Nk's cofibrations need not contain theirs.  Each node passes
-    :func:`verify_model`, and each edge is checked again.
+    :func:`verify_model`: a new node when it is built, a repeated one as
+    the object that already passed (same base, same classes, same report).
+    Each edge is checked again.
     """
     _require_same_base(m1, m2)
     _require_verified(m1)
@@ -110,16 +113,19 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     rel = m1.rel
     chi1 = extract_centers(m1)
     chi2 = extract_centers(m2)
-    chi = product_centers(rel, chi1, chi2)
-    nodes = [
-        m1,
-        construct_newcofib(m1, chi1),
-        _jchi_structure(rel, chi1),
-        _jchi_structure(rel, chi),
-        _jchi_structure(rel, chi2),
-        construct_newcofib(m2, chi2),
-        m2,
-    ]
+    j1, j, j2 = (compute_Jchi(rel, c) for c in (chi1, product_centers(rel, chi1, chi2), chi2))
+    known = {(m.cof.mask, m.fib.mask): m for m in (m1, m2)}
+
+    def node(rel, cof, fib, context):
+        """The node with these classes: a known one, or a new one verified."""
+        key = cof.mask, fib.mask
+        if key not in known:
+            known[key] = _verified(rel, cof, fib, context)
+        return known[key]
+
+    nodes = [m1, _enlarged(m1, j1, node)]
+    nodes += [node(rel, *_generated_by(rel, jk), "J_chi structure") for jk in (j1, j, j2)]
+    nodes += [_enlarged(m2, j2, node), m2]
     directions = ["lr", "rl", "rl", "lr", "lr", "rl"]
     z = Zigzag(nodes, directions)
     for i in range(len(directions)):

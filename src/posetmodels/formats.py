@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .classes import MorphClass
 from .errors import InvalidInput
-from .lattice import FiniteLattice, build_lattice, iter_bits
+from .lattice import FiniteLattice, build_lattice
 from .models import ModelStruct
 from .relative import RelStruct, validate_relative
 
@@ -181,14 +182,16 @@ def build_structure(inst: InstanceFile) -> ModelStruct:
     return ModelStruct(rel, cof, fib)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def class_name_pairs(s: MorphClass) -> list[list[str]]:
-    """Non-identity members as name pairs in the lattice's pair order: by
-    element index, read from the class's rows; an ``op()`` lattice orders
-    pairs by their primal reading, so there the columns are read."""
-    names = s.lattice.names
-    if s.lattice.opposite:
-        return [[names[a], names[b]] for b, col in enumerate(s.cols) for a in iter_bits(col & ~(1 << b))]
-    return [[names[a], names[b]] for a, row in enumerate(s.rows) for b in iter_bits(row & ~(1 << a))]
+    """Non-identity members as name pairs in the lattice's pair order:
+    ``lat.pairs`` selected by the mask's bits, lowest first."""
+    lat = s.lattice
+    names = lat.names
+    bits = bin(s.mask & ~lat.identity_mask)[:1:-1].encode().translate(_BIT_BYTES)  # byte i is bit i
+    return [[names[a], names[b]] for a, b in compress(lat.pairs, bits)]
 
 
 def structure_to_dict(m: ModelStruct) -> dict:

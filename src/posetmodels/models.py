@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .centers import (
     CenterMap,
+    _require_s2of3,
     compute_Jchi,
     compute_Wc_chi,
     compute_Wf_chi,
@@ -70,9 +71,11 @@ class ModelStruct(Dualizable):
     def verified(self) -> bool:
         return self.report is not None and self.report.ok
 
+    @_memoised
     def acyclic_cofibrations(self) -> MorphClass:
         return self.cof & self.we
 
+    @_memoised
     def acyclic_fibrations(self) -> MorphClass:
         return self.fib & self.we
 
@@ -246,12 +249,15 @@ def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
     smallness hypothesis holds automatically at finite scale and is not
     checked.
     """
+    return _verified(rel, *_genMC_classes(rel, j), "generated construction")
+
+
+def _genMC_classes(rel: RelStruct, j: MorphClass) -> tuple[MorphClass, MorphClass]:
+    """The (cof, fib) of :func:`construct_genMC`, its hypotheses checked, unverified."""
     extra = j.mask & ~rel.weq.mask
     if extra:
         raise JNotInW(rel.lattice.pairs[low_bit(extra)])
-    s2 = check_s2of3(rel)
-    if not s2.ok:
-        raise S2OF3Failed(s2.witness)
+    _require_s2of3(rel)
     cof, fib = _generated_by(rel, j)
     bad = right_complement(cof).mask & ~rel.weq.mask
     if bad:
@@ -259,7 +265,7 @@ def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
     bad = left_complement(fib).mask & ~rel.weq.mask
     if bad:
         raise HypothesisFailed(3, rel.lattice.pairs[low_bit(bad)])
-    return _verified(rel, cof, fib, "generated construction")
+    return cof, fib
 
 
 def construct_genMC_dual(rel: RelStruct, q: MorphClass) -> ModelStruct:
@@ -272,16 +278,40 @@ def construct_genMC_dual(rel: RelStruct, q: MorphClass) -> ModelStruct:
 def construct_newcofib(m: ModelStruct, chi: CenterMap) -> ModelStruct:
     """Enlarge the acyclic cofibrations of a verified structure by J_chi.
 
-    The identity functor is left Quillen from the input to the result;
-    this containment is asserted.
+    The result is G(acof(m) | J_chi), where G(J) is the structure that J
+    generates (:func:`_generated_by`: fibrations rc(J), cofibrations
+    lc(W & rc(J))) and acof, afib are the acyclic cofibrations and
+    fibrations.  The identity functor is left Quillen from the input to the
+    result; this containment is asserted.
+
+    Lemma: if J_chi <= acof(m), the result is m, and m itself is returned.
+    A model structure is generated by its acyclic cofibrations:
+    fib = rc(acof(m)) and cof = lc(afib(m)) (M. Hovey, *Model Categories*,
+    1999, Lemma 1.1.10), which :func:`verify_model` checks as the
+    maximality checks of acof_fib and cof_afib.  The generator is then
+    acof(m), so the fibrations are rc(acof(m)) = fib and the cofibrations
+    lc(W & fib) = lc(afib(m)) = cof.  :func:`construct_genMC`'s hypotheses
+    hold: hypothesis 2 reads rc(cof) = afib(m) <= W, hypothesis 3 reads
+    lc(fib) = acof(m) <= W, and cof(m) <= cof(m).  The checks that come
+    first still run: m is verified, chi is valid and strong 2-of-3 holds.
     """
     _require_verified(m)
     _require_valid_centers(m.rel, chi)
-    j = m.acyclic_cofibrations() | compute_Jchi(m.rel, chi)
-    out = construct_genMC(m.rel, j)
-    if not m.cof <= out.cof:
+    return _enlarged(m, compute_Jchi(m.rel, chi))
+
+
+def _enlarged(m: ModelStruct, jchi: MorphClass, node=_verified) -> ModelStruct:
+    """:func:`construct_newcofib` of a verified `m` by the J_chi of a valid
+    center map; ``node(rel, cof, fib, context)`` verifies a new result, as
+    :func:`_verified` does, or returns a node already verified."""
+    _require_s2of3(m.rel)
+    acof = m.acyclic_cofibrations()
+    if jchi <= acof:
+        return m
+    cof, fib = _genMC_classes(m.rel, acof | jchi)
+    if not m.cof <= cof:
         raise InternalCheckFailed("enlarged structure does not contain the old cofibrations")
-    return out
+    return node(m.rel, cof, fib, "generated construction")
 
 
 def construct_newfib_dual(m: ModelStruct, chi: CenterMap) -> ModelStruct:

@@ -14,6 +14,7 @@ from posetmodels import (
     MorphClass,
     ModelStruct,
     Pair,
+    Zigzag,
     build_lattice,
     check_s2of3,
     cofibrant_objects,
@@ -21,6 +22,7 @@ from posetmodels import (
     compute_Qchi,
     compute_Wc_chi,
     compute_Wf_chi,
+    construct_genMC,
     enumerate_centers,
     extract_centers,
     factor_via_centers,
@@ -33,6 +35,7 @@ from posetmodels import (
     is_pushout_closed,
     left_complement,
     lifts,
+    product_centers,
     pullback_of,
     random_instances,
     replacement,
@@ -40,6 +43,7 @@ from posetmodels import (
     validate_relative,
     verify_model,
 )
+from posetmodels.equivalence import _contract
 from posetmodels.errors import NotALattice
 from posetmodels.models import _generated_by
 
@@ -156,6 +160,33 @@ def reference_enumeration(rel) -> list:
         if verify_model(m).ok:
             found[m.cof.mask, m.fib.mask] = m.report
     return sorted(found.items())
+
+
+def reference_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False):
+    """``build_zigzag``'s chain between distinct m1, m2 with each of its
+    five interior nodes built and verified on its own: Ni through
+    ``construct_genMC`` on acof(mi) | J_chii, and Ck, C as the verified
+    structures that J_chik, J_chi generate.  ((cof mask, fib mask) of each
+    node, directions)."""
+    rel = m1.rel
+    chi1, chi2 = extract_centers(m1), extract_centers(m2)
+    chi = product_centers(rel, chi1, chi2)
+
+    def generated(j):
+        m = ModelStruct(rel, *_generated_by(rel, j))
+        assert verify_model(m).ok
+        return m
+
+    def enlarged(m, c):
+        return construct_genMC(rel, m.acyclic_cofibrations() | compute_Jchi(rel, c))
+
+    nodes = [m1, enlarged(m1, chi1), *(generated(compute_Jchi(rel, c)) for c in (chi1, chi, chi2)),
+             enlarged(m2, chi2), m2]
+    z = Zigzag(nodes, ["lr", "rl", "rl", "lr", "lr", "rl"])
+    assert z.all_edges_ok()
+    if contract:
+        _contract(z)
+    return [(m.cof.mask, m.fib.mask) for m in z.nodes], z.directions
 
 
 def small_lattices(n: int) -> list:

@@ -6,9 +6,11 @@ failure.  `PINNED` holds those snapshots as the hand-written duals produced
 them; the op() route must reproduce them exactly.
 """
 
+import ast
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -471,3 +473,15 @@ def test_op_route_agrees():
             assert (m.cof.mask, m.fib.mask) == (cof.mask, fib.mask), (name, chi)
             center_maps += 1
     assert center_maps > 250
+
+
+def test_only_the_lattice_module_reads_opposite():
+    # every other module answers op() questions through its side's lattice
+    # and kit, never by branching on the orientation flag
+    src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    readers = sorted(path.name for path in modules
+                     if any(isinstance(node, ast.Attribute) and node.attr == "opposite"
+                            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert readers == ["lattice.py"]

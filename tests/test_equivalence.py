@@ -231,3 +231,37 @@ def test_memos_are_safe_to_share_across_threads():
     assert all(r == results[0] for r in results)
     assert memo_entry(rel, "recognition_report") == results[0][0]
     assert [memo_entry(m, "extract_centers") for m in structures] == results[0][1]
+
+
+def test_zigzag_verifies_each_new_interior_node_once(monkeypatch):
+    # a node equal to an end or an earlier node is not verified again;
+    # some pairs repeat an end at every interior node and verify nothing
+    calls = []
+    verify = models.verify_model
+    monkeypatch.setattr(models, "verify_model", lambda m: calls.append(m) or verify(m))
+    structures = enumerate_model_structures(pentagon()) + enumerate_model_structures(load("two-structures"))
+    counts = []
+    for m1 in structures:
+        for m2 in structures:
+            if m1.rel is not m2.rel or m1 == m2:
+                continue
+            calls.clear()
+            z = build_zigzag(m1, m2)
+            ends = {(m.cof.mask, m.fib.mask) for m in (m1, m2)}
+            new = {(m.cof.mask, m.fib.mask) for m in z.nodes[1:-1]} - ends
+            assert sorted((m.cof.mask, m.fib.mask) for m in calls) == sorted(new)
+            counts.append(len(new))
+    assert len(counts) == 26 * 25 + 10 * 9 and counts.count(0) > 0 and max(counts) > 1
+
+
+def test_acyclic_classes_are_memoised_per_side(two_structures):
+    m = right_printed(two_structures)
+    o = m.op()
+    for name in ("acyclic_cofibrations", "acyclic_fibrations"):
+        assert memo_entry(m, name) is None and memo_entry(o, name) is None
+        first = getattr(m, name)()
+        assert getattr(m, name)() is first and memo_entry(m, name) is first
+        assert memo_entry(o, name) is None
+        assert getattr(o, name)() is not first and getattr(o, name)() is memo_entry(o, name)
+    assert o.acyclic_cofibrations().mask == m.acyclic_fibrations().mask
+    assert o.acyclic_fibrations().mask == m.acyclic_cofibrations().mask

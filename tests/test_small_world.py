@@ -10,8 +10,10 @@ import pytest
 
 from posetmodels import (
     build_zigzag,
+    compute_Jchi,
     construct_from_centers,
     construct_from_centers_dual,
+    construct_genMC,
     construct_newcofib,
     construct_newfib_dual,
     decide_by_enumeration,
@@ -24,7 +26,7 @@ from posetmodels import (
 )
 from posetmodels.errors import S2OF3Failed
 
-from helpers import composition_closed_weqs, small_lattices
+from helpers import composition_closed_weqs, reference_zigzag, small_lattices
 
 
 def _instances(n):
@@ -32,9 +34,15 @@ def _instances(n):
         yield from composition_closed_weqs(lat)
 
 
-def _reduce_and_connect(rel, structures, contracts):
+def _masks(m):
+    return m.cof.mask, m.fib.mask
+
+
+def _reduce_and_connect(rel, structures, contracts, reference=False):
     """Reduce every structure over `rel` and connect every ordered pair of
-    distinct ones by each zigzag of `contracts`; returns the pair count."""
+    distinct ones by each zigzag of `contracts`, whose equal nodes must be
+    one object; with `reference`, each zigzag must also have the nodes and
+    directions of :func:`reference_zigzag`.  Returns the pair count."""
     for m in structures:
         d_lat, d_model, _ = homotopy_reduce(m)
         assert d_model.verified and d_lat.n == len(rel.components)
@@ -47,6 +55,9 @@ def _reduce_and_connect(rel, structures, contracts):
             for contract in contracts:
                 z = build_zigzag(m1, m2, contract=contract)
                 assert z.all_edges_ok() and z.nodes[0] == m1 and z.nodes[-1] == m2
+                assert len({id(m) for m in z.nodes}) == len({_masks(m) for m in z.nodes})
+                if reference:
+                    assert ([_masks(m) for m in z.nodes], z.directions) == reference_zigzag(m1, m2, contract)
     return pairs
 
 
@@ -57,11 +68,33 @@ def test_zigzag_and_reduce_every_structure_of_at_most_five_elements():
         for rel in _instances(n):
             ms = enumerate_model_structures(rel)
             found += len(ms)
-            connected += _reduce_and_connect(rel, ms, (False, True))
+            connected += _reduce_and_connect(rel, ms, (False, True), reference=True)
         structures.append(found)
         pairs.append(connected)
     assert structures == [1, 3, 10, 58, 412]
     assert pairs == [0, 2, 24, 342, 5740]
+
+
+def test_newcofib_returns_its_input_exactly_when_Jchi_is_acyclic_already():
+    """On every structure and valid center map of |L| <= 5, on both op()
+    sides, the enlargement is construct_genMC of acof(m) | J_chi, and it is
+    m itself exactly when J_chi lies in the acyclic cofibrations acof(m)."""
+    kept = enlarged = 0
+    for n in range(1, 6):
+        for rel in _instances(n):
+            ms = enumerate_model_structures(rel)
+            maps = enumerate_centers(rel).maps if ms else ()
+            for m in ms:
+                for side in (m, m.op()):
+                    acof = side.acyclic_cofibrations()
+                    for chi in maps:
+                        j = compute_Jchi(side.rel, chi)
+                        out = construct_newcofib(side, chi)
+                        assert _masks(out) == _masks(construct_genMC(side.rel, acof | j))
+                        assert (out is side) == (j <= acof)
+                        kept += out is side
+                        enlarged += out is not side
+    assert (kept, enlarged) == (1584, 1952)
 
 
 @pytest.mark.slow
