@@ -15,12 +15,12 @@ from .errors import InternalCheckFailed, MismatchedBase, NotALattice, Unbounded
 from .lattice import FiniteLattice, build_lattice
 from .models import (
     ModelStruct,
+    _cofibrant_replacements,
     _enlarged,
     _generated_by,
     _require_verified,
     _verified,
     extract_centers,
-    replacement,
     verify_model,
 )
 from .centers import compute_Jchi, product_centers
@@ -53,8 +53,11 @@ class Zigzag:
     """Alternating chain of identity Quillen equivalences.
 
     directions[i] is "lr" when the identity is left Quillen from nodes[i]
-    to nodes[i+1] and "rl" for the opposite direction.  Equal nodes built
-    by :func:`build_zigzag` are the same object.
+    to nodes[i+1] and "rl" for the opposite direction.  In a chain from
+    :func:`build_zigzag`, equal nodes are the same object, the ends are
+    the objects it was called with, and the interior nodes are shared by
+    every chain built for the same first structure and equal second ones.
+    The lists are the caller's own.
     """
 
     nodes: list[ModelStruct]
@@ -81,6 +84,13 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     pass contract=True to drop interior nodes wherever a direct identity
     Quillen equivalence already exists.
 
+    The verified full chain is memoised on m1 (per ``op()`` side, see
+    :class:`~posetmodels.lattice.Dualizable`), keyed by m2's (cof mask,
+    fib mask), so a second call for the same m1 and m2, full or
+    contracted, computes no J_chi and verifies no node; contract=True
+    contracts a fresh copy of it.  The ends are always the argument
+    objects, and an interior node equal to an end is that end.
+
     Each J_chi is computed once, and a node equal to an end or to an
     earlier node is that node's object: Ni is mi itself when J_chii lies in
     mi's acyclic cofibrations (the lemma of :func:`construct_newcofib`),
@@ -103,13 +113,28 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     then Nk's cofibrations need not contain theirs.  Each node passes
     :func:`verify_model`: a new node when it is built, a repeated one as
     the object that already passed (same base, same classes, same report).
-    Each edge is checked again.
+    Each edge is checked when the chain is built.
     """
     _require_same_base(m1, m2)
     _require_verified(m1)
     _require_verified(m2)
     if m1 == m2:
         return Zigzag([m1], [])
+    ends = (m1, m2)
+    interior = m1._cached(("build_zigzag", m2.cof.mask, m2.fib.mask), lambda _: _interior(m1, m2))
+    z = Zigzag([m1, *(ends[x] if type(x) is int else x for x in interior), m2], list(_DIRECTIONS))
+    if contract:
+        _contract(z)
+    return z
+
+
+_DIRECTIONS = ("lr", "rl", "rl", "lr", "lr", "rl")
+
+
+def _interior(m1: ModelStruct, m2: ModelStruct) -> tuple:
+    """The five interior nodes of :func:`build_zigzag`'s checked full chain,
+    with a node equal to m1 or m2 kept as its index 0 or 1, so that the memo
+    on m1 holds neither end."""
     rel = m1.rel
     chi1 = extract_centers(m1)
     chi2 = extract_centers(m2)
@@ -126,14 +151,11 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     nodes = [m1, _enlarged(m1, j1, node)]
     nodes += [node(rel, *_generated_by(rel, jk), "J_chi structure") for jk in (j1, j, j2)]
     nodes += [_enlarged(m2, j2, node), m2]
-    directions = ["lr", "rl", "rl", "lr", "lr", "rl"]
-    z = Zigzag(nodes, directions)
-    for i in range(len(directions)):
+    z = Zigzag(nodes, list(_DIRECTIONS))
+    for i in range(len(_DIRECTIONS)):
         if not z.edge_ok(i):
             raise InternalCheckFailed(f"zigzag edge {i} is not an identity left Quillen functor")
-    if contract:
-        _contract(z)
-    return z
+    return tuple(0 if x is m1 else 1 if x is m2 else x for x in nodes[1:-1])
 
 
 def _contract(z: Zigzag) -> None:
@@ -202,8 +224,8 @@ def homotopy_reduce(m: ModelStruct) -> tuple[FiniteLattice, ModelStruct, Reducti
         raise InternalCheckFailed(f"reduced order is not a bounded lattice: {e}") from e
 
     pos = {e: i for i, e in enumerate(d_elems)}
-    gamma_cof = tuple(replacement(m, a, "cofibrant") for a in range(lat.n))
-    gamma_fib = tuple(replacement(m, a, "fibrant") for a in range(lat.n))
+    gamma_cof = _cofibrant_replacements(m)
+    gamma_fib = _cofibrant_replacements(m.op())
     # joins are meets in the opposite lattice
     for amb, dl, gamma, bound, side in ((lat, d_lat, gamma_cof, "meet", "cofibrant"),
                                         (lat.op(), d_lat.op(), gamma_fib, "join", "fibrant")):
@@ -227,8 +249,8 @@ def homotopy_reduce(m: ModelStruct) -> tuple[FiniteLattice, ModelStruct, Reducti
         cofibrant=gamma_cof,
         fibrant=gamma_fib,
     )
-    # replacement() has already asserted each replacement's zigzag to a and
-    # to its center
+    # _cofibrant_replacements has already asserted each replacement's zigzag
+    # to a and to its center
     for i, e in enumerate(d_elems):
         if maps.gamma[e] != i:
             raise InternalCheckFailed("gamma is not a retraction of iota")

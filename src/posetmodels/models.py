@@ -24,7 +24,6 @@ from .centers import (
 from .classes import (
     MorphClass,
     _model_checks,
-    factorize,
     left_complement,
     right_complement,
     subcategory_check,
@@ -367,22 +366,41 @@ def replacement(m: ModelStruct, a: int, side: str) -> int:
     an acyclic fibration.  The replacement is one zigzag step from a and one
     from a's center; both memberships are asserted.  Fibrant replacement is
     cofibrant replacement in the opposite structure: the middle of a -> top
-    as an acyclic cofibration followed by a fibration.
+    as an acyclic cofibration followed by a fibration.  Every replacement of
+    a side comes from one memoised pass, :func:`_cofibrant_replacements`.
+    A side other than those two, or an `a` outside range(n), is an input
+    error.
     """
     _require_verified(m)
-    if side == "fibrant":
-        return replacement(m.op(), a, "cofibrant")
-    if side != "cofibrant":
+    if side not in ("cofibrant", "fibrant"):
         raise InvalidInput(f"side must be 'cofibrant' or 'fibrant', got {side!r}")
+    if a not in range(m.lattice.n):
+        raise InvalidInput(f"object index must be in range({m.lattice.n}), got {a!r}")
+    return _cofibrant_replacements(m if side == "cofibrant" else m.op())[a]
+
+
+@_memoised
+def _cofibrant_replacements(m: ModelStruct) -> tuple[int, ...]:
+    """The cofibrant replacement of every object of a verified `m`, in one
+    pass over rows: the middles g of bottom -> a are the bits of
+    cof.rows[bottom] & afib.cols[a] & down(a), so (g, a) is an acyclic
+    fibration; there must be exactly one, and (g, chi(a)) must be an
+    acyclic cofibration.  Memoised per structure and ``op()`` side."""
     lat = m.lattice
-    chi = extract_centers(m)
-    middles = factorize(m.cof, m.acyclic_fibrations(), Pair(lat.bottom, a))
-    if len(middles) != 1:
-        raise InternalCheckFailed(f"cofibrant replacement of {lat.name(a)} not unique: {middles}")
-    g = middles[0]
-    if (g, a) not in m.acyclic_fibrations() or (g, chi.chi[a]) not in m.acyclic_cofibrations():
-        raise InternalCheckFailed("cofibrant replacement zigzag broken")
-    return g
+    chi = extract_centers(m).chi
+    cofibrant = m.cof.rows[lat.bottom]
+    afib = m.acyclic_fibrations().cols
+    acof = m.acyclic_cofibrations().rows
+    out = []
+    for a in range(lat.n):
+        middles = cofibrant & afib[a] & lat.down_mask(a)
+        if not middles or middles & (middles - 1):
+            raise InternalCheckFailed(f"cofibrant replacement of {lat.name(a)} not unique: {list(iter_bits(middles))}")
+        g = low_bit(middles)
+        if not (acof[g] >> chi[a]) & 1:
+            raise InternalCheckFailed("cofibrant replacement zigzag broken")
+        out.append(g)
+    return tuple(out)
 
 
 def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:

@@ -189,6 +189,24 @@ def reference_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False):
     return [(m.cof.mask, m.fib.mask) for m in z.nodes], z.directions
 
 
+def reference_replacement(m: ModelStruct, a: int, side: str) -> int:
+    """The per-element route ``replacement`` once took, written on m for
+    both sides: the unique middle g of ``factorize`` of bottom -> a into a
+    cofibration then an acyclic fibration, with (g, chi(a)) an acyclic
+    cofibration; fibrant, the unique middle g of a -> top into an acyclic
+    cofibration then a fibration, with (chi(a), g) an acyclic fibration."""
+    lat = m.lattice
+    acof, afib = m.acyclic_cofibrations(), m.acyclic_fibrations()
+    center = extract_centers(m).chi[a]
+    if side == "cofibrant":
+        [g] = factorize(m.cof, afib, Pair(lat.bottom, a))
+        assert (g, a) in afib and (g, center) in acof
+    else:
+        [g] = factorize(acof, m.fib, Pair(a, lat.top))
+        assert (a, g) in acof and (center, g) in afib
+    return g
+
+
 def small_lattices(n: int) -> list:
     """Every n-element lattice up to isomorphism.  Each is a bottom, a top
     and a naturally labelled poset on the n - 2 elements between them (its
@@ -231,6 +249,21 @@ def composition_closed_weqs(lat) -> list:
 def memo_entry(x, key):
     """The value memoised on x under `key` (see ``Dualizable``), or None."""
     return x._memo.get(key)
+
+
+def record_calls(monkeypatch, owner, name) -> list:
+    """Replace ``owner.name`` by a wrapper that appends each call's
+    positional arguments, as a tuple, to the returned list and then calls
+    the original; monkeypatch undoes it after the test."""
+    calls = []
+    f = getattr(owner, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
 
 
 def permuted(rel, rng: random.Random):

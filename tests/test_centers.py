@@ -25,7 +25,7 @@ from posetmodels import (
 )
 from posetmodels.errors import S2OF3Failed
 
-from helpers import check_all_centers, memo_entry
+from helpers import check_all_centers, memo_entry, record_calls
 from test_grid import _wide
 
 
@@ -73,9 +73,7 @@ def test_validate_catches_bad_maps(two_structures):
 
 def test_passing_center_maps_are_memoised_per_side(monkeypatch):
     rel = load("two-structures")
-    checked = []
-    check = centers._check_centers
-    monkeypatch.setattr(centers, "_check_centers", lambda rel, chi: checked.append(chi) or check(rel, chi))
+    checked = record_calls(monkeypatch, centers, "_check_centers")
     good = const_chi(rel, "C")
     first = validate_centers(rel, good)
     assert first.ok and validate_centers(rel, good) is first

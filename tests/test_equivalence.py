@@ -4,23 +4,24 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from posetmodels import (
+    ModelStruct,
     build_zigzag,
     centers,
     compute_Wc_chi,
     construct_from_centers,
     enumerate_model_structures,
-    equivalence,
     extract_centers,
     homotopy_reduce,
     is_identity_left_quillen,
     load,
     models,
     recognize_finite,
+    replacement,
 )
 from posetmodels.errors import InternalCheckFailed, MismatchedBase
 from posetmodels.report import Check, Report
 
-from helpers import memo_entry, pentagon, pentagon_pair
+from helpers import memo_entry, pentagon, pentagon_pair, record_calls, reference_zigzag
 from test_models import left_printed, right_printed, trivial_structure, identity_rel
 
 
@@ -107,6 +108,24 @@ def test_zigzag_every_ordered_pair_on_the_pentagon():
                 assert z.all_edges_ok() and z.nodes[0] == m1 and z.nodes[-1] == m2
 
 
+def test_zigzag_ends_are_the_argument_objects():
+    # the chain memoised on m1 is read with the ends it is called with; an
+    # interior node equal to the second end is that end, on the pentagon pair
+    # the enlarged N2 is b itself
+    a, b = pentagon_pair(pentagon())
+    z = build_zigzag(a, b)
+    assert z.nodes[-2] is b
+    twin = ModelStruct(b.rel, b.cof, b.fib, b.report)
+    for contract in (False, True):
+        zt = build_zigzag(a, twin, contract=contract)
+        assert zt.nodes[0] is a and zt.nodes[-1] is twin and not any(x is b for x in zt.nodes)
+        assert all(x is twin for x in zt.nodes if x == b)
+    zt = build_zigzag(a, twin)
+    assert all(x is y for x, y in zip(zt.nodes, z.nodes) if y != b)
+    # each call gets lists of its own: contracting one leaves the memo whole
+    assert zt.nodes is not z.nodes and len(build_zigzag(a, b).nodes) == 7
+
+
 def test_reduce_trivial():
     rel = identity_rel()
     triv = trivial_structure(rel)
@@ -150,9 +169,7 @@ def test_reduce_counit_memberships(two_structures):
 
 def test_reduce_validates_centers_once_per_side(monkeypatch):
     # one full validation for m and one for m.op(), whatever n and |D|
-    calls = []
-    validate = models.validate_centers
-    monkeypatch.setattr(models, "validate_centers", lambda rel, chi: calls.append(chi) or validate(rel, chi))
+    calls = record_calls(monkeypatch, models, "validate_centers")
     structures = enumerate_model_structures(load("two-structures"))
     assert len(structures) == 10
     for m in structures:
@@ -164,28 +181,33 @@ def test_reduce_validates_centers_once_per_side(monkeypatch):
 
 
 def test_reduce_computes_each_replacement_once(monkeypatch):
-    # one cofibrant and one fibrant replacement per element; the reduced
-    # meet and join checks read them back instead of recomputing
-    calls = []
-    replacement = equivalence.replacement
-    monkeypatch.setattr(equivalence, "replacement", lambda m, a, side: calls.append(side) or replacement(m, a, side))
+    # one cofibrant pass on m and one on m.op() give every replacement; the
+    # reduced meet and join checks, a second reduction and replacement()
+    # read them back instead of recomputing.  A pass runs on a memo miss,
+    # which is the one call to _cached under its key.
+    misses = record_calls(monkeypatch, ModelStruct, "_cached")
     for m in enumerate_model_structures(load("two-structures")) + enumerate_model_structures(load("forced")):
-        calls.clear()
+        misses.clear()
         homotopy_reduce(m)
-        assert sorted(calls) == ["cofibrant"] * m.lattice.n + ["fibrant"] * m.lattice.n
+        passes = [x for (x, key, _) in misses if key == "_cofibrant_replacements"]
+        assert len(passes) == 2 and passes[0] is m and passes[1] is m.op()
+        _, _, maps = homotopy_reduce(m)
+        for a in range(m.lattice.n):
+            assert replacement(m, a, "cofibrant") == maps.cofibrant[a]
+            assert replacement(m, a, "fibrant") == maps.fibrant[a]
+        assert [x for (x, key, _) in misses if key == "_cofibrant_replacements"] == passes
 
 
 def test_zigzags_check_each_center_map_once_per_side(monkeypatch):
     # extract_centers, product_centers and every center construction share
     # the memo on the relative structure: no (side, chi) is checked twice
-    checked = []
-    check = centers._check_centers
-    monkeypatch.setattr(centers, "_check_centers", lambda rel, chi: checked.append((id(rel), chi.chi)) or check(rel, chi))
+    calls = record_calls(monkeypatch, centers, "_check_centers")
     structures = enumerate_model_structures(load("two-structures"))
     for m1 in structures[:4]:
         for m2 in structures:
             assert build_zigzag(m1, m2).all_edges_ok()
             homotopy_reduce(m2)
+    checked = [(id(rel), chi.chi) for rel, chi in calls]
     assert checked and len(checked) == len(set(checked))
 
 
@@ -221,6 +243,7 @@ def test_memos_are_safe_to_share_across_threads():
                 recognize_finite(rel).report,
                 [extract_centers(m) for m in structures],
                 [homotopy_reduce(m)[2] for m in structures],
+                [[id(x) for x in build_zigzag(m1, m2).nodes] for m1 in structures for m2 in structures],
             )
 
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -231,27 +254,33 @@ def test_memos_are_safe_to_share_across_threads():
     assert all(r == results[0] for r in results)
     assert memo_entry(rel, "recognition_report") == results[0][0]
     assert [memo_entry(m, "extract_centers") for m in structures] == results[0][1]
+    # the zigzags hold new nodes too, and every thread got the same objects
+    assert len({i for chain in results[0][3] for i in chain}) > len(structures)
 
 
 def test_zigzag_verifies_each_new_interior_node_once(monkeypatch):
     # a node equal to an end or an earlier node is not verified again;
-    # some pairs repeat an end at every interior node and verify nothing
-    calls = []
-    verify = models.verify_model
-    monkeypatch.setattr(models, "verify_model", lambda m: calls.append(m) or verify(m))
+    # some pairs repeat an end at every interior node and verify nothing.
+    # m1 memoises the chain: a second build_zigzag of the same m1 and m2,
+    # contracted after full or full after contracted, verifies no node.
+    calls = record_calls(monkeypatch, models, "verify_model")
     structures = enumerate_model_structures(pentagon()) + enumerate_model_structures(load("two-structures"))
     counts = []
-    for m1 in structures:
-        for m2 in structures:
-            if m1.rel is not m2.rel or m1 == m2:
-                continue
-            calls.clear()
-            z = build_zigzag(m1, m2)
-            ends = {(m.cof.mask, m.fib.mask) for m in (m1, m2)}
-            new = {(m.cof.mask, m.fib.mask) for m in z.nodes[1:-1]} - ends
-            assert sorted((m.cof.mask, m.fib.mask) for m in calls) == sorted(new)
-            counts.append(len(new))
-    assert len(counts) == 26 * 25 + 10 * 9 and counts.count(0) > 0 and max(counts) > 1
+    for first, second in ((False, True), (True, False)):
+        fresh = [ModelStruct(m.rel, m.cof, m.fib, m.report) for m in structures]  # empty memos
+        for m1 in fresh:
+            for m2 in structures:
+                if m1.rel is not m2.rel or m1 == m2:
+                    continue
+                nodes, _ = reference_zigzag(m1, m2)
+                new = set(nodes[1:-1]) - {nodes[0], nodes[-1]}
+                calls.clear()
+                build_zigzag(m1, m2, contract=first)
+                assert sorted((m.cof.mask, m.fib.mask) for (m,) in calls) == sorted(new)
+                counts.append(len(new))
+                calls.clear()
+                assert build_zigzag(m1, m2, contract=second).all_edges_ok() and calls == []
+    assert len(counts) == 2 * (26 * 25 + 10 * 9) and counts.count(0) > 0 and max(counts) > 1
 
 
 def test_acyclic_classes_are_memoised_per_side(two_structures):

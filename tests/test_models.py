@@ -36,6 +36,7 @@ from posetmodels import (
 from posetmodels import classes, models
 from posetmodels.errors import (
     HypothesisFailed,
+    InvalidInput,
     JNotInW,
     NotWeakEquivalence,
     RecognitionFailed,
@@ -252,6 +253,15 @@ def test_replacement(two_structures, forced):
     m = enumerate_model_structures(forced)[0]
     flat = forced.lattice
     assert replacement(m, flat.index("D"), "cofibrant") == flat.index("C")
+
+
+def test_replacement_rejects_object_indices_outside_the_lattice(two_structures):
+    m = right_printed(two_structures)
+    n = two_structures.lattice.n
+    for a in (-1, n):
+        for side in ("cofibrant", "fibrant"):
+            with pytest.raises(InvalidInput, match=f"range\\({n}\\), got {a}"):
+                replacement(m, a, side)
 
 
 def test_factor_via_centers(two_structures, forced):

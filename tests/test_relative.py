@@ -30,7 +30,7 @@ from posetmodels.errors import (
 )
 from posetmodels.relative import recognition_report
 
-from helpers import memo_entry, permuted, permuted_instances, pushout_compose_close
+from helpers import memo_entry, permuted, record_calls, permuted_instances, pushout_compose_close
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "chain-3", "chain-8", "trunc-1", "trunc-2")
 
@@ -203,9 +203,7 @@ def test_recognition_report_cached_per_structure():
 
 
 def test_recognize_runs_the_guard_once(monkeypatch):
-    calls = []
-    scan = relative.is_pushout_closed
-    monkeypatch.setattr(relative, "is_pushout_closed", lambda s: calls.append(s) or scan(s))
+    calls = record_calls(monkeypatch, relative, "is_pushout_closed")
     for name in ("two-structures", "forced", "trunc-1", "chain-8"):
         rel = load(name)
         calls.clear()

@@ -9,6 +9,7 @@ failed; an exhaustive sweep misses none.
 import pytest
 
 from posetmodels import (
+    ModelStruct,
     build_zigzag,
     compute_Jchi,
     construct_from_centers,
@@ -23,10 +24,11 @@ from posetmodels import (
     find_centers,
     homotopy_reduce,
     recognize_finite,
+    replacement,
 )
 from posetmodels.errors import S2OF3Failed
 
-from helpers import composition_closed_weqs, reference_zigzag, small_lattices
+from helpers import composition_closed_weqs, reference_replacement, reference_zigzag, small_lattices
 
 
 def _instances(n):
@@ -40,24 +42,39 @@ def _masks(m):
 
 def _reduce_and_connect(rel, structures, contracts, reference=False):
     """Reduce every structure over `rel` and connect every ordered pair of
-    distinct ones by each zigzag of `contracts`, whose equal nodes must be
-    one object; with `reference`, each zigzag must also have the nodes and
-    directions of :func:`reference_zigzag`.  Returns the pair count."""
+    distinct ones by each zigzag of `contracts`, whose ends must be the
+    argument objects and whose equal nodes must be one object.  When
+    `contracts` has more than one entry, each pair is built again, in the
+    reverse order, from a copy of m1 with an empty memo, so that every kind
+    of zigzag is also read back from the memo.  With `reference`, each
+    zigzag must have the nodes and directions of :func:`reference_zigzag`,
+    and every replacement, on both sides, must be
+    :func:`reference_replacement`.  Returns the pair count."""
     for m in structures:
-        d_lat, d_model, _ = homotopy_reduce(m)
+        d_lat, d_model, maps = homotopy_reduce(m)
         assert d_model.verified and d_lat.n == len(rel.components)
+        if reference:
+            for side, got in (("cofibrant", maps.cofibrant), ("fibrant", maps.fibrant)):
+                expected = tuple(reference_replacement(m, a, side) for a in range(rel.lattice.n))
+                assert got == expected
+                assert tuple(replacement(m, a, side) for a in range(rel.lattice.n)) == expected
     pairs = 0
     for m1 in structures:
         for m2 in structures:
             if m1 is m2:
                 continue
             pairs += 1
-            for contract in contracts:
-                z = build_zigzag(m1, m2, contract=contract)
-                assert z.all_edges_ok() and z.nodes[0] == m1 and z.nodes[-1] == m2
-                assert len({id(m) for m in z.nodes}) == len({_masks(m) for m in z.nodes})
-                if reference:
-                    assert ([_masks(m) for m in z.nodes], z.directions) == reference_zigzag(m1, m2, contract)
+            expected = {c: reference_zigzag(m1, m2, c) for c in contracts} if reference else {}
+            runs = [(m1, contracts)]
+            if len(contracts) > 1:  # a copy of m1 starts with an empty memo
+                runs.append((ModelStruct(m1.rel, m1.cof, m1.fib, m1.report), contracts[::-1]))
+            for first, order in runs:
+                for contract in order:
+                    z = build_zigzag(first, m2, contract=contract)
+                    assert z.all_edges_ok() and z.nodes[0] is first and z.nodes[-1] is m2
+                    assert len({id(m) for m in z.nodes}) == len({_masks(m) for m in z.nodes})
+                    if reference:
+                        assert ([_masks(m) for m in z.nodes], z.directions) == expected[contract]
     return pairs
 
 
