@@ -223,8 +223,8 @@ def compute_Jchi(rel: RelStruct, chi: CenterMap) -> MorphClass:
     below = sum(1 << b for b in range(lat.n) if lat.leq(b, chi.chi[b]))
     kit = lat._kit
     if kit is not None:
-        return MorphClass._of_grid(lat, rel.weq._grid & kit.outer((1 << lat.n) - 1, below))
-    return MorphClass(lat, sum(1 << i for i in iter_bits(rel.weq.mask) if below >> lat.pairs[i].dst & 1))
+        return MorphClass._of(lat, rel.weq.bits & kit.outer((1 << lat.n) - 1, below))
+    return MorphClass._of(lat, sum(1 << i for i in iter_bits(rel.weq.bits) if below >> lat.pairs[i].dst & 1))
 
 
 def compute_Qchi(rel: RelStruct, chi: CenterMap) -> MorphClass:

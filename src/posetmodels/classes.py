@@ -1,20 +1,18 @@
 """Morphism-class algebra: lifting, complements, closures, MLS/WFS checks.
 
 A :class:`MorphClass` is a set of comparable pairs of one fixed lattice,
-stored as a bitmask over the lattice's lex-sorted pair list.  All scans
-iterate in pair order, so reported witnesses are lexicographically least.
-Dual checks run their primal on ``s.op()``, the same mask in the opposite lattice.
+held in that lattice's one encoding (see the class).  All scans iterate in
+pair order, so reported witnesses are lexicographically least.  Dual
+checks run their primal on ``s.op()``, the same bits in the opposite lattice.
 
 On dense lattices (the gate is in the :mod:`~posetmodels.lattice` module
-docstring) the algebra that ``verify_model`` uses runs on grids, n^2-bit
-ints whose bit a*n + b holds the pair with primal reading (a, b): both
-complements (formulas derived in their docstrings), composition closure
-(S∘S & ~S = 0), the lifting-system checks and factorization
-(O & ~(lc∘rc) = 0).  The kit of each op() side answers in that side's
-terms (:class:`~posetmodels.lattice._GridKit`), so no code here asks for
-the side.  The lifting-system checks read their differences straight off
-grids: they build no class and convert no grid back to a pair mask.  The
-ten conditions of ``verify_model`` that read cof or fib have one
+docstring) a class is its grid, and the algebra that ``verify_model`` uses
+runs on grids: both complements (formulas derived in their docstrings),
+composition closure (S∘S & ~S = 0), the lifting-system checks and
+factorization (O & ~(lc∘rc) = 0).  The kit of each op() side answers in
+that side's terms (:class:`~posetmodels.lattice._GridKit`), so no code
+here asks for the side.  No kernel converts its result to a pair mask.
+The ten conditions of ``verify_model`` that read cof or fib have one
 implementation, :func:`_model_fails`, which takes a grid or a stack of
 grids, so the oracle checks a whole chunk of candidates in one call.
 Sparse lattices compute the same differences as pair masks from the pair
@@ -23,74 +21,81 @@ paths.  A pair witness is the lowest set bit of a difference, the least
 pair in pair order on both sides.  Two witnesses take a short second
 scan: the composition triple (the pair scan, run only once the product
 has found a failure) and the lifting g (the least member of rc among the
-pairs f fails to lift against).  The mask stays a class's identity, so
-equality, hashing and candidate order do not depend on the path; ``|``,
-``&`` and ``-`` carry grids when both operands have one.
+pairs f fails to lift against).
 """
 
 from __future__ import annotations
 
-import operator
-
-from .errors import NoFactorization, NotComparable, NotPushoutClosed
+from .errors import NoFactorization, NotPushoutClosed
 from .lattice import Dualizable, FiniteLattice, Pair, iter_bits, low_bit
 from .report import Check, Report
 
 
 class MorphClass(Dualizable):
-    """An immutable class of morphisms over a fixed finite lattice."""
+    """An immutable class of morphisms over a fixed finite lattice.
 
-    __slots__ = ("lattice", "mask", "_g", "_rows", "_cols", "_op", "__weakref__")
+    ``bits`` holds the class in its lattice's one encoding: the grid where
+    ``lattice._kit`` exists (:class:`~posetmodels.lattice._GridKit`), else
+    the pair mask.  It is the identity that equality, hashing, ``<=``,
+    ``|``, ``&`` and ``-`` read, and it orders classes as pair masks do.
+    The pair mask ``mask`` is the boundary, read by iteration, membership,
+    rendering and the pair tables: computed on first read and written once,
+    or kept from ``MorphClass(lattice, mask)``.  Kernels build with :meth:`_of`.
+    """
+
+    __slots__ = ("lattice", "bits", "_mask", "_rows", "_cols", "_op", "__weakref__")
 
     def __init__(self, lattice: FiniteLattice, mask: int):
+        kit = lattice._kit
         self.lattice = lattice
-        self.mask = mask
-        self._g: int | None = None  # the grid, once known
-        self._rows: list[int] | None = None
-        self._cols: list[int] | None = None
-        self._op = None
-
-    def _reversed(self) -> "MorphClass":
-        """The same morphisms in the opposite lattice: the same grid, rows and cols swap."""
-        o = MorphClass(self.lattice.op(), self.mask)
-        o._g, o._rows, o._cols = self._g, self._cols, self._rows
-        return o
+        self.bits = mask if kit is None else kit.from_mask(mask)
+        self._mask = mask
+        self._rows = self._cols = self._op = None
 
     @classmethod
-    def _of_grid(cls, lattice, grid: int, mask: int | None = None) -> "MorphClass":
-        out = cls(lattice, lattice._kit.to_mask(grid) if mask is None else mask)
-        out._g = grid
+    def _of(cls, lattice: FiniteLattice, bits: int) -> "MorphClass":
+        """The class whose bits, in `lattice`'s encoding, are `bits`."""
+        out = cls.__new__(cls)
+        out.lattice, out.bits = lattice, bits
+        out._mask = out._rows = out._cols = out._op = None
         return out
 
+    def _reversed(self) -> "MorphClass":
+        """The same morphisms in the opposite lattice: the same bits and mask, rows and cols swap."""
+        o = MorphClass._of(self.lattice.op(), self.bits)
+        o._mask, o._rows, o._cols = self._mask, self._cols, self._rows
+        return o
+
     @property
-    def _grid(self) -> int:
-        """The class's grid (see :class:`~posetmodels.lattice._GridKit`); dense lattices only."""
-        if self._g is None:
-            self._g = self.lattice._kit.from_mask(self.mask)
-        return self._g
+    def mask(self) -> int:
+        """The pair mask: bit i holds ``lattice.pairs[i]``."""
+        if self._mask is None:
+            kit = self.lattice._kit
+            self._mask = self.bits if kit is None else kit.to_mask(self.bits)
+        return self._mask
 
     @classmethod
     def from_pairs(cls, lattice, pairs, add_identities: bool = False) -> "MorphClass":
-        mask = 0
         index = lattice.pair_index
+        mask = lattice.identity_mask if add_identities else 0
         for (src, dst) in pairs:
             a = src if isinstance(src, int) else lattice.index(src)
             b = dst if isinstance(dst, int) else lattice.index(dst)
             p = Pair(a, b)
             if p not in index:
-                raise NotComparable(lattice.name(a), lattice.name(b))
+                lattice.pair(a, b)  # raises: an index outside range(n), or incomparable
             mask |= 1 << index[p]
-        if add_identities:
-            mask |= lattice.identity_mask
         return cls(lattice, mask)
 
     @classmethod
     def identities(cls, lattice) -> "MorphClass":
-        return cls(lattice, lattice.identity_mask)
+        kit = lattice._kit
+        return cls(lattice, lattice.identity_mask) if kit is None else cls._of(lattice, kit.ids)
 
     @classmethod
     def all_morphisms(cls, lattice) -> "MorphClass":
-        return cls(lattice, lattice.all_pairs_mask)
+        kit = lattice._kit
+        return cls(lattice, lattice.all_pairs_mask) if kit is None else cls._of(lattice, kit.order)
 
     def __contains__(self, pair) -> bool:
         i = self.lattice.pair_index.get(Pair(*pair))
@@ -101,34 +106,27 @@ class MorphClass(Dualizable):
         return (ps[i] for i in iter_bits(self.mask))
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.bits.bit_count()
 
     def __eq__(self, other):
         if not isinstance(other, MorphClass):
             return NotImplemented
-        return self.lattice == other.lattice and self.mask == other.mask
+        return self.lattice == other.lattice and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.lattice, self.mask))
-
-    def _combined(self, other: "MorphClass", op) -> "MorphClass":
-        """op on the masks, and on the grids when both operands carry one."""
-        mask = op(self.mask, other.mask)
-        if self._g is None or other._g is None:
-            return MorphClass(self.lattice, mask)
-        return MorphClass._of_grid(self.lattice, op(self._g, other._g), mask)
+        return hash((self.lattice, self.bits))
 
     def __or__(self, other: "MorphClass") -> "MorphClass":
-        return self._combined(other, operator.or_)
+        return MorphClass._of(self.lattice, self.bits | other.bits)
 
     def __and__(self, other: "MorphClass") -> "MorphClass":
-        return self._combined(other, operator.and_)
+        return MorphClass._of(self.lattice, self.bits & other.bits)
 
     def __sub__(self, other: "MorphClass") -> "MorphClass":
-        return self._combined(other, _and_not)
+        return MorphClass._of(self.lattice, self.bits & ~other.bits)
 
     def __le__(self, other: "MorphClass") -> bool:
-        return self.mask & ~other.mask == 0
+        return self.bits & ~other.bits == 0
 
     def __repr__(self):
         names = [f"{self.lattice.name(a)}->{self.lattice.name(b)}" for (a, b) in self.nonidentity_pairs()]
@@ -144,7 +142,7 @@ class MorphClass(Dualizable):
         return [p for p in self if p.src != p.dst]
 
     def has_identities(self) -> bool:
-        return self.lattice.identity_mask & ~self.mask == 0
+        return MorphClass.identities(self.lattice) <= self
 
     @property
     def rows(self) -> list[int]:
@@ -153,17 +151,14 @@ class MorphClass(Dualizable):
         if self._rows is None:
             kit = self.lattice._kit
             if kit is not None:
-                self._rows = kit.rows(self._grid)
+                self._rows = kit.rows(self.bits)
                 return self._rows
             rows = [0] * self.lattice.n
             cols = [0] * self.lattice.n
-            ps = self.lattice.pairs
-            for i in iter_bits(self.mask):
-                a, b = ps[i]
+            for (a, b) in self:
                 rows[a] |= 1 << b
                 cols[b] |= 1 << a
-            self._rows = rows
-            self._cols = cols
+            self._rows, self._cols = rows, cols
         return self._rows
 
     @property
@@ -172,14 +167,10 @@ class MorphClass(Dualizable):
         if self._cols is None:
             kit = self.lattice._kit
             if kit is not None:
-                self._cols = kit.cols(self._grid)
+                self._cols = kit.cols(self.bits)
             else:
                 self.rows
         return self._cols
-
-
-def _and_not(x: int, y: int) -> int:
-    return x & ~y
 
 
 def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
@@ -210,7 +201,7 @@ def right_complement(s: MorphClass) -> MorphClass:
     lat = s.lattice
     kit = lat._kit
     if kit is not None:
-        return MorphClass._of_grid(lat, kit.rc(s._grid))
+        return MorphClass._of(lat, kit.rc(s.bits))
     return left_complement(s.op()).op()
 
 
@@ -228,13 +219,9 @@ def left_complement(s: MorphClass) -> MorphClass:
     lat = s.lattice
     kit = lat._kit
     if kit is not None:
-        return MorphClass._of_grid(lat, kit.lc(s._grid))
-    table = lat.nonlift_left
-    mask = 0
-    for i in range(len(lat.pairs)):
-        if s.mask & table[i] == 0:
-            mask |= 1 << i
-    return MorphClass(lat, mask)
+        return MorphClass._of(lat, kit.lc(s.bits))
+    bits = s.bits
+    return MorphClass._of(lat, sum(1 << i for i, row in enumerate(lat.nonlift_left) if not bits & row))
 
 
 def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> list[int]:
@@ -259,8 +246,9 @@ def is_pushout_closed(s: MorphClass) -> Check:
     lat = s.lattice
     ps = lat.pairs
     targets = lat.pushout_targets
-    for i in iter_bits(s.mask):
-        escaped = targets[i] & ~s.mask
+    mask = s.mask
+    for i in iter_bits(mask):
+        escaped = targets[i] & ~mask
         if escaped:
             return Check("pushout_closed", False, (ps[i], ps[low_bit(escaped)]))
     return Check("pushout_closed", True)
@@ -286,13 +274,11 @@ def is_composition_closed(s: MorphClass) -> Check:
     """
     kit = s.lattice._kit
     if kit is not None:
-        g = s._grid
+        g = s.bits
         if not kit.product(g, g) & ~g:
             return Check("composition_closed", True)
-    ps = s.lattice.pairs
     rows = s.rows
-    for i in iter_bits(s.mask):
-        a, b = ps[i]
+    for (a, b) in s:
         missing = rows[b] & ~rows[a]
         if missing:
             return Check("composition_closed", False, (a, b, low_bit(missing)))
@@ -323,9 +309,9 @@ def is_binary_product_closed(s: MorphClass) -> Check:
 def subcategory_check(s: MorphClass, name: str) -> Check:
     """Identities plus composition closure.  The witness is the least missing
     identity ``(Pair(x, x),)``, else the least (a, b, c) missing (a, c)."""
-    missing = s.lattice.identity_mask & ~s.mask
+    missing = MorphClass.identities(s.lattice) - s
     if missing:
-        return Check(name, False, (s.lattice.pairs[low_bit(missing)],))
+        return Check(name, False, (next(iter(missing)),))
     closed = is_composition_closed(s)
     return Check(name, closed.ok, closed.witness)
 
@@ -402,13 +388,13 @@ def _wfs_checks(lc: MorphClass, rc: MorphClass, prefix: str = "", factorization:
     lat = lc.lattice
     kit = lat._kit
     if kit is not None:
-        return _wfs_read(lat, rc._grid, _wfs_fails(kit, lc._grid, rc._grid, factorization), prefix)
-    allowed = left_complement(rc).mask
-    fails = [lc.mask & ~allowed, allowed & ~lc.mask, right_complement(lc).mask & ~rc.mask]
+        return _wfs_read(lat, rc.bits, _wfs_fails(kit, lc.bits, rc.bits, factorization), prefix)
+    allowed = left_complement(rc).bits
+    fails = [lc.bits & ~allowed, allowed & ~lc.bits, right_complement(lc).bits & ~rc.bits]
     if factorization:
         lrows, rcols = lc.rows, rc.cols  # rows[a] lies in up(a) and cols[b] in down(b)
         fails.append(sum(1 << i for i, (a, b) in enumerate(lat.pairs) if not lrows[a] & rcols[b]))
-    return _wfs_read(lat, rc.mask, fails, prefix)
+    return _wfs_read(lat, rc.bits, fails, prefix)
 
 
 def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Check]:
@@ -421,8 +407,8 @@ def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Che
     if kit is None:
         return [subcategory_check(cof, _MODEL_CHECKS[0]), subcategory_check(fib, _MODEL_CHECKS[1]),
                 *_wfs_checks(cof, fib & weq, "cof_afib."), *_wfs_checks(cof & weq, fib, "acof_fib.")]
-    fg, wg = fib._grid, weq._grid
-    fails = _model_fails(kit, cof._grid, fg, wg)
+    fg, wg = fib.bits, weq.bits
+    fails = _model_fails(kit, cof.bits, fg, wg)
     checks = [subcategory_check(s, name) if extra else Check(name, True)
               for s, name, extra in zip((cof, fib), _MODEL_CHECKS, fails)]
     return checks + _wfs_read(lat, fg & wg, fails[2:6], "cof_afib.") + _wfs_read(lat, fg, fails[6:], "acof_fib.")

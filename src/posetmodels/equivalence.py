@@ -24,13 +24,13 @@ from .models import (
     verify_model,
 )
 from .centers import compute_Jchi, product_centers
-from .relative import validate_relative
+from .relative import RelStruct
 
 
 def _require_same_base(m1: ModelStruct, m2: ModelStruct) -> None:
     if m1.lattice != m2.lattice:
         raise MismatchedBase("structures live on different lattices")
-    if m1.we.mask != m2.we.mask:
+    if m1.we.bits != m2.we.bits:
         raise MismatchedBase("structures have different weak equivalences")
 
 
@@ -85,8 +85,8 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     Quillen equivalence already exists.
 
     The verified full chain is memoised on m1 (per ``op()`` side, see
-    :class:`~posetmodels.lattice.Dualizable`), keyed by m2's (cof mask,
-    fib mask), so a second call for the same m1 and m2, full or
+    :class:`~posetmodels.lattice.Dualizable`), keyed by m2's (cof bits,
+    fib bits), so a second call for the same m1 and m2, full or
     contracted, computes no J_chi and verifies no node; contract=True
     contracts a fresh copy of it.  The ends are always the argument
     objects, and an interior node equal to an end is that end.
@@ -121,7 +121,7 @@ def build_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False) -> Zi
     if m1 == m2:
         return Zigzag([m1], [])
     ends = (m1, m2)
-    interior = m1._cached(("build_zigzag", m2.cof.mask, m2.fib.mask), lambda _: _interior(m1, m2))
+    interior = m1._cached(("build_zigzag", m2.cof.bits, m2.fib.bits), lambda _: _interior(m1, m2))
     z = Zigzag([m1, *(ends[x] if type(x) is int else x for x in interior), m2], list(_DIRECTIONS))
     if contract:
         _contract(z)
@@ -139,11 +139,11 @@ def _interior(m1: ModelStruct, m2: ModelStruct) -> tuple:
     chi1 = extract_centers(m1)
     chi2 = extract_centers(m2)
     j1, j, j2 = (compute_Jchi(rel, c) for c in (chi1, product_centers(rel, chi1, chi2), chi2))
-    known = {(m.cof.mask, m.fib.mask): m for m in (m1, m2)}
+    known = {(m.cof.bits, m.fib.bits): m for m in (m1, m2)}
 
     def node(rel, cof, fib, context):
         """The node with these classes: a known one, or a new one verified."""
-        key = cof.mask, fib.mask
+        key = cof.bits, fib.bits
         if key not in known:
             known[key] = _verified(rel, cof, fib, context)
         return known[key]
@@ -206,6 +206,11 @@ def homotopy_reduce(m: ModelStruct) -> tuple[FiniteLattice, ModelStruct, Reducti
     a bounded lattice is re-validated rather than trusted, with its meets
     realized by cofibrant replacement of the ambient meet and its joins by
     fibrant replacement of the ambient join.  Any failure is a library bug.
+
+    The reduced W, the identities, is wrapped without ``validate_relative``:
+    :func:`~posetmodels.models.verify_model` runs the same
+    :func:`~posetmodels.classes.subcategory_check` on it, as
+    ``we_subcategory``, so no check is skipped.
     """
     _require_verified(m)
     lat = m.lattice
@@ -236,8 +241,8 @@ def homotopy_reduce(m: ModelStruct) -> tuple[FiniteLattice, ModelStruct, Reducti
                         f"reduced {bound} of {lat.name(x)}, {lat.name(y)} is not the {side} replacement of the ambient {bound}"
                     )
 
-    d_rel = validate_relative(d_lat, [], add_identities=True)
-    d_model = ModelStruct(d_rel, MorphClass.all_morphisms(d_lat), MorphClass.all_morphisms(d_lat))
+    every = MorphClass.all_morphisms(d_lat)
+    d_model = ModelStruct(RelStruct(d_lat, MorphClass.identities(d_lat)), every, every)
     if not verify_model(d_model).ok:
         raise InternalCheckFailed("trivial structure on the reduced lattice fails verification")
     if len(d_elems) != len(m.rel.components):

@@ -465,9 +465,12 @@ class FiniteLattice(Dualizable):
         return self.names[i]
 
     def pair(self, src, dst) -> Pair:
-        """Build a Pair from indices or labels, checking comparability."""
+        """Build a Pair from indices or labels, checking indices and comparability."""
         a = src if isinstance(src, int) else self.index(src)
         b = dst if isinstance(dst, int) else self.index(dst)
+        for x in (a, b):
+            if x not in range(self.n):
+                raise InvalidInput(f"object index must be in range({self.n}), got {x!r}")
         if not self.leq(a, b):
             raise NotComparable(self.names[a], self.names[b])
         return Pair(a, b)

@@ -92,12 +92,12 @@ class ModelStruct(Dualizable):
             return NotImplemented
         return (
             self.rel == other.rel
-            and self.cof.mask == other.cof.mask
-            and self.fib.mask == other.fib.mask
+            and self.cof.bits == other.cof.bits
+            and self.fib.bits == other.fib.bits
         )
 
     def __hash__(self):
-        return hash((self.rel, self.cof.mask, self.fib.mask))
+        return hash((self.rel, self.cof.bits, self.fib.bits))
 
     def __repr__(self):
         return f"ModelStruct(acyclic cof={self.acyclic_cofibrations().name_pairs()}, acyclic fib={self.acyclic_fibrations().name_pairs()})"
@@ -253,17 +253,17 @@ def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
 
 def _genMC_classes(rel: RelStruct, j: MorphClass) -> tuple[MorphClass, MorphClass]:
     """The (cof, fib) of :func:`construct_genMC`, its hypotheses checked, unverified."""
-    extra = j.mask & ~rel.weq.mask
+    extra = j - rel.weq
     if extra:
-        raise JNotInW(rel.lattice.pairs[low_bit(extra)])
+        raise JNotInW(next(iter(extra)))
     _require_s2of3(rel)
     cof, fib = _generated_by(rel, j)
-    bad = right_complement(cof).mask & ~rel.weq.mask
+    bad = right_complement(cof) - rel.weq
     if bad:
-        raise HypothesisFailed(2, rel.lattice.pairs[low_bit(bad)])
-    bad = left_complement(fib).mask & ~rel.weq.mask
+        raise HypothesisFailed(2, next(iter(bad)))
+    bad = left_complement(fib) - rel.weq
     if bad:
-        raise HypothesisFailed(3, rel.lattice.pairs[low_bit(bad)])
+        raise HypothesisFailed(3, next(iter(bad)))
     return cof, fib
 
 
@@ -429,8 +429,8 @@ def generating_sets(m: ModelStruct) -> tuple[MorphClass, MorphClass]:
     both complement identities are asserted.
     """
     _require_verified(m)
-    if right_complement(m.acyclic_cofibrations()).mask != m.fib.mask:
+    if right_complement(m.acyclic_cofibrations()) != m.fib:
         raise InternalCheckFailed("fib is not the right complement of the acyclic cofibrations")
-    if right_complement(m.cof).mask != m.acyclic_fibrations().mask:
+    if right_complement(m.cof) != m.acyclic_fibrations():
         raise InternalCheckFailed("acyclic fibrations are not the right complement of cof")
     return (m.cof, m.acyclic_cofibrations())

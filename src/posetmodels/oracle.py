@@ -20,15 +20,18 @@ pushouts: along x <= d, (x, z) = (y, z)∘(x, y) pushes out to
 (d, z v d) = (y v d, z v d)∘(d, y v d), the pushout of (x, y) along d and
 of (y, z) along y v d.  So T is closed, and it is the closure.  A
 generator whose own pushouts leave W lies in no class inside W and is
-dropped up front.
+dropped up front.  No T leaves a W that is a subcategory: s and PO(g)
+lie in W, which is composition-closed.  Any other W has no model
+structure, and the W-only checks of ``verify_model`` reject it first.
 
 Everything runs on stacks of grids (:class:`~posetmodels.lattice._GridKit`),
 cut into chunks of at most ``_STACK_BYTES`` bytes, on either side of the
-density gate: a sparse lattice builds its kit for the call.  Growth goes
-one breadth-first level at a time: every frontier class s and generator g
-not in s give s | PO(g), PO(g) read off the join table, and one stacked
-Warshall pass of n steps closes them all; a block that leaves W is
-dropped, and the rest are deduplicated.  One stacked pass of the
+density gate: a dense lattice's classes are grids already, and a sparse
+lattice builds a kit for the call, gathering W in and each accepted
+class out.  Growth goes one breadth-first level at a time: every
+frontier class s and generator g not in s give s | PO(g), PO(g) read
+off the join table, and one stacked Warshall pass of n steps closes
+them all; the closures are deduplicated.  One stacked pass of the
 complement kernels then gives every closed class J its candidate
 (lc(W & rc(J)), rc(J)), and :func:`~posetmodels.classes._model_fails`, the
 one implementation of the ten cof/fib conditions of
@@ -38,10 +41,9 @@ zero.  The W-only checks of ``verify_model``, memoised on the relative
 structure, gate every candidate, so the check is as exhaustive as
 ``verify_model``'s, and an accepted structure carries the passing report
 ``verify_model`` gives it.  Pair index -> grid bit is increasing on both
-op() sides, so grids sort as their pair masks do; masks are built only for
-accepted structures.  Candidates are filtered through this exhaustive
-check, which is what makes the result an oracle rather than a
-construction: the recognition theorem is never used.
+op() sides, so grids sort as their pair masks do.  Candidates are
+filtered through this exhaustive check, which is what makes the result an
+oracle rather than a construction: the recognition theorem is never used.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Iterator
 
 from .classes import _MODEL_CHECKS, MorphClass, _model_fails
 from .errors import CapExceeded, InvalidInput, NotALattice, Unbounded
-from .lattice import _GridKit, _side_kit, build_lattice, iter_bits
+from .lattice import Pair, _GridKit, _side_kit, build_lattice, iter_bits
 from .models import ModelStruct, _weq_checks
 from .relative import RelStruct, check_s2of3, validate_relative
 from .report import Check, Report
@@ -75,14 +77,18 @@ def _chunks(kit: _GridKit, grids: list[int]) -> Iterator[tuple[_GridKit, list[in
         yield kit.stacked(len(chunk)), chunk
 
 
-def _closed_grids(rel: RelStruct, kit: _GridKit, weq: int, max_generators: int) -> list[int]:
-    """The grid of every identity-containing class inside W, whose grid is
-    `weq`, closed under composition and pushout (module docstring), in no
-    fixed order."""
-    lat = rel.lattice
+def _generators(rel: RelStruct, max_generators: int) -> list[Pair]:
+    """The non-identity members of W; more than `max_generators` exceed the cap."""
     gens = rel.weq.nonidentity_pairs()
     if len(gens) > max_generators:
         raise CapExceeded("non-identity weak equivalences", max_generators, len(gens))
+    return gens
+
+
+def _closed_grids(lat, kit: _GridKit, weq: int, gens: list[Pair]) -> list[int]:
+    """The grid of every identity-containing class inside W closed under
+    composition and pushout, in no fixed order, W being a subcategory with
+    grid `weq` and non-identity members `gens` (module docstring)."""
     grown = []  # (g's grid bit, PO(g)) of each generator whose pushouts stay in W
     for (a, b) in gens:
         pushouts = sum(kit.bit(c, lat.join(b, c)) for c in iter_bits(lat.up_mask(a)))
@@ -94,27 +100,20 @@ def _closed_grids(rel: RelStruct, kit: _GridKit, weq: int, max_generators: int) 
         seeds = dict.fromkeys(s | pushouts for s in frontier for g, pushouts in grown if not s & g)
         frontier = []
         for stack, chunk in _chunks(kit, [s for s in seeds if s not in seen]):
-            closed = stack.closure(stack.pack(chunk))
-            blocks = stack.unpack(closed)
-            for j in stack.zero_blocks(closed & ~stack.repeat(weq)):
-                if blocks[j] not in seen:
-                    seen.add(blocks[j])
-                    frontier.append(blocks[j])
+            for grid in stack.unpack(stack.closure(stack.pack(chunk))):
+                if grid not in seen:
+                    seen.add(grid)
+                    frontier.append(grid)
     return list(seen)
 
 
 def _closed_classes(rel: RelStruct, max_generators: int) -> list[int]:
     """Every identity-containing class inside W closed under composition
-    and pushout, as sorted pair masks (see the module docstring)."""
+    and pushout, as sorted pair masks (see the module docstring); W must be
+    a subcategory."""
     kit = rel.lattice._kit or _side_kit(rel.lattice)
-    return sorted(map(kit.to_mask, _closed_grids(rel, kit, kit.from_mask(rel.weq.mask), max_generators)))
-
-
-def _class_of(lat, kit: _GridKit, grid: int) -> MorphClass:
-    """The class of `grid`, carrying the grid where the lattice keeps grids."""
-    if lat._kit is None:
-        return MorphClass(lat, kit.to_mask(grid))
-    return MorphClass._of_grid(lat, grid)
+    grids = _closed_grids(rel.lattice, kit, kit.from_mask(rel.weq.mask), _generators(rel, max_generators))
+    return sorted(map(kit.to_mask, grids))
 
 
 def enumerate_model_structures(
@@ -123,21 +122,23 @@ def enumerate_model_structures(
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> list[ModelStruct]:
     """All model structures with weak equivalences W, ordered by (cof mask,
-    fib mask).  A cap below 0 is an input error."""
+    fib mask).  A cap below 0 is an input error.  Both caps are checked
+    first; then W's own checks may return [] before any growth."""
     _require_cap("max_elements", max_elements)
     _require_cap("max_generators", max_generators)
     lat = rel.lattice
     if lat.n > max_elements:
         raise CapExceeded("lattice elements", max_elements, lat.n)
-    kit = lat._kit or _side_kit(lat)  # a sparse lattice builds a kit for the call
-    weq = kit.from_mask(rel.weq.mask)
-    classes = _closed_grids(rel, kit, weq, max_generators)
+    gens = _generators(rel, max_generators)
     we_sub, two_of_three = _weq_checks(rel)
     if not (we_sub.ok and two_of_three.ok):
         return []
+    sparse = lat._kit is None
+    kit = _side_kit(lat) if sparse else lat._kit  # a sparse lattice builds a kit for the call
+    weq = kit.from_mask(rel.weq.bits) if sparse else rel.weq.bits
     report = Report((we_sub, *(Check(name, True) for name in _MODEL_CHECKS), two_of_three))
     found = set()
-    for stack, chunk in _chunks(kit, classes):
+    for stack, chunk in _chunks(kit, _closed_grids(lat, kit, weq, gens)):
         weqs = stack.repeat(weq)
         fib = stack.rc(stack.pack(chunk))
         cof = stack.lc(fib & weqs)
@@ -146,7 +147,9 @@ def enumerate_model_structures(
             failed |= fails
         cofs, fibs = stack.unpack(cof), stack.unpack(fib)
         found.update((cofs[j], fibs[j]) for j in stack.zero_blocks(failed))
-    return [ModelStruct(rel, _class_of(lat, kit, c), _class_of(lat, kit, f), report) for c, f in sorted(found)]
+    if sparse:  # back to the lattice's encoding
+        found = {(kit.to_mask(c), kit.to_mask(f)) for c, f in found}
+    return [ModelStruct(rel, MorphClass._of(lat, c), MorphClass._of(lat, f), report) for c, f in sorted(found)]
 
 
 def decide_by_enumeration(rel: RelStruct, **caps) -> bool:

@@ -38,10 +38,11 @@ class RelStruct(Dualizable):
                 x = parent[x]
             return x
 
-        for (a, b) in weq:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        for a, row in enumerate(weq.rows):
+            for b in iter_bits(row):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
         components: list[list[int]] = []
         component_of = [0] * lattice.n
         for x in range(lattice.n):
@@ -64,10 +65,10 @@ class RelStruct(Dualizable):
     def __eq__(self, other):
         if not isinstance(other, RelStruct):
             return NotImplemented
-        return self.lattice == other.lattice and self.weq.mask == other.weq.mask
+        return self.lattice == other.lattice and self.weq.bits == other.weq.bits
 
     def __hash__(self):
-        return hash((self.lattice, self.weq.mask))
+        return hash((self.lattice, self.weq.bits))
 
     def __repr__(self):
         return f"RelStruct({self.lattice!r}, |W|={len(self.weq)})"

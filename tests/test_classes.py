@@ -20,7 +20,7 @@ from posetmodels import (
     proper_factorizations,
     right_complement,
 )
-from posetmodels.errors import NoFactorization, NotComparable, NotPushoutClosed
+from posetmodels.errors import InvalidInput, NoFactorization, NotComparable, NotPushoutClosed
 from posetmodels.lattice import iter_bits
 
 from helpers import naive_left_complement, naive_lifts, naive_right_complement
@@ -45,6 +45,21 @@ def test_membership_and_construction(two_structures):
     assert s.has_identities()
     with pytest.raises(NotComparable):
         MorphClass.from_pairs(lat, [("B", "Bp")])
+
+
+@pytest.mark.parametrize("src, dst, bad", [(99, 0, 99), (-1, 0, -1), (0, -1, -1), (0, 3, 3)])
+def test_indices_outside_the_lattice_are_input_errors(src, dst, bad):
+    # an int index must lie in range(n): a negative one does not count from
+    # the end, and neither names an element in the diagnostic
+    lat = build_lattice(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    message = rf"object index must be in range\(3\), got {bad}$"
+    with pytest.raises(InvalidInput, match=message):
+        lat.pair(src, dst)
+    with pytest.raises(InvalidInput, match=message):
+        MorphClass.from_pairs(lat, [(0, 1), (src, dst)])
+    assert lat.pair(0, 2) == Pair(0, 2) and MorphClass.from_pairs(lat, [(0, 2)]).pairs() == [Pair(0, 2)]
+    with pytest.raises(NotComparable, match="'c' and 'a'"):
+        MorphClass.from_pairs(lat, [(2, 0)])
 
 
 def test_lifts_examples(two_structures):

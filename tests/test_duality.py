@@ -485,3 +485,17 @@ def test_only_the_lattice_module_reads_opposite():
                      if any(isinstance(node, ast.Attribute) and node.attr == "opposite"
                             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
     assert readers == ["lattice.py"]
+
+
+def test_only_the_class_boundary_converts_encodings():
+    # a class's encoding is decided behind MorphClass: besides the lattice
+    # module, which defines the gathers, only the class module and the
+    # oracle (whose sparse lattices build a grid kit for the call) convert
+    # between grids and pair masks
+    src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    readers = sorted(path.name for path in modules
+                     if any(isinstance(node, ast.Attribute) and node.attr in ("to_mask", "from_mask")
+                            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert set(readers) - {"lattice.py"} == {"classes.py", "oracle.py"}

@@ -230,8 +230,9 @@ def test_center_memo_written_after_validation_not_carried_to_op(monkeypatch):
 
 
 def test_memos_are_safe_to_share_across_threads():
-    # more threads than cores race on the first write of every memo; each
-    # must see the same report, centers and reduction
+    # more threads than cores race on the first write of every memo, and of
+    # each class's pair mask, which the oracle's classes compute on first
+    # read; each must see the same report, centers, reduction and masks
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -240,6 +241,7 @@ def test_memos_are_safe_to_share_across_threads():
 
         def work(_):
             return (
+                [(m.cof.mask, m.fib.mask, m.acyclic_fibrations().mask) for m in structures],
                 recognize_finite(rel).report,
                 [extract_centers(m) for m in structures],
                 [homotopy_reduce(m)[2] for m in structures],
@@ -252,10 +254,11 @@ def test_memos_are_safe_to_share_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == results[0] for r in results)
-    assert memo_entry(rel, "recognition_report") == results[0][0]
-    assert [memo_entry(m, "extract_centers") for m in structures] == results[0][1]
+    assert results[0][0] == [(m.cof.mask, m.fib.mask, (m.fib & m.we).mask) for m in structures]
+    assert memo_entry(rel, "recognition_report") == results[0][1]
+    assert [memo_entry(m, "extract_centers") for m in structures] == results[0][2]
     # the zigzags hold new nodes too, and every thread got the same objects
-    assert len({i for chain in results[0][3] for i in chain}) > len(structures)
+    assert len({i for chain in results[0][4] for i in chain}) > len(structures)
 
 
 def test_zigzag_verifies_each_new_interior_node_once(monkeypatch):

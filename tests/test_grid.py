@@ -4,6 +4,7 @@ Every result of the class algebra must be the same on both paths, least
 witnesses included; the kernels are checked against naive loops.
 """
 
+import itertools
 import random
 
 import pytest
@@ -26,10 +27,10 @@ from posetmodels import (
     verify_model,
 )
 from posetmodels.classes import _model_fails
-from posetmodels.lattice import _GridKit
+from posetmodels.lattice import _GridKit, iter_bits
 from posetmodels.models import _generated_by
 
-from helpers import compose_close, naive_left_complement, naive_right_complement, permuted_instances
+from helpers import compose_close, naive_left_complement, naive_right_complement, permuted_instances, record_calls
 from test_lattice import _grid
 
 ALWAYS, NEVER = 10**12, 0  # gate constants that force the grid path and the table path
@@ -91,16 +92,16 @@ def _kernel_battery(rel, rng):
         for _ in range(6):
             mask = rng.getrandbits(len(lat.pairs))
             s = MorphClass(lat, mask)
-            grid = s._grid
+            grid = s.bits  # a dense lattice's encoding is the grid
             assert grid == sum(1 << (a * n + b) for i, (a, b) in enumerate(cells) if mask >> i & 1)
             assert kit.to_mask(grid) == mask
             assert kit.transpose(grid) == sum(1 << (b * n + a) for i, (a, b) in enumerate(cells) if mask >> i & 1)
             assert kit.transpose(kit.transpose(grid)) == grid
             assert (s.rows, s.cols) == _naive_rows(s)
-            assert s.op()._grid == grid and (s.op().rows, s.op().cols) == _naive_rows(s.op())
+            assert s.op().bits == grid and (s.op().rows, s.op().cols) == _naive_rows(s.op())
             y = rng.getrandbits(n * n)
             assert kit.product(grid, y) == _naive_product(n, grid, y)
-        assert kit.order == MorphClass.all_morphisms(lat)._grid
+        assert kit.order == MorphClass.all_morphisms(lat).bits
         assert kit.order_t == kit.transpose(kit.order)
 
 
@@ -221,6 +222,45 @@ def _random_class(lat, rng):
     return mask
 
 
+@pytest.mark.parametrize("gate", [ALWAYS, NEVER])
+def test_classes_with_the_same_pairs_are_equal_however_built(gate, monkeypatch):
+    # a class's identity is its bits in its lattice's one encoding: built
+    # from a mask, from pairs, by a complement or by |, & and -, two classes
+    # are equal, and hash alike, iff they hold the same pairs, on both op()
+    # sides and both paths; each gives back its mask, and bits sort as masks
+    monkeypatch.setattr(lattice_module, "_GRID_DENSITY", gate)
+    rng = random.Random(10)
+    for rel in (r for _, r in zip(range(60), random_instances(InstanceGen(seed=23)))):
+        for side in (rel, rel.op()):
+            lat = side.lattice
+            assert (lat._kit is None) == (gate == NEVER)
+            mx, my = _random_class(lat, rng), _random_class(lat, rng)
+            x, y = MorphClass(lat, mx), MorphClass(lat, my)
+            rc, lc = right_complement(x), left_complement(x)
+
+            def mask_of(pairs):
+                return sum(1 << lat.pair_index[p] for p in pairs)
+
+            built = [  # (class, the mask of its pairs, computed without the class algebra)
+                (x, mx), (y, my), (x | y, mx | my), (y | x, mx | my), (x & y, mx & my), (x - y, mx & ~my),
+                ((x - y) | (x & y), mx), (rc, mask_of(naive_right_complement(x))),
+                (lc, mask_of(naive_left_complement(x))), (left_complement(rc), mask_of(naive_left_complement(rc))),
+                (right_complement(lc), mask_of(naive_right_complement(lc))),
+                (MorphClass.identities(lat), lat.identity_mask), (MorphClass.all_morphisms(lat), lat.all_pairs_mask),
+            ]
+            built += [(MorphClass.from_pairs(lat, [lat.pair_names(lat.pairs[i]) for i in iter_bits(m)]), m)
+                      for _, m in built[:4]]
+            built += [(MorphClass(lat, m), m) for _, m in built]
+            for s, mask in built:
+                assert s.mask == mask and MorphClass(lat, s.mask) == s and s.op().mask == mask
+                assert s.pairs() == [lat.pairs[i] for i in iter_bits(mask)] and len(s) == bin(mask).count("1")
+            for (s, m), (t, u) in itertools.product(built, repeat=2):
+                assert (s == t) == (m == u) and (s <= t) == (m & ~u == 0)
+                assert m != u or hash(s) == hash(t)
+            order = sorted(range(len(built)), key=lambda i: built[i][0].bits)
+            assert [built[i][1] for i in order] == sorted(m for _, m in built)
+
+
 def _results(rel, masks, pairings, failed):
     """Every class-algebra result on both sides of `rel`, witnesses included."""
     out = []
@@ -302,9 +342,11 @@ def test_gate_is_deterministic_and_symmetric():
 def test_grids_ride_along_class_operations(gate, monkeypatch):
     monkeypatch.setattr(lattice_module, "_GRID_DENSITY", gate)
     rel = _rebuilt(load("two-structures"))
+    to_mask = record_calls(monkeypatch, _GridKit, "to_mask")
     fib = right_complement(rel.weq)
     derived = (fib & rel.weq, fib | rel.weq, fib - rel.weq, fib.op() & rel.weq.op())
+    assert to_mask == []  # kernels and class operations gather nothing back into a pair mask
     for d in derived:
-        assert (d._g is not None) == (gate == ALWAYS)
-        if gate == ALWAYS:
-            assert d._g == d.lattice._kit.from_mask(d.mask)
+        kit = d.lattice._kit
+        assert (kit is not None) == (gate == ALWAYS)
+        assert d.bits == (d.mask if kit is None else kit.from_mask(d.mask))

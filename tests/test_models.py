@@ -351,11 +351,18 @@ def test_weq_checks_run_once_per_side(monkeypatch):
     )
 
 
+def non_subcategory_rel() -> RelStruct:
+    """The 3-chain x < y < z with W the identities, x -> y and y -> z: a
+    bare RelStruct, not validated, whose W is no subcategory (x -> z is
+    missing) and fails 2-of-3."""
+    lat = build_lattice(["x", "y", "z"], [("x", "y"), ("y", "z")])
+    return RelStruct(lat, MorphClass.from_pairs(lat, [("x", "y"), ("y", "z")], add_identities=True))
+
+
 def test_weq_checks_fail_on_every_call_with_each_sides_witness(monkeypatch):
     runs = count_weq_checks(monkeypatch)
-    lat = build_lattice(["x", "y", "z"], [("x", "y"), ("y", "z")])
-    weq = MorphClass.from_pairs(lat, [("x", "y"), ("y", "z")], add_identities=True)
-    rel = RelStruct(lat, weq)  # not validated: x -> z is missing
+    rel = non_subcategory_rel()
+    lat = rel.lattice
     everything = MorphClass.all_morphisms(lat)
     ids = MorphClass.identities(lat)
     for cof, fib in ((everything, ids), (ids, everything), (everything, ids)):

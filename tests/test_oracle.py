@@ -23,6 +23,7 @@ from posetmodels import (
     verify_model,
 )
 from posetmodels.errors import CapExceeded, S2OF3Failed
+from posetmodels.models import _weq_checks
 from posetmodels.oracle import _closed_classes
 
 from helpers import (
@@ -34,12 +35,13 @@ from helpers import (
     pentagon,
     permuted,
     permuted_instances,
+    record_calls,
     reference_enumeration,
     small_lattices,
 )
 from test_grid import _chain, _wide
 from test_lattice import _grid
-from test_models import LEFT_SIG, RIGHT_SIG, identity_rel
+from test_models import LEFT_SIG, RIGHT_SIG, identity_rel, non_subcategory_rel
 
 
 def test_identities_only_gives_trivial():
@@ -83,6 +85,23 @@ def test_caps():
     big = next(r for r in random_instances(gen) if len(r.weq.nonidentity_pairs()) >= 2)
     with pytest.raises(CapExceeded):
         enumerate_model_structures(big, max_generators=1)
+
+
+def test_non_subcategory_w_enumerates_to_nothing_after_both_caps(monkeypatch):
+    # W's own checks reject it before any class grows, so growth may assume
+    # W is a subcategory; both caps are checked first, so a W that fails
+    # 2-of-3 with too many generators still exceeds the cap
+    grown = record_calls(monkeypatch, oracle, "_closed_grids")
+    rel = non_subcategory_rel()
+    assert [c.ok for c in _weq_checks(rel)] == [False, False]
+    for side in (rel, rel.op()):
+        assert enumerate_model_structures(side) == []
+        assert not decide_by_enumeration(side)
+        with pytest.raises(CapExceeded, match="non-identity weak equivalences"):
+            enumerate_model_structures(side, max_generators=1)
+        with pytest.raises(CapExceeded, match="lattice elements"):
+            enumerate_model_structures(side, max_elements=2)
+    assert grown == []
 
 
 def test_random_stream_deterministic():
