@@ -214,17 +214,11 @@ def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:
 
 
 def compute_Jchi(rel: RelStruct, chi: CenterMap) -> MorphClass:
-    """W-morphisms whose codomain sits below its center.
-
-    On the grid path this is W & (every domain, the codomains b <= chi(b)),
-    read on W's op() side by its kit.  The pair-table path scans W.
-    """
+    """W-morphisms whose codomain sits below its center: W & (every domain,
+    the codomains b <= chi(b)), read on W's op() side by its kit."""
     lat = rel.lattice
     below = sum(1 << b for b in range(lat.n) if lat.leq(b, chi.chi[b]))
-    kit = lat._kit
-    if kit is not None:
-        return MorphClass._of(lat, rel.weq.bits & kit.outer((1 << lat.n) - 1, below))
-    return MorphClass._of(lat, sum(1 << i for i in iter_bits(rel.weq.bits) if below >> lat.pairs[i].dst & 1))
+    return MorphClass._of(lat, rel.weq.bits & lat._kit.outer((1 << lat.n) - 1, below))
 
 
 def compute_Qchi(rel: RelStruct, chi: CenterMap) -> MorphClass:

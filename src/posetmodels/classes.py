@@ -5,23 +5,21 @@ held in that lattice's one encoding (see the class).  All scans iterate in
 pair order, so reported witnesses are lexicographically least.  Dual
 checks run their primal on ``s.op()``, the same bits in the opposite lattice.
 
-On dense lattices (the gate is in the :mod:`~posetmodels.lattice` module
-docstring) a class is its grid, and the algebra that ``verify_model`` uses
-runs on grids: both complements (formulas derived in their docstrings),
-composition closure (S∘S & ~S = 0), the lifting-system checks and
-factorization (O & ~(lc∘rc) = 0).  The kit of each op() side answers in
-that side's terms (:class:`~posetmodels.lattice._GridKit`), so no code
-here asks for the side.  No kernel converts its result to a pair mask.
-The ten conditions of ``verify_model`` that read cof or fib have one
-implementation, :func:`_model_fails`, which takes a grid or a stack of
-grids, so the oracle checks a whole chunk of candidates in one call.
-Sparse lattices compute the same differences as pair masks from the pair
-tables, and one reader, :func:`_wfs_read`, takes the witnesses on both
-paths.  A pair witness is the lowest set bit of a difference, the least
-pair in pair order on both sides.  Two witnesses take a short second
-scan: the composition triple (the pair scan, run only once the product
-has found a failure) and the lifting g (the least member of rc among the
-pairs f fails to lift against).
+The algebra that ``verify_model`` uses (both complements, composition
+closure S∘S & ~S = 0, the lifting-system checks and factorization
+O & ~(lc∘rc) = 0) has one path: it calls the kit of its lattice side,
+grid kernels on dense lattices and pair-mask ones on sparse lattices (the
+gate and both kits are in :mod:`~posetmodels.lattice`).  Each kit answers
+in its side's terms, so no code here asks for the side or the encoding,
+and no kernel converts its result.  The ten conditions of
+``verify_model`` that read cof or fib have one implementation,
+:func:`_model_fails`, which the oracle also runs on stacks of grids, and
+one reader, :func:`_wfs_read`, takes the lifting-system witnesses.  A pair
+witness is the lowest set bit of a difference, the least pair in pair
+order on both sides.  Two witnesses take a short second scan: the
+composition triple (run only once the product has found a failure) and
+the lifting g (the least member of rc among the pairs f fails to lift
+against).  The grid formulas are derived in the complements' docstrings.
 """
 
 from __future__ import annotations
@@ -34,21 +32,20 @@ from .report import Check, Report
 class MorphClass(Dualizable):
     """An immutable class of morphisms over a fixed finite lattice.
 
-    ``bits`` holds the class in its lattice's one encoding: the grid where
-    ``lattice._kit`` exists (:class:`~posetmodels.lattice._GridKit`), else
-    the pair mask.  It is the identity that equality, hashing, ``<=``,
-    ``|``, ``&`` and ``-`` read, and it orders classes as pair masks do.
-    The pair mask ``mask`` is the boundary, read by iteration, membership,
-    rendering and the pair tables: computed on first read and written once,
-    or kept from ``MorphClass(lattice, mask)``.  Kernels build with :meth:`_of`.
+    ``bits`` holds the class in its kit's encoding, the grid on dense
+    lattices and the pair mask on sparse ones.  It is the identity that
+    equality, hashing, ``<=``, ``|``, ``&`` and ``-`` read, and it orders
+    classes as pair masks do.  The pair mask ``mask`` is the boundary, read
+    by iteration, membership, rendering and the pair tables: computed on
+    first read and written once, or kept from ``MorphClass(lattice, mask)``.
+    Kernels build with :meth:`_of`.
     """
 
     __slots__ = ("lattice", "bits", "_mask", "_rows", "_cols", "_op", "__weakref__")
 
     def __init__(self, lattice: FiniteLattice, mask: int):
-        kit = lattice._kit
         self.lattice = lattice
-        self.bits = mask if kit is None else kit.from_mask(mask)
+        self.bits = lattice._kit.from_mask(mask)
         self._mask = mask
         self._rows = self._cols = self._op = None
 
@@ -70,8 +67,7 @@ class MorphClass(Dualizable):
     def mask(self) -> int:
         """The pair mask: bit i holds ``lattice.pairs[i]``."""
         if self._mask is None:
-            kit = self.lattice._kit
-            self._mask = self.bits if kit is None else kit.to_mask(self.bits)
+            self._mask = self.lattice._kit.to_mask(self.bits)
         return self._mask
 
     @classmethod
@@ -79,26 +75,23 @@ class MorphClass(Dualizable):
         index = lattice.pair_index
         mask = lattice.identity_mask if add_identities else 0
         for (src, dst) in pairs:
-            a = src if isinstance(src, int) else lattice.index(src)
-            b = dst if isinstance(dst, int) else lattice.index(dst)
-            p = Pair(a, b)
+            p = lattice._pair_of(src, dst)
             if p not in index:
-                lattice.pair(a, b)  # raises: an index outside range(n), or incomparable
+                lattice.pair(*p)  # raises: an index outside range(n), or incomparable
             mask |= 1 << index[p]
         return cls(lattice, mask)
 
     @classmethod
     def identities(cls, lattice) -> "MorphClass":
-        kit = lattice._kit
-        return cls(lattice, lattice.identity_mask) if kit is None else cls._of(lattice, kit.ids)
+        return cls._of(lattice, lattice._kit.ids)
 
     @classmethod
     def all_morphisms(cls, lattice) -> "MorphClass":
-        kit = lattice._kit
-        return cls(lattice, lattice.all_pairs_mask) if kit is None else cls._of(lattice, kit.order)
+        return cls._of(lattice, lattice._kit.order)
 
     def __contains__(self, pair) -> bool:
-        i = self.lattice.pair_index.get(Pair(*pair))
+        """Whether the pair, of indices or labels, is a member; an unknown label is an input error."""
+        i = self.lattice.pair_index.get(self.lattice._pair_of(*pair))
         return i is not None and (self.mask >> i) & 1 == 1
 
     def __iter__(self):
@@ -146,30 +139,17 @@ class MorphClass(Dualizable):
 
     @property
     def rows(self) -> list[int]:
-        """rows[a] = element mask of all b with (a, b) in the class: on the
-        grid path, read off the grid by the kit of the class's side."""
+        """rows[a] = element mask of all b with (a, b) in the class, read by
+        the kit of the class's side."""
         if self._rows is None:
-            kit = self.lattice._kit
-            if kit is not None:
-                self._rows = kit.rows(self.bits)
-                return self._rows
-            rows = [0] * self.lattice.n
-            cols = [0] * self.lattice.n
-            for (a, b) in self:
-                rows[a] |= 1 << b
-                cols[b] |= 1 << a
-            self._rows, self._cols = rows, cols
+            self._rows = self.lattice._kit.rows(self.bits)
         return self._rows
 
     @property
     def cols(self) -> list[int]:
         """cols[b] = element mask of all a with (a, b) in the class."""
         if self._cols is None:
-            kit = self.lattice._kit
-            if kit is not None:
-                self._cols = kit.cols(self.bits)
-            else:
-                self.rows
+            self._cols = self.lattice._kit.cols(self.bits)
         return self._cols
 
 
@@ -183,9 +163,7 @@ def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
 
 
 def right_complement(s: MorphClass) -> MorphClass:
-    """All g such that every f in s lifts on the left of g.  On the pair
-    tables this is the left complement of s in the opposite lattice, where
-    lifting reverses (f lifts against g there iff g lifts against f in L).
+    """All g such that every f in s lifts on the left of g.
 
     On grids it is rc(S) = O & ~((Oᵀ∘S & ~Oᵀ)∘O), where O is the
     order grid (row a is up(a)), Oᵀ its transpose (row c is down(c)) and ∘
@@ -198,17 +176,13 @@ def right_complement(s: MorphClass) -> MorphClass:
     and rc(S) is every other pair.  The grid is the same on both op()
     sides, so the kit of L.op() takes this formula as its left complement.
     """
-    lat = s.lattice
-    kit = lat._kit
-    if kit is not None:
-        return MorphClass._of(lat, kit.rc(s.bits))
-    return left_complement(s.op()).op()
+    return MorphClass._of(s.lattice, s.lattice._kit.rc(s.bits))
 
 
 def left_complement(s: MorphClass) -> MorphClass:
     """All f such that f lifts on the left of every g in s.
 
-    On the grid path this is lc(S) = O & ~(O∘(S∘Oᵀ & ~Oᵀ)), with the
+    On grids this is lc(S) = O & ~(O∘(S∘Oᵀ & ~Oᵀ)), with the
     notation of :func:`right_complement`, by the same lifting rule read
     from the other end: row c of S∘Oᵀ holds the b <= d for some (c, d) in
     S; masking out Oᵀ keeps those with b not <= c; the product O∘ then
@@ -216,12 +190,7 @@ def left_complement(s: MorphClass) -> MorphClass:
     fail to lift against some member of S.  The kit of L.op() takes this
     formula as its right complement.
     """
-    lat = s.lattice
-    kit = lat._kit
-    if kit is not None:
-        return MorphClass._of(lat, kit.lc(s.bits))
-    bits = s.bits
-    return MorphClass._of(lat, sum(1 << i for i, row in enumerate(lat.nonlift_left) if not bits & row))
+    return MorphClass._of(s.lattice, s.lattice._kit.lc(s.bits))
 
 
 def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> list[int]:
@@ -269,20 +238,15 @@ def is_composition_closed(s: MorphClass) -> Check:
     in pair order that has some (b, c) in s without (a, c), with the least
     such c.
 
-    On the grid path s is closed iff S∘S & ~S = 0, which reads the same
-    on both op() sides; only a class that fails scans for its witness.
+    s is closed iff S∘S & ~S = 0, which reads the same on both op()
+    sides; only a class that fails scans for its witness.
     """
-    kit = s.lattice._kit
-    if kit is not None:
-        g = s.bits
-        if not kit.product(g, g) & ~g:
-            return Check("composition_closed", True)
+    g = s.bits
+    if not s.lattice._kit.product(g, g) & ~g:
+        return Check("composition_closed", True)
     rows = s.rows
-    for (a, b) in s:
-        missing = rows[b] & ~rows[a]
-        if missing:
-            return Check("composition_closed", False, (a, b, low_bit(missing)))
-    return Check("composition_closed", True)
+    a, b = next(p for p in s if rows[p.dst] & ~rows[p.src])
+    return Check("composition_closed", False, (a, b, low_bit(rows[b] & ~rows[a])))
 
 
 def is_binary_coproduct_closed(s: MorphClass) -> Check:
@@ -323,13 +287,13 @@ _MODEL_CHECKS = ("cof_subcategory", "fib_subcategory",
 
 
 def _wfs_fails(kit, lg: int, rg: int, factorization: bool = True) -> list[int]:
-    """The difference grids of the lifting-system checks of (lc, rc), whose
-    grids are `lg` and `rg`: with allowed = lc(rc), lifting fails on
-    lc & ~allowed, left maximality on allowed & ~lc, right maximality on
-    rc(lc) & ~rc and, with `factorization`, factorization on O & ~(lc∘rc),
-    the pairs that are no composite of an lc member followed by an rc
-    member.  `kit` reads the lattice's side, and may be a stack kit: then
-    each argument and result is a stack, checked block by block."""
+    """The differences of the lifting-system checks of (lc, rc), whose bits
+    in `kit`'s encoding are `lg` and `rg`: with allowed = lc(rc), lifting
+    fails on lc & ~allowed, left maximality on allowed & ~lc, right
+    maximality on rc(lc) & ~rc and, with `factorization`, factorization on
+    O & ~(lc∘rc), the pairs that are no composite of an lc member followed
+    by an rc member.  `kit` reads the lattice's side, and may be a stack
+    kit: then each argument and result is a stack, checked block by block."""
     allowed = kit.lc(rg)
     fails = [lg & ~allowed, allowed & ~lg, kit.rc(lg) & ~rg]
     if factorization:
@@ -338,37 +302,33 @@ def _wfs_fails(kit, lg: int, rg: int, factorization: bool = True) -> list[int]:
 
 
 def _model_fails(kit, cof: int, fib: int, weq: int) -> list[int]:
-    """The difference grids of the ten conditions :data:`_MODEL_CHECKS` of
-    (cof, fib) over weq, in that order; each condition holds iff its grid
-    is zero.  A subcategory misses ids & ~S or S∘S & ~S; the lifting-system
-    checks are :func:`_wfs_fails` of (cof, fib & weq) and (cof & weq, fib).
-    The one implementation of those conditions: ``verify_model`` passes
-    grids (the stack of one) and the oracle stacks of candidates."""
+    """The differences of the ten conditions :data:`_MODEL_CHECKS` of
+    (cof, fib) over weq, in that order, in `kit`'s encoding; each condition
+    holds iff its difference is zero.  A subcategory misses ids & ~S or
+    S∘S & ~S; the lifting-system checks are :func:`_wfs_fails` of
+    (cof, fib & weq) and (cof & weq, fib).  The one implementation of those
+    conditions on both encodings: ``verify_model`` passes a class's bits
+    and the oracle stacks of candidate grids."""
     return [(kit.ids | kit.product(cof, cof)) & ~cof, (kit.ids | kit.product(fib, fib)) & ~fib,
             *_wfs_fails(kit, cof, fib & weq), *_wfs_fails(kit, cof & weq, fib)]
 
 
 def _wfs_read(lat: FiniteLattice, rc: int, fails: list[int], prefix: str) -> list[Check]:
-    """The lifting-system checks whose differences are `fails`, rc being
-    `rc`: grids on the grid path (:func:`_wfs_fails`), pair masks on the
-    pair-table path.  A witness is the lowest bit of its difference, the
-    least pair f in pair order on both op() sides; for lifting, with the
-    least g in rc that f fails to lift against.  f = (a, b) fails against
-    the g = (c, d) with c in up(a) & ~up(b) and d in up(b): the row of f
-    in the left lift table, or on grids that outer product."""
+    """The lifting-system checks whose differences are `fails`
+    (:func:`_wfs_fails`), rc being `rc`.  A witness is the lowest bit of
+    its difference, the least pair f in pair order on both op() sides; for
+    lifting, with the least g in rc that f fails to lift against: f = (a, b)
+    fails against the g = (c, d) with c in up(a) & ~up(b) and d in up(b)."""
     kit, up = lat._kit, lat._up
-    pair_at = lat.pairs.__getitem__ if kit is None else kit.pair
     checks = []
     for name, extra in zip(_WFS_CHECKS, fails):
         if not extra:
             checks.append(Check(prefix + name, True))
             continue
-        bit = low_bit(extra)
-        f = pair_at(bit)
+        f = kit.pair(low_bit(extra))
         witness = (f,)
         if name == "lifting":  # the pairs f fails to lift against, then the least of them in rc
-            against = lat.nonlift_left[bit] if kit is None else kit.outer(up[f.src] & ~up[f.dst], up[f.dst])
-            witness = (f, pair_at(low_bit(against & rc)))
+            witness = (f, kit.pair(low_bit(kit.outer(up[f.src] & ~up[f.dst], up[f.dst]) & rc)))
         checks.append(Check(prefix + name, False, witness))
     return checks
 
@@ -376,39 +336,20 @@ def _wfs_read(lat: FiniteLattice, rc: int, fails: list[int], prefix: str) -> lis
 def _wfs_checks(lc: MorphClass, rc: MorphClass, prefix: str = "", factorization: bool = True) -> list[Check]:
     """The lifting-system checks of (lc, rc), each named `prefix` + its name:
     lifting, left_maximal, right_maximal and, with `factorization`, the
-    factorization check (see :func:`is_mls` and :func:`is_wfs`).
-
-    On the grid path the differences are read off grids
-    (:func:`_wfs_fails`): no class is built and no grid is turned back
-    into a pair mask.  The pair-table path computes the same differences
-    as pair masks, factorization's being the pairs (a, b) with no middle
-    in lc's row a and rc's column b.  One reader, :func:`_wfs_read`, takes
-    the witnesses on both paths.
+    factorization check (see :func:`is_mls` and :func:`is_wfs`), read off
+    the differences of :func:`_wfs_fails`: no class is built.
     """
-    lat = lc.lattice
-    kit = lat._kit
-    if kit is not None:
-        return _wfs_read(lat, rc.bits, _wfs_fails(kit, lc.bits, rc.bits, factorization), prefix)
-    allowed = left_complement(rc).bits
-    fails = [lc.bits & ~allowed, allowed & ~lc.bits, right_complement(lc).bits & ~rc.bits]
-    if factorization:
-        lrows, rcols = lc.rows, rc.cols  # rows[a] lies in up(a) and cols[b] in down(b)
-        fails.append(sum(1 << i for i, (a, b) in enumerate(lat.pairs) if not lrows[a] & rcols[b]))
-    return _wfs_read(lat, rc.bits, fails, prefix)
+    return _wfs_read(lc.lattice, rc.bits, _wfs_fails(lc.lattice._kit, lc.bits, rc.bits, factorization), prefix)
 
 
 def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Check]:
-    """The ten checks :data:`_MODEL_CHECKS` of ``verify_model``.  On the grid
-    path they read the difference grids of :func:`_model_fails`, with each
-    witness as :func:`subcategory_check` and :func:`_wfs_checks` give it;
-    a subcategory witness is searched only once its difference is nonzero."""
+    """The ten checks :data:`_MODEL_CHECKS` of ``verify_model``, read off the
+    differences of :func:`_model_fails`, with each witness as
+    :func:`subcategory_check` and :func:`_wfs_checks` give it; a
+    subcategory witness is searched only once its difference is nonzero."""
     lat = cof.lattice
-    kit = lat._kit
-    if kit is None:
-        return [subcategory_check(cof, _MODEL_CHECKS[0]), subcategory_check(fib, _MODEL_CHECKS[1]),
-                *_wfs_checks(cof, fib & weq, "cof_afib."), *_wfs_checks(cof & weq, fib, "acof_fib.")]
     fg, wg = fib.bits, weq.bits
-    fails = _model_fails(kit, cof.bits, fg, wg)
+    fails = _model_fails(lat._kit, cof.bits, fg, wg)
     checks = [subcategory_check(s, name) if extra else Check(name, True)
               for s, name, extra in zip((cof, fib), _MODEL_CHECKS, fails)]
     return checks + _wfs_read(lat, fg & wg, fails[2:6], "cof_afib.") + _wfs_read(lat, fg, fails[6:], "acof_fib.")

@@ -24,24 +24,26 @@ equality: ``L.op()`` is not equal to the lattice built from the reversed
 order.  Every table is memoised per side (:class:`Dualizable`); a hit
 reads the memo directly (:func:`_memoised`).
 
-Dense lattices also hold grid kernels (:class:`_GridKit`).  A grid packs a
-class into one n^2-bit int: bit a*n + b is set when the class holds the
-pair whose primal reading is (a, b), its reading in the lattice that
+Each lattice side holds one kit of kernels, ``_kit``.  Dense lattices
+hold grid kernels (:class:`_GridKit`).  A grid packs a class into one
+n^2-bit int: bit a*n + b is set when the class holds the pair whose
+primal reading is (a, b), its reading in the lattice that
 :func:`build_lattice` returned rather than in its opposite.  So ``x.op()``
-shares x's grid, and the lowest set bit is the least pair in pair order on
-both sides.  Complements, composition closure, the lifting-system checks
-and factorization become a few boolean matrix products of n loop steps
-each (V. L. Arlazarov et al., "On economical construction of the transitive
+shares x's grid, and the lowest set bit is the least pair in pair order
+on both sides.  Complements, composition closure, the lifting-system checks and
+factorization become a few boolean matrix products of n loop steps each
+(V. L. Arlazarov et al., "On economical construction of the transitive
 closure of an oriented graph", 1970).  A product costs ~n^3 bit
 operations whatever the pair count P, the pair tables ~P^2, so a lattice
-takes the grid path iff n^3 <= 4 * P^2 (``_GRID_DENSITY``) and keeps the
-pair tables otherwise.  4 is where the two ``verify_model`` paths measured
-even: on wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about 4.2,
-on parallel 2-chains between 3.6 and 4.3.  L and L.op() have the same n
-and P, so they take the same path, and ``L.op()._kit`` is a view of L's
-kit that answers in L.op()'s terms; every lattice of at most 33 elements
+takes the grid path iff n^3 <= 4 * P^2 (``_GRID_DENSITY``); sparser ones
+hold pair-mask kernels (:class:`_PairKit`) with the same methods, read
+off the pair tables.  4 is where the two ``verify_model`` paths measured
+even: on wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about
+4.2, on parallel 2-chains between 3.6 and 4.3.  L and L.op() have the same
+n and P, so they take the same path; ``L.op()._kit`` is a view of L's grid
+kit that answers in L.op()'s terms.  Every lattice of at most 33 elements
 takes the grid path, since the wide one has the fewest pairs, 3n - 3.
-The kernels also run on stacks, many grids side by side in one int,
+The grid kernels also run on stacks, many grids side by side in one int,
 bit-parallel across grids ("SIMD within a register": R. J. Fisher and
 H. G. Dietz, "Compiling for SIMD within a register", 1998); the oracle
 grows, generates and verifies all its candidates that way.
@@ -50,6 +52,7 @@ grows, generates and verifies all its candidates that way.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import threading
 import weakref
@@ -398,12 +401,61 @@ class _GridStack(_GridKit):
         return x
 
 
+class _PairKit:
+    """The methods of :class:`_GridKit` that the class algebra calls, on the
+    pair masks of one sparse lattice side, in its terms: lc and rc read the
+    left and right lift tables, the products test the first class's row
+    against the second's column.  Scans read ``bin(x)[:1:-1]`` (bit i at
+    index i) and build with ``int(..., 2)`` over the pairs reversed.  The kit
+    holds its lattice weakly: no reference cycle (:class:`Dualizable`)."""
+
+    __slots__ = ("_lat", "n", "opposite", "pairs", "ids", "order", "_cells")
+
+    def __init__(self, lat: "FiniteLattice"):
+        self._lat = weakref.ref(lat)
+        self.n, self.opposite, self.pairs = lat.n, lat.opposite, lat.pairs
+        self.ids, self.order = lat.identity_mask, lat.all_pairs_mask
+        self._cells = ([(a, 1 << b) for a, b in self.pairs], [(b, 1 << a) for a, b in self.pairs])
+
+    def from_mask(self, mask: int) -> int:
+        return mask
+
+    to_mask = from_mask  # both return their input: the pair mask is this kit's encoding
+
+    def rows(self, mask: int, end: int = 0) -> list[int]:
+        """rows[a] = the element mask of the b with (a, b) in `mask`; with end = 1, cols[b] of the a."""
+        out = [0] * self.n
+        for a, bit in itertools.compress(self._cells[end], map("1".__eq__, bin(mask)[:1:-1])):
+            out[a] |= bit
+        return out
+
+    def cols(self, mask: int) -> list[int]:
+        return self.rows(mask, 1)
+
+    def lc(self, s: int) -> int:
+        return int("".join(["0" if s & row else "1" for row in reversed(self._lat().nonlift_left)]), 2)
+
+    def rc(self, s: int) -> int:
+        return int("".join(["0" if s & row else "1" for row in reversed(self._lat().nonlift_right)]), 2)
+
+    def composite(self, first: int, second: int) -> int:
+        rows, cols = self.rows(first), self.cols(second)
+        return int("".join(["1" if rows[a] & cols[b] else "0" for a, b in reversed(self.pairs)]), 2)
+
+    def product(self, x: int, y: int) -> int:
+        """x∘y in primal terms, as :meth:`_GridKit.product`."""
+        return self.composite(y, x) if self.opposite else self.composite(x, y)
+
+    def outer(self, srcs: int, dsts: int) -> int:
+        return int("".join(["1" if srcs >> a & dsts >> b & 1 else "0" for a, b in reversed(self.pairs)]), 2)
+
+    def pair(self, bit: int) -> Pair:
+        return self.pairs[bit]
+
+
 def _side_kit(lat: "FiniteLattice") -> _GridKit:
-    """A grid kit read on `lat`'s op() side: in L.op(), the flipped view of
-    L's kit, or of a new one where L keeps none."""
-    if lat.opposite:
-        return (lat.op()._kit or _side_kit(lat.op())).flipped()
-    return _GridKit(lat._up, lat._down)
+    """A new grid kit read on `lat`'s op() side."""
+    return _GridKit(lat._down, lat._up).flipped() if lat.opposite else _GridKit(lat._up, lat._down)
 
 
 class FiniteLattice(Dualizable):
@@ -464,10 +516,13 @@ class FiniteLattice(Dualizable):
     def name(self, i: int) -> str:
         return self.names[i]
 
+    def _pair_of(self, src, dst) -> Pair:
+        """The Pair of two indices or labels, unchecked; an unknown label raises InvalidInput."""
+        return Pair(src if isinstance(src, int) else self.index(src), dst if isinstance(dst, int) else self.index(dst))
+
     def pair(self, src, dst) -> Pair:
         """Build a Pair from indices or labels, checking indices and comparability."""
-        a = src if isinstance(src, int) else self.index(src)
-        b = dst if isinstance(dst, int) else self.index(dst)
+        a, b = self._pair_of(src, dst)
         for x in (a, b):
             if x not in range(self.n):
                 raise InvalidInput(f"object index must be in range({self.n}), got {x!r}")
@@ -524,11 +579,12 @@ class FiniteLattice(Dualizable):
 
     @property
     @_memoised
-    def _kit(self) -> _GridKit | None:
-        """The grid kernels on the dense path, None on the sparse one (module
-        docstring); L and L.op() have the same n and P, so they take one path."""
+    def _kit(self) -> _GridKit | _PairKit:
+        """This side's kernels: grids if dense, else pair masks (module docstring)."""
         pairs = sum(m.bit_count() for m in self._up)
-        return _side_kit(self) if self.n ** 3 <= _GRID_DENSITY * pairs * pairs else None
+        if self.n ** 3 > _GRID_DENSITY * pairs * pairs:
+            return _PairKit(self)
+        return self.op()._kit.flipped() if self.opposite else _GridKit(self._up, self._down)
 
     @property
     def all_pairs_mask(self) -> int:

@@ -134,9 +134,9 @@ def verify_model(m: ModelStruct) -> Report:
     memoised on ``m.rel`` (see :class:`~posetmodels.lattice.Dualizable`)
     and shared by every structure over it.  Every check that reads cof or
     fib runs in full on each call, so the verification stays exhaustive;
-    on the grid path those ten are the difference grids of
-    :func:`~posetmodels.classes._model_fails` for the stack of one, the
-    implementation the oracle runs on stacks of candidates.
+    those ten are the differences of :func:`~posetmodels.classes._model_fails`
+    in the lattice's encoding, the implementation the oracle also runs on
+    stacks of candidate grids.
     """
     we_sub, two_of_three = _weq_checks(m.rel)
     m.report = Report((we_sub, *_model_checks(m.cof, m.fib, m.we), two_of_three))

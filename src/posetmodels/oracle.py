@@ -26,13 +26,11 @@ structure, and the W-only checks of ``verify_model`` reject it first.
 
 Everything runs on stacks of grids (:class:`~posetmodels.lattice._GridKit`),
 cut into chunks of at most ``_STACK_BYTES`` bytes, on either side of the
-density gate: a dense lattice's classes are grids already, and a sparse
-lattice builds a kit for the call, gathering W in and each accepted
-class out.  Growth goes one breadth-first level at a time: every
-frontier class s and generator g not in s give s | PO(g), PO(g) read
-off the join table, and one stacked Warshall pass of n steps closes
-them all; the closures are deduplicated.  One stacked pass of the
-complement kernels then gives every closed class J its candidate
+density gate (:func:`_grid_side`).  Growth goes one breadth-first level
+at a time: every frontier class s and generator g not in s give
+s | PO(g), PO(g) read off the join table, and one stacked Warshall pass
+of n steps closes them all; the closures are deduplicated.  One stacked
+pass of the complement kernels then gives every closed class J its candidate
 (lc(W & rc(J)), rc(J)), and :func:`~posetmodels.classes._model_fails`, the
 one implementation of the ten cof/fib conditions of
 :func:`~posetmodels.models.verify_model`, checks all candidates at once:
@@ -69,7 +67,7 @@ def _require_cap(name: str, cap: int) -> None:
         raise InvalidInput(f"{name} must be at least 0, got {cap}")
 
 
-def _chunks(kit: _GridKit, grids: list[int]) -> Iterator[tuple[_GridKit, list[int]]]:
+def _chunks(kit, grids: list[int]) -> Iterator[tuple[object, list[int]]]:
     """`grids` cut into runs of at most _STACK_BYTES bytes, each with its stack kit."""
     per = max(1, _STACK_BYTES // kit.block_bytes)
     for i in range(0, len(grids), per):
@@ -85,7 +83,7 @@ def _generators(rel: RelStruct, max_generators: int) -> list[Pair]:
     return gens
 
 
-def _closed_grids(lat, kit: _GridKit, weq: int, gens: list[Pair]) -> list[int]:
+def _closed_grids(lat, kit, weq: int, gens: list[Pair]) -> list[int]:
     """The grid of every identity-containing class inside W closed under
     composition and pushout, in no fixed order, W being a subcategory with
     grid `weq` and non-identity members `gens` (module docstring)."""
@@ -107,13 +105,24 @@ def _closed_grids(lat, kit: _GridKit, weq: int, gens: list[Pair]) -> list[int]:
     return list(seen)
 
 
+def _grid_side(rel: RelStruct):
+    """The grid kit of `rel`'s side, W's grid and the gather from grids to
+    the lattice's encoding (None where that is the grid).  A sparse lattice,
+    whose pair-mask kit has no stacks, builds a grid kit for the call: the
+    one place outside the lattice module that asks which kit it keeps."""
+    lat = rel.lattice
+    if isinstance(lat._kit, _GridKit):
+        return lat._kit, rel.weq.bits, None
+    kit = _side_kit(lat)
+    return kit, kit.from_mask(rel.weq.bits), kit.to_mask
+
+
 def _closed_classes(rel: RelStruct, max_generators: int) -> list[int]:
     """Every identity-containing class inside W closed under composition
     and pushout, as sorted pair masks (see the module docstring); W must be
     a subcategory."""
-    kit = rel.lattice._kit or _side_kit(rel.lattice)
-    grids = _closed_grids(rel.lattice, kit, kit.from_mask(rel.weq.mask), _generators(rel, max_generators))
-    return sorted(map(kit.to_mask, grids))
+    kit, weq, _ = _grid_side(rel)
+    return sorted(map(kit.to_mask, _closed_grids(rel.lattice, kit, weq, _generators(rel, max_generators))))
 
 
 def enumerate_model_structures(
@@ -133,9 +142,7 @@ def enumerate_model_structures(
     we_sub, two_of_three = _weq_checks(rel)
     if not (we_sub.ok and two_of_three.ok):
         return []
-    sparse = lat._kit is None
-    kit = _side_kit(lat) if sparse else lat._kit  # a sparse lattice builds a kit for the call
-    weq = kit.from_mask(rel.weq.bits) if sparse else rel.weq.bits
+    kit, weq, gather = _grid_side(rel)
     report = Report((we_sub, *(Check(name, True) for name in _MODEL_CHECKS), two_of_three))
     found = set()
     for stack, chunk in _chunks(kit, _closed_grids(lat, kit, weq, gens)):
@@ -147,8 +154,8 @@ def enumerate_model_structures(
             failed |= fails
         cofs, fibs = stack.unpack(cof), stack.unpack(fib)
         found.update((cofs[j], fibs[j]) for j in stack.zero_blocks(failed))
-    if sparse:  # back to the lattice's encoding
-        found = {(kit.to_mask(c), kit.to_mask(f)) for c, f in found}
+    if gather:  # back to the lattice's encoding
+        found = {(gather(c), gather(f)) for c, f in found}
     return [ModelStruct(rel, MorphClass._of(lat, c), MorphClass._of(lat, f), report) for c, f in sorted(found)]
 
 

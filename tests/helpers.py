@@ -45,6 +45,7 @@ from posetmodels import (
 )
 from posetmodels.equivalence import _contract
 from posetmodels.errors import NotALattice
+from posetmodels.lattice import _GridKit
 from posetmodels.models import _generated_by
 
 
@@ -249,6 +250,12 @@ def composition_closed_weqs(lat) -> list:
 def memo_entry(x, key):
     """The value memoised on x under `key` (see ``Dualizable``), or None."""
     return x._memo.get(key)
+
+
+def on_grid_path(lat) -> bool:
+    """Whether `lat` keeps grid kernels (the dense side of the density gate)
+    rather than pair-mask ones."""
+    return isinstance(lat._kit, _GridKit)
 
 
 def record_calls(monkeypatch, owner, name) -> list:

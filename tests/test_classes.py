@@ -39,9 +39,18 @@ def W(rel):
 
 
 def test_membership_and_construction(two_structures):
+    # a pair is given by labels or indices, as from_pairs takes it; a known
+    # pair that is no member, comparable or not, is absent, and an unknown
+    # label is an input error
     lat = two_structures.lattice
     s = MorphClass.from_pairs(lat, [("A", "B")], add_identities=True)
-    assert ("A", "B") not in [] and (lat.index("A"), lat.index("B")) in s
+    a, b = lat.index("A"), lat.index("B")
+    assert ("A", "B") in s and (a, b) in s and Pair(a, b) in s and ("A", b) in s and (a, "B") in s
+    assert ("C", "C") in s and (lat.index("C"),) * 2 in s
+    assert ("A", "C") not in s and (a, lat.index("C")) not in s  # comparable, no member
+    assert ("B", "Bp") not in s and ("B", "A") not in s  # incomparable, and reversed
+    with pytest.raises(InvalidInput, match="unknown element label 'Z'"):
+        ("A", "Z") in s
     assert s.has_identities()
     with pytest.raises(NotComparable):
         MorphClass.from_pairs(lat, [("B", "Bp")])

@@ -499,3 +499,60 @@ def test_only_the_class_boundary_converts_encodings():
                      if any(isinstance(node, ast.Attribute) and node.attr in ("to_mask", "from_mask")
                             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
     assert set(readers) - {"lattice.py"} == {"classes.py", "oracle.py"}
+
+
+def _kit_reads(tree) -> set:
+    """The names that `tree` binds to a ``_kit`` read, "_kit" itself included."""
+    names = {"_kit"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                tuples = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                for t, v in zip(target.elts, node.value.elts) if tuples else [(target, node.value)]:
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "_kit":
+                        names.add(t.id)
+    return names
+
+
+def _tests_the_kit(node, kits: set) -> bool:
+    """Whether `node` asks which kit a lattice keeps: compares, negates or
+    combines a kit read (a name in `kits`), or passes it to isinstance or type."""
+    def is_kit(x):
+        return getattr(x, "attr", None) in kits or getattr(x, "id", None) in kits
+    if isinstance(node, ast.Compare):
+        return any(map(is_kit, [node.left, *node.comparators]))
+    if isinstance(node, ast.BoolOp):
+        return any(map(is_kit, node.values))
+    if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+        return is_kit(node.test)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return is_kit(node.operand)
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "type")
+            and any(map(is_kit, node.args)))
+
+
+def test_only_the_lattice_module_chooses_a_kit():
+    # the density gate, both kits and the choice between them live in the
+    # lattice module; every other module calls its side's kit without asking
+    # which one it is.  The oracle's route to a grid kit, which it needs for
+    # stacks, is the one exception: its helper and that helper's imports.
+    src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    named = {"_GridKit", "_GridStack", "_PairKit", "_side_kit", "_GRID_DENSITY"}
+    offenders = []
+    for path in modules:
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        kits, exempt = _kit_reads(tree), set()
+        if path.name == "oracle.py":
+            helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_grid_side")
+            exempt = {id(node) for node in ast.walk(helper)}
+            assert any(_tests_the_kit(node, kits) for node in ast.walk(helper))  # the guard sees the exception
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            import_of_helper = path.name == "oracle.py" and isinstance(node, ast.alias)
+            if id(node) not in exempt and (_tests_the_kit(node, kits) or (name in named and not import_of_helper)):
+                offenders.append((path.name, getattr(node, "lineno", None), name))
+    assert offenders == []

@@ -1,11 +1,13 @@
-"""The grid kernels and the density gate that chooses between them and the pair tables.
+"""The grid kernels, the pair-mask kernels and the density gate that chooses between them.
 
 Every result of the class algebra must be the same on both paths, least
 witnesses included; the kernels are checked against naive loops.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -15,6 +17,7 @@ from posetmodels import (
     ModelStruct,
     MorphClass,
     build_lattice,
+    construct_terminal,
     is_composition_closed,
     is_mls,
     is_wfs,
@@ -27,10 +30,17 @@ from posetmodels import (
     verify_model,
 )
 from posetmodels.classes import _model_fails
-from posetmodels.lattice import _GridKit, iter_bits
+from posetmodels.lattice import _GridKit, _PairKit, _side_kit, iter_bits, low_bit
 from posetmodels.models import _generated_by
 
-from helpers import compose_close, naive_left_complement, naive_right_complement, permuted_instances, record_calls
+from helpers import (
+    compose_close,
+    naive_left_complement,
+    naive_right_complement,
+    on_grid_path,
+    permuted_instances,
+    record_calls,
+)
 from test_lattice import _grid
 
 ALWAYS, NEVER = 10**12, 0  # gate constants that force the grid path and the table path
@@ -85,7 +95,7 @@ def _kernel_battery(rel, rng):
     for side in (rel, rel.op()):
         lat = side.lattice
         kit = lat._kit
-        assert kit is not None and _shares_tables(kit, rel.lattice._kit)  # one kit's tables for both sides
+        assert on_grid_path(lat) and _shares_tables(kit, rel.lattice._kit)  # one kit's tables for both sides
         n = lat.n
         cells = [(b, a) if lat.opposite else (a, b) for (a, b) in lat.pairs]  # primal readings
         assert cells == sorted(cells)
@@ -233,7 +243,7 @@ def test_classes_with_the_same_pairs_are_equal_however_built(gate, monkeypatch):
     for rel in (r for _, r in zip(range(60), random_instances(InstanceGen(seed=23)))):
         for side in (rel, rel.op()):
             lat = side.lattice
-            assert (lat._kit is None) == (gate == NEVER)
+            assert on_grid_path(lat) == (gate == ALWAYS)
             mx, my = _random_class(lat, rng), _random_class(lat, rng)
             x, y = MorphClass(lat, mx), MorphClass(lat, my)
             rc, lc = right_complement(x), left_complement(x)
@@ -291,8 +301,8 @@ def _both_paths_agree(rel, rng, monkeypatch, failed):
         with monkeypatch.context() as m:
             m.setattr(lattice_module, "_GRID_DENSITY", gate)
             fresh = _rebuilt(rel)
-            assert (fresh.lattice._kit is None) == (gate == NEVER)
-            assert (fresh.lattice.op()._kit is None) == (gate == NEVER)
+            assert on_grid_path(fresh.lattice) == (gate == ALWAYS)
+            assert on_grid_path(fresh.lattice.op()) == (gate == ALWAYS)
             by_path.append(_results(fresh, masks, pairings, failed))
     assert by_path[0] == by_path[1]
 
@@ -314,15 +324,70 @@ def test_both_paths_agree_on_random_instances(monkeypatch):
         assert name in failed, name
 
 
+def _kit_battery(lat, rng):
+    """The pair-mask kit against a grid kit of `lat`'s side, method by
+    method, each result read as a pair mask; operands are pair masks and
+    their grids."""
+    pk, gk = _PairKit(lat), _side_kit(lat)
+    n, npairs = lat.n, len(lat.pairs)
+    assert pk.ids == gk.to_mask(gk.ids) == lat.identity_mask and pk.order == gk.to_mask(gk.order)
+    assert [pk.pair(i) for i in range(npairs)] == [gk.pair(low_bit(gk.from_mask(1 << i))) for i in range(npairs)]
+    masks = [0, pk.ids, pk.order] + [_random_class(lat, rng) for _ in range(5)]
+    for x, y in [(x, y) for x in masks for y in masks[:4]] + [(rng.choice(masks), rng.choice(masks)) for _ in range(8)]:
+        gx, gy = gk.from_mask(x), gk.from_mask(y)
+        assert pk.from_mask(x) == pk.to_mask(x) == x
+        assert (pk.rows(x), pk.cols(x)) == (gk.rows(gx), gk.cols(gx))
+        assert (pk.lc(x), pk.rc(x)) == (gk.to_mask(gk.lc(gx)), gk.to_mask(gk.rc(gx)))
+        assert pk.composite(x, y) == gk.to_mask(gk.composite(gx, gy))
+        assert pk.product(x, y) == gk.to_mask(gk.product(gx, gy))
+        srcs, dsts = rng.getrandbits(n), rng.getrandbits(n)
+        assert pk.outer(srcs, dsts) == gk.to_mask(gk.outer(srcs, dsts))
+
+
+def test_pair_kit_matches_grid_kit_on_random_instances():
+    rng = random.Random(11)
+    for rel in (r for _, r in zip(range(60), random_instances(InstanceGen(seed=29)))):
+        for side in (rel.lattice, rel.lattice.op()):
+            _kit_battery(side, rng)
+
+
+def test_pair_kit_matches_grid_kit_on_wide_lattices():
+    # the sparse side of the gate, where the pair-mask kit is the lattice's own
+    rng = random.Random(12)
+    for n in range(34, 41):
+        lat = _wide(n)
+        for side in (lat, lat.op()):
+            assert not on_grid_path(side)
+            _kit_battery(side, rng)
+
+
+def test_kits_form_no_reference_cycle():
+    # once both sides' kits are built and used, a lattice and its opposite
+    # are freed by reference counting alone, on either side of the gate: a
+    # kit forms no reference cycle with its lattice (Dualizable's contract)
+    gc.disable()
+    try:
+        for build, n in ((_wide, 36), (_chain, 5)):
+            lat = build(n)
+            rel = validate_relative(lat, [lat.pair_names(p) for p in lat.pairs])
+            m = construct_terminal(rel)
+            assert verify_model(m).ok and verify_model(m.op()).ok  # both sides' kits, lift tables and products
+            refs = [weakref.ref(lat), weakref.ref(lat.op())]
+            del lat, rel, m
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_gate_paths():
     # every lattice of at most 33 elements is dense enough: the wide one has the fewest pairs
     for lat in (load("chain-64").lattice, _chain(178), build_lattice(*_grid(12, 10)), _wide(10), _wide(33)):
-        assert lat._kit is not None and _shares_tables(lat.op()._kit, lat._kit)
+        assert on_grid_path(lat) and _shares_tables(lat.op()._kit, lat._kit)
     for rel in (r for _, r in zip(range(50), random_instances(InstanceGen(seed=3, max_elements=10)))):
-        assert rel.lattice._kit is not None and rel.lattice.op()._kit is not None
+        assert on_grid_path(rel.lattice) and on_grid_path(rel.lattice.op())
     for n in (34, 64, 128, 256, 512):
         lat = _wide(n)
-        assert lat._kit is None and lat.op()._kit is None
+        assert not on_grid_path(lat) and not on_grid_path(lat.op())
 
 
 def test_gate_is_deterministic_and_symmetric():
@@ -333,9 +398,9 @@ def test_gate_is_deterministic_and_symmetric():
         for first_op in (False, True):
             lat = _wide(n)
             sides = (lat.op(), lat) if first_op else (lat, lat.op())
-            verdicts.add(tuple(s._kit is None for s in sides))
+            verdicts.add(tuple(on_grid_path(s) for s in sides))
         assert len(verdicts) == 1 and len(set(next(iter(verdicts)))) == 1
-        assert (n >= 34) == next(iter(verdicts))[0]
+        assert (n < 34) == next(iter(verdicts))[0]
 
 
 @pytest.mark.parametrize("gate", [ALWAYS, NEVER])
@@ -347,6 +412,6 @@ def test_grids_ride_along_class_operations(gate, monkeypatch):
     derived = (fib & rel.weq, fib | rel.weq, fib - rel.weq, fib.op() & rel.weq.op())
     assert to_mask == []  # kernels and class operations gather nothing back into a pair mask
     for d in derived:
-        kit = d.lattice._kit
-        assert (kit is not None) == (gate == ALWAYS)
-        assert d.bits == (d.mask if kit is None else kit.from_mask(d.mask))
+        grid = on_grid_path(d.lattice)
+        assert grid == (gate == ALWAYS)
+        assert d.bits == (d.lattice._kit.from_mask(d.mask) if grid else d.mask)

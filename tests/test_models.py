@@ -42,7 +42,13 @@ from posetmodels.errors import (
     RecognitionFailed,
 )
 
-from helpers import check_center_invariants, check_model_invariants, memo_entry, structure_from_acyclic_cofibs
+from helpers import (
+    check_center_invariants,
+    check_model_invariants,
+    memo_entry,
+    on_grid_path,
+    structure_from_acyclic_cofibs,
+)
 from test_centers import const_chi
 
 LEFT_SIG = (
@@ -103,7 +109,7 @@ def test_verify_model_check_names_in_order(two_structures, s2of3_fail):
     # four checks each, 2-of-3; a wide lattice of 40 elements is sparse
     atoms = [f"a{i}" for i in range(38)]
     wide = identity_rel(["b", *atoms, "t"], [("b", a) for a in atoms] + [(a, "t") for a in atoms])
-    assert wide.lattice._kit is None and two_structures.lattice._kit is not None
+    assert not on_grid_path(wide.lattice) and on_grid_path(two_structures.lattice)
     lat = s2of3_fail.lattice
     failing = ModelStruct(s2of3_fail, MorphClass.identities(lat), MorphClass.identities(lat))
     for m in (left_printed(two_structures), right_printed(two_structures), failing, trivial_structure(wide)):
