@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
 
 from .classes import MorphClass
 from .errors import InvalidInput
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice, _memoised, build_lattice
 from .models import ModelStruct
 from .relative import RelStruct, validate_relative
 
 SCHEMA_VERSION = 1
+_SEQUENCES = {list, tuple}
 
 
 def _render(obj, pad: str = "") -> str:
@@ -39,6 +40,15 @@ def _render(obj, pad: str = "") -> str:
             return "[]"
         inner = pad + "  "
         open_leaves, leaf_sep, close_leaves = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+        if set(map(type, obj)) <= _SEQUENCES and set(map(len, obj)) == {2}:
+            # a list of pairs, in one join over its quoted labels, taken two at a time
+            labels = map(_quote, chain.from_iterable(obj))
+            try:
+                pairs = (close_leaves + ",\n" + inner + open_leaves).join(map(leaf_sep.join, zip(labels, labels)))
+            except TypeError:  # _quote takes strings only
+                pass
+            else:
+                return "[\n" + inner + open_leaves + pairs + close_leaves + "\n" + pad + "]"
         items = []
         for item in obj:
             if isinstance(item, str):
@@ -189,9 +199,14 @@ def class_name_pairs(s: MorphClass) -> list[list[str]]:
     """Non-identity members as name pairs in the lattice's pair order:
     ``lat.pairs`` selected by the mask's bits, lowest first."""
     lat = s.lattice
-    names = lat.names
     bits = bin(s.mask & ~lat.identity_mask)[:1:-1].encode().translate(_BIT_BYTES)  # byte i is bit i
-    return [[names[a], names[b]] for a, b in compress(lat.pairs, bits)]
+    return list(map(list, compress(_name_pairs(lat), bits)))
+
+
+@_memoised
+def _name_pairs(lat: FiniteLattice) -> tuple[tuple[str, str], ...]:
+    """The name pair of every pair of `lat`, in pair order."""
+    return tuple(map(lat.pair_names, lat.pairs))
 
 
 def structure_to_dict(m: ModelStruct) -> dict:

@@ -45,7 +45,7 @@ from posetmodels import (
 )
 from posetmodels.equivalence import _contract
 from posetmodels.errors import NotALattice
-from posetmodels.lattice import _GridKit
+from posetmodels.lattice import _GridKit, iter_bits
 from posetmodels.models import _generated_by
 
 
@@ -245,6 +245,39 @@ def composition_closed_weqs(lat) -> list:
         if all((a, d) in w for (a, b) in w for (c, d) in w if b == c):
             out.append(validate_relative(lat, [lat.pair_names(p) for p in w], add_identities=True))
     return out
+
+
+def subcategory_masks(lat) -> list[int]:
+    """The pair mask of every subcategory W of `lat`, each once: Close-by-One
+    over transitive closure, the scheme of the oracle's canonical growth.
+
+    The non-identity pairs (a, b) are ordered by their grid bit a*n + b,
+    and a class is held as its grid of non-identity pairs and its rows
+    (rows[x] the y with (x, y) in it).  A class s reached with start j has
+    the children t = the transitive closure of s + {g_i}, i >= j, g_i not
+    in s, that hold the same pairs below g_i as s; each starts its own
+    children at i + 1.  Adding (a, b) to a transitively closed s adds
+    (x, y) for every x that is a or has (x, a) in s and every y that is b
+    or has (b, y) in s."""
+    n, index = lat.n, lat.pair_index
+    gens = sorted((a * n + b, a, b) for a, b in lat.pairs if a != b)
+    grids = []
+
+    def grow(grid, rows, start):
+        grids.append(grid)
+        for i in range(start, len(gens)):
+            bit, a, b = gens[i]
+            if grid >> bit & 1:
+                continue
+            succ = rows[b] | 1 << b
+            new = [row | succ if x == a or row >> a & 1 else row for x, row in enumerate(rows)]
+            t = sum(row << x * n for x, row in enumerate(new))
+            if not (t ^ grid) & ((1 << bit) - 1):
+                grow(t, new, i + 1)
+
+    grow(0, [0] * n, 0)
+    ids = lat.identity_mask
+    return [ids | sum(1 << index[Pair(*divmod(bit, n))] for bit in iter_bits(grid)) for grid in grids]
 
 
 def memo_entry(x, key):

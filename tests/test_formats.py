@@ -38,8 +38,23 @@ def test_render_matches_json_dumps_indent_2(value):
     assert _render(value) == json.dumps(value, indent=2)
 
 
+pair_items = st.one_of(st.lists(text, min_size=2, max_size=2), st.tuples(text, text), scalars,
+                       st.lists(st.one_of(text, st.integers()), max_size=3))
+
+
+@given(st.lists(pair_items, min_size=1, max_size=6), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_render_matches_json_dumps_on_pair_lists(items, depth):
+    # a list of 2-item lists or tuples of strings renders in one join; any
+    # other item sends the list through the loop
+    for value in (items, [pair for pair in items if isinstance(pair, (list, tuple)) and len(pair) == 2]):
+        for _ in range(depth):
+            value = {"pairs": value}
+        assert _render(value) == json.dumps(value, indent=2)
+
+
 def test_render_rejects_what_json_rejects():
-    for bad in ({(1, 2): 0}, [object()], {"a": [1, {2}]}):
+    for bad in ({(1, 2): 0}, [object()], {"a": [1, {2}]}, [["a", "b"], ["c", object()]]):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):

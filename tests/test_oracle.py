@@ -207,6 +207,73 @@ def test_enumeration_digests():
     assert structures.hexdigest() == STRUCTURES_SHA256
 
 
+def _grown(rel, cap=14):
+    """oracle._closed_grids on `rel`, as enumerate_model_structures calls it."""
+    kit, weq, _ = oracle._grid_side(rel)
+    return oracle._closed_grids(rel.lattice, kit, weq, oracle._generators(rel, cap))
+
+
+def _digest_cases():
+    """The instances and generator caps of test_enumeration_digests."""
+    stream = random_instances(InstanceGen(seed=7))
+    cases = [(rel, 14) for rel in itertools.islice(
+        (rel for rel in stream if len(rel.weq.nonidentity_pairs()) <= 14), 200)]
+    return cases + [(load("two-structures"), 14), (load("forced"), 14), (load("chain-8"), 28)]
+
+
+def test_canonical_growth_forms_each_closed_class_once():
+    """No grid twice on either op() side: on the digest instances, and on
+    every (L, W) with |L| <= 4, where the grids sort to the naive closed
+    classes, which are distinct."""
+    grown = 0
+    for rel, cap in _digest_cases():
+        for side in (rel, rel.op()):
+            grids = _grown(side, cap)
+            assert len(set(grids)) == len(grids)
+            grown += len(grids)
+    assert grown >= 3_900  # chain-8 grows 1,430 on each side
+    for n in range(1, 5):
+        for lat in small_lattices(n):
+            for rel in composition_closed_weqs(lat):
+                for side in (rel, rel.op()):
+                    grids = _grown(side)
+                    kit = oracle._grid_side(side)[0]
+                    assert sorted(map(kit.to_mask, grids)) == naive_closed_classes(side)
+
+
+def test_closed_classes_do_not_depend_on_element_indices():
+    """The class list, read as sets of name pairs, is the same after
+    helpers.permuted re-indexes the elements, which reorders the generators."""
+    rng = random.Random(29)
+    rels = [load("two-structures"), load("forced"), _block_chain((4, 2, 2, 1))]
+    rels += list(itertools.islice(random_instances(InstanceGen(seed=31)), 60))
+    unsorted = 0
+    for rel in rels:
+        p = permuted(rel, rng)
+        unsorted += any(q.src > q.dst for q in p.lattice.pairs)
+        for side, other in ((rel, p), (rel.op(), p.op())):
+            named = [sorted(sorted(map(r.lattice.pair_names, MorphClass(r.lattice, mask).pairs()))
+                            for mask in _closed_classes(r, 14)) for r in (side, other)]
+            assert named[0] == named[1]
+    assert unsorted >= 30
+
+
+@pytest.mark.parametrize("name, cap, closures", [
+    ("two-structures", 14, [11, 11]), ("forced", 14, [8, 8]), ("chain-8", 28, [5134, 2806]),
+])
+def test_closures_formed_by_canonical_growth(name, cap, closures, monkeypatch):
+    # grids passed to the stacked closure on each op() side; growth that
+    # deduplicated its closures closed 13, 8 and 14,217 on either side
+    rel = load(name)
+    chunks = record_calls(monkeypatch, oracle, "_chunks")
+    formed = []
+    for side in (rel, rel.op()):
+        chunks.clear()
+        _closed_classes(side, cap)
+        formed.append(sum(len(grids) for _, grids in chunks))
+    assert formed == closures
+
+
 def test_random_stream_matches_naive_compose_close(monkeypatch):
     def draw(seed):
         return [

@@ -28,7 +28,14 @@ from posetmodels import (
 )
 from posetmodels.errors import S2OF3Failed
 
-from helpers import composition_closed_weqs, reference_replacement, reference_zigzag, small_lattices
+from helpers import (
+    composition_closed_weqs,
+    reference_replacement,
+    reference_zigzag,
+    small_lattices,
+    subcategory_masks,
+)
+from test_grid import _chain
 
 
 def _instances(n):
@@ -76,6 +83,24 @@ def _reduce_and_connect(rel, structures, contracts, reference=False):
                     if reference:
                         assert ([_masks(m) for m in z.nodes], z.directions) == expected[contract]
     return pairs
+
+
+def test_canonical_subcategories_match_the_brute_force_scan():
+    """Close-by-One lists every subcategory of each lattice with at most 5
+    elements once, as the scan over every pair subset does; on the chains
+    the counts are A006455."""
+    for n in range(1, 6):
+        for lat in small_lattices(n):
+            masks = subcategory_masks(lat)
+            assert len(set(masks)) == len(masks)
+            assert sorted(masks) == sorted(rel.weq.mask for rel in composition_closed_weqs(lat))
+    assert [len(subcategory_masks(_chain(n))) for n in range(2, 7)] == [2, 7, 40, 357, 4824]
+
+
+@pytest.mark.slow
+def test_seven_chain_subcategories():
+    # the next A006455 term; the brute-force scan would test 2^21 subsets
+    assert len(subcategory_masks(_chain(7))) == 96428
 
 
 def test_zigzag_and_reduce_every_structure_of_at_most_five_elements():
