@@ -228,9 +228,10 @@ def compute_Qchi(rel: RelStruct, chi: CenterMap) -> MorphClass:
 
 
 def compute_Wc_chi(rel: RelStruct, chi: CenterMap) -> MorphClass:
-    """W-morphisms all of whose nondegenerate pushouts stay in W and avoid Q_chi."""
-    allowed = rel.weq.mask & ~compute_Qchi(rel, chi).mask | rel.lattice.identity_mask
-    return _pushout_stable_part(rel, allowed, "W_c^chi")
+    """W-morphisms all of whose nondegenerate pushouts stay in W and avoid
+    Q_chi: the pushout-stable part of W in S = (W - Q_chi) | identities,
+    W & ~(O∘N_S) (:func:`~posetmodels.relative._pushout_stable_part`)."""
+    return _pushout_stable_part(rel, rel.weq - compute_Qchi(rel, chi) | MorphClass.identities(rel.lattice), "W_c^chi")
 
 
 def compute_Wf_chi(rel: RelStruct, chi: CenterMap) -> MorphClass:

@@ -7,19 +7,21 @@ checks run their primal on ``s.op()``, the same bits in the opposite lattice.
 
 The algebra that ``verify_model`` uses (both complements, composition
 closure S∘S & ~S = 0, the lifting-system checks and factorization
-O & ~(lc∘rc) = 0) has one path: it calls the kit of its lattice side,
-grid kernels on dense lattices and pair-mask ones on sparse lattices (the
-gate and both kits are in :mod:`~posetmodels.lattice`).  Each kit answers
+O & ~(lc∘rc) = 0) and pushout closure S & (O∘N_S) = 0 have one path:
+they call the kit of their lattice side, grid kernels on dense lattices
+and pair-mask ones on sparse lattices (the gate, both kits and the
+pushout formula are in :mod:`~posetmodels.lattice`).  Each kit answers
 in its side's terms, so no code here asks for the side or the encoding,
 and no kernel converts its result.  The ten conditions of
 ``verify_model`` that read cof or fib have one implementation,
 :func:`_model_fails`, which the oracle also runs on stacks of grids, and
 one reader, :func:`_wfs_read`, takes the lifting-system witnesses.  A pair
 witness is the lowest set bit of a difference, the least pair in pair
-order on both sides.  Two witnesses take a short second scan: the
-composition triple (run only once the product has found a failure) and
-the lifting g (the least member of rc among the pairs f fails to lift
-against).  The grid formulas are derived in the complements' docstrings.
+order on both sides.  Three witnesses take a short second scan: the
+composition triple (run only once the product has found a failure), the
+lifting g (the least member of rc among the pairs f fails to lift
+against) and the escaping pushout (the least pushout of f outside the
+class).  The grid formulas are derived in the complements' docstrings.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class MorphClass(Dualizable):
     lattices and the pair mask on sparse ones.  It is the identity that
     equality, hashing, ``<=``, ``|``, ``&`` and ``-`` read, and it orders
     classes as pair masks do.  The pair mask ``mask`` is the boundary, read
-    by iteration, membership, rendering and the pair tables: computed on
+    by iteration, membership and rendering: computed on
     first read and written once, or kept from ``MorphClass(lattice, mask)``.
     Kernels build with :meth:`_of`.
     """
@@ -211,16 +213,21 @@ def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> li
 
 def is_pushout_closed(s: MorphClass) -> Check:
     """Every pushout of a member is a member; the witness is the least
-    member f and its least escaping pushout, ``(f, pushout)``."""
-    lat = s.lattice
-    ps = lat.pairs
-    targets = lat.pushout_targets
-    mask = s.mask
-    for i in iter_bits(mask):
-        escaped = targets[i] & ~mask
-        if escaped:
-            return Check("pushout_closed", False, (ps[i], ps[low_bit(escaped)]))
-    return Check("pushout_closed", True)
+    member f and its least escaping pushout, ``(f, pushout)``.
+
+    s is closed iff S & (O∘N_S) = 0
+    (:meth:`~posetmodels.lattice.FiniteLattice._pushout_escapes`); only a
+    class that fails gathers the pushouts (c, b v c), c >= a, of its least
+    failing member (a, b): the least one outside s in pair order is the
+    lowest bit of their difference with s, on both op() sides.
+    """
+    lat, kit = s.lattice, s.lattice._kit
+    bad = s.bits & lat._pushout_escapes(s.rows)
+    if not bad:
+        return Check("pushout_closed", True)
+    a, b = f = kit.pair(low_bit(bad))
+    pushouts = sum(kit.bit(c, lat.join(b, c)) for c in iter_bits(lat.up_mask(a)))
+    return Check("pushout_closed", False, (f, kit.pair(low_bit(pushouts & ~s.bits))))
 
 
 def _from_op(check: Check, name: str) -> Check:

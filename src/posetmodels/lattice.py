@@ -4,16 +4,22 @@ Elements are integer indices into a name list.  The order convention is
 ``a -> b`` iff ``a <= b``, so coproducts and pushouts are joins, products
 and pullbacks are meets, the initial object is the bottom and the terminal
 object is the top.  Element subsets and morphism sets are represented as
-integer bitmasks throughout, which keeps the exhaustive scans cheap; each
-pair's pushout and pullback targets are pair masks too.
+integer bitmasks throughout, which keeps the exhaustive scans cheap.
 
-The lift table and the pushout targets are built from per-element pair
-masks: by_src[x] and by_dst[y] hold the pairs with source x and target y,
-src_up[a] and dst_up[b] those with source >= a and target >= b.  Row
-(a, b) of the left lift table is src_up[a] & ~src_up[b] & dst_up[b].  With
-po[b] = OR over c of by_src[c] & by_dst[b v c], the mask of every pushout
-(c, b v c), the targets of (a, b) are po[b] & src_up[a]: n^2 + P mask
-operations, and no pair is looked up.
+Pushout stability has one formula, :meth:`FiniteLattice._pushout_escapes`:
+the pairs with a pushout outside a class S are O∘N, N[c] being the b
+with (c, b v c) not in S, one gather per row of the join table and one
+kit method.  It builds no table, so W_c, W_c^chi and the pushout guard
+(and, in L.op(), W_f, W_f^chi and pullback closure) read none on either
+kit.  The P-indexed pair tables remain for the pair-mask kit's lift
+scans and for outside callers: the lift table and the pushout
+targets are built from per-element pair masks, by_src[x] and by_dst[y]
+holding the pairs with source x and target y, src_up[a] and dst_up[b]
+those with source >= a and target >= b.  Row (a, b) of the left lift
+table is src_up[a] & ~src_up[b] & dst_up[b], and the pushout targets of
+(a, b) are po[b] & src_up[a], po[b] being the OR over c of
+by_src[c] & by_dst[b v c]: n^2 + P mask operations, and no pair is
+looked up.
 
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
@@ -380,6 +386,16 @@ class _GridKit:
         """The grid holding the pair (a, b) alone."""
         return 1 << (b * self.n + a if self.opposite else a * self.n + b)
 
+    def reach(self, rows: list[int]) -> int:
+        """The grid of every pair (a, b) of this side with b in rows[c] for
+        some c >= a: O∘R restricted to the pairs, R the relation whose row
+        c is rows[c] (see :meth:`FiniteLattice._pushout_escapes`).  On
+        L.op(), O is the primal Oᵀ, and Oᵀ∘R holds the pair (a, b) of L.op()
+        at row a, column b, the primal (b, a): its transpose is the grid."""
+        n = self.n
+        r = sum(row << c * n for c, row in enumerate(rows))
+        return self.order & (self.transpose(self.order_t_times(r)) if self.opposite else self.order_times(r))
+
 
 class _GridStack(_GridKit):
     """The kit of k-grid stacks, k > 1 (see :meth:`_GridKit.stacked`):
@@ -451,6 +467,17 @@ class _PairKit:
 
     def pair(self, bit: int) -> Pair:
         return self.pairs[bit]
+
+    def bit(self, a: int, b: int) -> int:
+        return 1 << self._lat().pair_index[Pair(a, b)]
+
+    def reach(self, rows: list[int]) -> int:
+        """:meth:`_GridKit.reach`: row a of O∘R is the OR of rows[c] over c in up(a)."""
+        out = [0] * self.n
+        for a, up in enumerate(self._lat()._up):
+            for c in iter_bits(up):
+                out[a] |= rows[c]
+        return int("".join(["1" if out[a] >> b & 1 else "0" for a, b in reversed(self.pairs)]), 2)
 
 
 def _side_kit(lat: "FiniteLattice") -> _GridKit:
@@ -589,6 +616,28 @@ class FiniteLattice(Dualizable):
     @property
     def all_pairs_mask(self) -> int:
         return (1 << len(self.pairs)) - 1
+
+    def _pushout_escapes(self, rows: list[int]) -> int:
+        """The bits, in this side's encoding, of every pair with a pushout
+        outside the class S whose rows are `rows` (rows[c] = the d with
+        (c, d) in S, this side's terms).
+
+        The pushouts of f = (a, b) are the (c, b v c), c >= a.  Let
+        N[c] = {b : (c, b v c) not in S}; f has a pushout outside S iff
+        b is in N[c] for some c >= a, so these pairs are O∘N, O the order
+        relation (row a is up(a)), restricted to the pairs: the kit's
+        :meth:`~_GridKit.reach` of N.  So S's pushout-stable part of W is
+        W & ~(O∘N), and S is pushout-closed iff S & (O∘N) = 0.  Row c of N
+        is one C-level gather: over the string holding at index d the bit d
+        of the complement of rows[c] (``bin`` of it with bit n set, read
+        backwards), ``itemgetter(*reversed(join[c]))`` read as an int holds
+        at bit b the bit of (c, b v c) in N[c] (one position gives a str,
+        which join keeps).  On L.op() the join table is L's meet table, so
+        the pushouts there are L's pullbacks, and the kit reads O, and gives
+        the bits, in L.op()'s terms."""
+        top = 1 << self.n
+        return self._kit.reach([int("".join(operator.itemgetter(*reversed(joins))(bin(top | ~row & top - 1)[:2:-1])), 2)
+                                for row, joins in zip(rows, self._join)])
 
     @_memoised
     def _pair_masks(self) -> tuple[list[int], list[int], list[int], list[int]]:

@@ -116,18 +116,14 @@ def check_s2of3(rel: RelStruct) -> Report:
     return Report((Check("s2of3", witness is None, witness),))
 
 
-def _pushout_stable_part(rel: RelStruct, allowed: int, label: str) -> MorphClass:
-    """The W-morphisms all of whose pushouts lie in the pair mask `allowed`.
+def _pushout_stable_part(rel: RelStruct, allowed: MorphClass, label: str) -> MorphClass:
+    """The W-morphisms all of whose pushouts lie in `allowed`: W & ~(O∘N)
+    (:meth:`~posetmodels.lattice.FiniteLattice._pushout_escapes`).
 
     The theory guarantees a subcategory; that is asserted, naming `label`.
     """
     lat = rel.lattice
-    targets = lat.pushout_targets
-    mask = 0
-    for i in iter_bits(rel.weq.mask):
-        if targets[i] & ~allowed == 0:
-            mask |= 1 << i
-    out = MorphClass(lat, mask)
+    out = MorphClass._of(lat, rel.weq.bits & ~lat._pushout_escapes(allowed.rows))
     sub = subcategory_check(out, label)
     if not sub:
         raise InternalCheckFailed(f"{label} is not a subcategory, witness {sub.witness}")
@@ -136,8 +132,10 @@ def _pushout_stable_part(rel: RelStruct, allowed: int, label: str) -> MorphClass
 
 @_memoised
 def compute_Wc(rel: RelStruct) -> MorphClass:
-    """Largest subcategory of W all of whose pushouts stay in W."""
-    return _pushout_stable_part(rel, rel.weq.mask, "W_c")
+    """Largest subcategory of W all of whose pushouts stay in W: W & ~(O∘N_W),
+    N_W[c] the b with (c, b v c) outside W
+    (:meth:`~posetmodels.lattice.FiniteLattice._pushout_escapes`)."""
+    return _pushout_stable_part(rel, rel.weq, "W_c")
 
 
 def compute_Wf(rel: RelStruct) -> MorphClass:

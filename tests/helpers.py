@@ -45,7 +45,7 @@ from posetmodels import (
 )
 from posetmodels.equivalence import _contract
 from posetmodels.errors import NotALattice
-from posetmodels.lattice import _GridKit, iter_bits
+from posetmodels.lattice import _GridKit, iter_bits, low_bit
 from posetmodels.models import _generated_by
 
 
@@ -148,6 +148,22 @@ def naive_closed_classes(rel) -> list[int]:
     return sorted({MorphClass.from_pairs(lat, c).mask for c in closure.values() if c is not None})
 
 
+def reference_pushout_stable_part(rel, allowed: int) -> int:
+    """The mask of the W-morphisms all of whose pushouts lie in the pair
+    mask `allowed`, by a scan of the lattice's ``pushout_targets`` table."""
+    targets = rel.lattice.pushout_targets
+    return sum(1 << i for i in iter_bits(rel.weq.mask) if targets[i] & ~allowed == 0)
+
+
+def reference_pushout_closed(s: MorphClass):
+    """``is_pushout_closed``'s witness by a scan of ``pushout_targets``: the
+    least member and its least escaping pushout in pair order, or None."""
+    ps, targets, mask = s.lattice.pairs, s.lattice.pushout_targets, s.mask
+    for i in iter_bits(mask):
+        escaped = targets[i] & ~mask
+        if escaped:
+            return ps[i], ps[low_bit(escaped)]
+    return None
 
 
 def reference_enumeration(rel) -> list:

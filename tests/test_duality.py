@@ -487,6 +487,20 @@ def test_only_the_lattice_module_reads_opposite():
     assert readers == ["lattice.py"]
 
 
+def test_only_the_lattice_module_reads_the_pair_tables():
+    # pushout stability and lifting are decided behind the lattice's kits:
+    # no other module names a P-indexed table
+    tables = {"pushout_targets", "pullback_targets", "nonlift_left", "nonlift_right", "_pair_masks"}
+    src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    readers = sorted(path.name for path in modules
+                     if any(isinstance(node, ast.Attribute) and node.attr in tables
+                            or isinstance(node, ast.Name) and node.id in tables
+                            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert readers == ["lattice.py"]
+
+
 def test_only_the_class_boundary_converts_encodings():
     # a class's encoding is decided behind MorphClass: besides the lattice
     # module, which defines the gathers, only the class module and the

@@ -13,17 +13,34 @@ import pytest
 
 import posetmodels.lattice as lattice_module
 from posetmodels import (
+    Check,
     InstanceGen,
     ModelStruct,
     MorphClass,
     build_lattice,
+    build_zigzag,
+    check_s2of3,
+    compute_Jchi,
+    compute_Qchi,
+    compute_Wc,
+    compute_Wc_chi,
+    compute_Wf,
+    compute_Wf_chi,
+    construct_from_centers,
+    construct_from_centers_dual,
     construct_terminal,
+    enumerate_model_structures,
+    find_centers,
+    homotopy_reduce,
     is_composition_closed,
     is_mls,
+    is_pullback_closed,
+    is_pushout_closed,
     is_wfs,
     left_complement,
     load,
     random_instances,
+    recognize_finite,
     right_complement,
     subcategory_check,
     validate_relative,
@@ -35,11 +52,14 @@ from posetmodels.models import _generated_by
 
 from helpers import (
     compose_close,
+    memo_entry,
     naive_left_complement,
     naive_right_complement,
     on_grid_path,
     permuted_instances,
     record_calls,
+    reference_pushout_closed,
+    reference_pushout_stable_part,
 )
 from test_lattice import _grid
 
@@ -342,6 +362,9 @@ def _kit_battery(lat, rng):
         assert pk.product(x, y) == gk.to_mask(gk.product(gx, gy))
         srcs, dsts = rng.getrandbits(n), rng.getrandbits(n)
         assert pk.outer(srcs, dsts) == gk.to_mask(gk.outer(srcs, dsts))
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        assert pk.reach(rows) == gk.to_mask(gk.reach(rows))
+    assert all(pk.bit(a, b) == gk.to_mask(gk.bit(a, b)) for a, b in lat.pairs)
 
 
 def test_pair_kit_matches_grid_kit_on_random_instances():
@@ -415,3 +438,79 @@ def test_grids_ride_along_class_operations(gate, monkeypatch):
         grid = on_grid_path(d.lattice)
         assert grid == (gate == ALWAYS)
         assert d.bits == (d.lattice._kit.from_mask(d.mask) if grid else d.mask)
+
+
+def _pushout_battery(rel) -> int:
+    """W_c, W_f, W_c^chi and W_f^chi for the least center map, and the
+    pushout and pullback closure checks of W, W_c and the identities, on
+    both op() sides, against the scans of the pushout tables; the number
+    of failing closure checks."""
+    failed = 0
+    for side in (rel, rel.op()):
+        lat = side.lattice
+        w, ids = side.weq.mask, lat.identity_mask
+        assert compute_Wc(side).mask == reference_pushout_stable_part(side, w)
+        assert compute_Wf(side).mask == reference_pushout_stable_part(side.op(), w)
+        chi = find_centers(side) if check_s2of3(side).ok else None
+        if chi is not None:
+            q, j = compute_Qchi(side, chi).mask, compute_Jchi(side, chi).mask
+            assert compute_Wc_chi(side, chi).mask == reference_pushout_stable_part(side, w & ~q | ids)
+            assert compute_Wf_chi(side, chi).mask == reference_pushout_stable_part(side.op(), w & ~j | ids)
+        for s in (side.weq, compute_Wc(side), MorphClass.identities(lat)):
+            po, pb = reference_pushout_closed(s), reference_pushout_closed(s.op())
+            assert is_pushout_closed(s) == Check("pushout_closed", po is None, po)
+            assert is_pullback_closed(s) == Check("pullback_closed", pb is None, pb and tuple(p.op() for p in pb))
+            failed += (po is not None) + (pb is not None)
+    return failed
+
+
+@pytest.mark.parametrize("gate", [ALWAYS, NEVER])
+def test_pushout_stability_matches_the_table_scans(gate, monkeypatch):
+    # one formula, O∘N, on both kits and both op() sides: every class and
+    # least witness as the pushout tables give it, on index orders that are
+    # no linear extension of the order, where the least escaping pullback
+    # in pair order is not the one along the least element
+    monkeypatch.setattr(lattice_module, "_GRID_DENSITY", gate)
+    failed = 0
+    for rel in (r for _, r in zip(range(150), permuted_instances(InstanceGen(seed=41)))):
+        assert on_grid_path(rel.lattice) == (gate == ALWAYS)
+        failed += _pushout_battery(rel)
+    assert failed > 100
+
+
+def test_pushout_stability_matches_the_table_scans_on_wide_lattices():
+    # the sparse side of the gate: W is the identities, some pairs from the
+    # bottom and some to the top, never both through one atom
+    rng = random.Random(13)
+    for n in range(34, 41):
+        lat = _wide(n)
+        atoms = list(range(1, n - 1))
+        rng.shuffle(atoms)
+        low, high = atoms[:n // 3], atoms[n // 3:2 * n // 3]
+        weq = [("b", lat.name(a)) for a in low] + [(lat.name(a), "t") for a in high]
+        rel = validate_relative(lat, weq, add_identities=True)
+        assert not on_grid_path(lat)
+        assert _pushout_battery(rel) > 0
+
+
+def _row_weqs(rows, cols):
+    """The rows x cols grid lattice with W the identities and each row's (i.0, i.1)."""
+    lat = build_lattice(*_grid(rows, cols))
+    return validate_relative(lat, [(f"{i}.0", f"{i}.1") for i in range(rows)], add_identities=True)
+
+
+def test_dense_lattices_build_no_pair_table():
+    # on the grid path every library call decides pushout stability and
+    # lifting on grids: no side memoises a P-indexed table
+    for rel in (load("two-structures"), load("chain-8"), _row_weqs(6, 5)):
+        lat = rel.lattice
+        assert on_grid_path(lat)
+        assert recognize_finite(rel).yes
+        chi = find_centers(rel)
+        m1, m2 = construct_from_centers(rel, chi), construct_from_centers_dual(rel, chi)
+        assert verify_model(m1).ok and verify_model(m2).ok
+        found = enumerate_model_structures(rel, max_elements=lat.n, max_generators=len(rel.weq))
+        assert build_zigzag(found[0], found[-1]).all_edges_ok()
+        homotopy_reduce(m1)
+        for side in (lat, lat.op()):
+            assert [key for key in ("pushout_targets", "nonlift_left", "_pair_masks") if memo_entry(side, key)] == []
