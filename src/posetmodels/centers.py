@@ -9,20 +9,20 @@ route to the same answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classes import MorphClass
 from .errors import InternalCheckFailed, InvalidInput, S2OF3Failed
 from .lattice import Pair, iter_bits
 from .relative import RelStruct, check_s2of3, _pushout_stable_part
-from .report import Check, Report
+from .report import Check, FrozenRecord, Report, _set
 
 
-@dataclass(frozen=True)
-class CenterMap:
+class CenterMap(FrozenRecord):
     """A total element-to-element map; chi[a] is the center of a."""
 
-    chi: tuple[int, ...]
+    __slots__ = ("chi",)
+
+    def __init__(self, chi: tuple[int, ...]):
+        _set(self, "chi", chi)
 
     def __call__(self, a: int) -> int:
         return self.chi[a]
@@ -191,10 +191,12 @@ def find_centers(rel: RelStruct) -> CenterMap | None:
     return None
 
 
-@dataclass(frozen=True)
-class CenterEnumeration:
-    maps: tuple[CenterMap, ...]
-    truncated: bool
+class CenterEnumeration(FrozenRecord):
+    __slots__ = ("maps", "truncated")
+
+    def __init__(self, maps: tuple[CenterMap, ...], truncated: bool):
+        _set(self, "maps", maps)
+        _set(self, "truncated", truncated)
 
 
 def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:

@@ -4,6 +4,9 @@ Exit codes: 0 success/YES, 1 NO or verification failure (witnesses are in
 the report), 2 input error (diagnostic on stderr).  Reports are
 byte-deterministic for identical inputs and flags; timings are attached
 only when --timings is passed, since they would break that guarantee.
+
+Each subcommand imports the library modules it runs when it runs; the
+module itself loads only the file formats and the layers they build on.
 """
 
 from __future__ import annotations
@@ -12,10 +15,6 @@ import argparse
 import sys
 import time
 
-from . import equivalence, fixtures, models, oracle
-from .centers import enumerate_centers, find_centers
-from .classes import MorphClass
-from .dot import export_dot
 from .errors import HypothesisFailed, InvalidInput, PosetModelError, RecognitionFailed, S2OF3Failed
 from .formats import (
     ReportFile,
@@ -29,7 +28,6 @@ from .formats import (
     structure_to_dict,
     witness_to_names,
 )
-from .relative import recognize_finite
 
 
 class _Failed(Exception):
@@ -82,8 +80,10 @@ def _witnesses(lattice, report) -> list[dict]:
 
 
 def _verified(m):
-    """`m`, once :func:`models.verify_model` passes it; else the command fails."""
-    if not models.verify_model(m).ok:
+    """`m`, once :func:`~posetmodels.models.verify_model` passes it; else the command fails."""
+    from .models import verify_model
+
+    if not verify_model(m).ok:
         raise _Failed(_witnesses(m.lattice, m.report))
     return m
 
@@ -94,6 +94,8 @@ def cmd_validate(ns) -> int:
 
 
 def cmd_recognize(ns) -> int:
+    from .relative import recognize_finite
+
     rel = build_relative(_read_instance(ns, ns.instance))
     decision = recognize_finite(rel)
     if decision.yes:
@@ -102,6 +104,8 @@ def cmd_recognize(ns) -> int:
 
 
 def cmd_centers(ns) -> int:
+    from .centers import enumerate_centers, find_centers
+
     rel = build_relative(_read_instance(ns, ns.instance))
     truncated = False
     try:
@@ -120,6 +124,10 @@ def cmd_centers(ns) -> int:
 
 
 def cmd_synthesize(ns) -> int:
+    from . import models
+    from .centers import find_centers
+    from .classes import MorphClass
+
     inst = _read_instance(ns, ns.instance)
     if ns.method == "newcofib":
         base = _verified(build_structure(inst))
@@ -154,22 +162,28 @@ def cmd_synthesize(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    from .models import verify_model
+
     m = build_structure(_read_instance(ns, ns.instance))
-    report = models.verify_model(m)
+    report = verify_model(m)
     return _report(ns, "verified" if report.ok else "failed", 0 if report.ok else 1,
                    witnesses=_witnesses(m.lattice, report), structures=[structure_to_dict(m)])
 
 
 def cmd_enumerate(ns) -> int:
+    from .oracle import enumerate_model_structures
+
     rel = build_relative(_read_instance(ns, ns.instance))
-    found = oracle.enumerate_model_structures(
-        rel, max_elements=ns.max_elements, max_generators=ns.max_generators
-    )
+    # a cap left out takes the oracle's default
+    caps = {name: getattr(ns, name) for name in ("max_elements", "max_generators") if hasattr(ns, name)}
+    found = enumerate_model_structures(rel, **caps)
     return _report(ns, "yes" if found else "no", 0 if found else 1,
                    structures=[structure_to_dict(m) for m in found])
 
 
 def cmd_zigzag(ns) -> int:
+    from . import equivalence
+
     m1 = build_structure(_read_instance(ns, ns.first))
     m2 = build_structure(_read_instance(ns, ns.second))
     z = equivalence.build_zigzag(_verified(m1), _verified(m2), contract=ns.contract)
@@ -178,6 +192,8 @@ def cmd_zigzag(ns) -> int:
 
 
 def cmd_reduce(ns) -> int:
+    from . import equivalence
+
     m = _verified(build_structure(_read_instance(ns, ns.instance)))
     d_lat, d_model, maps = equivalence.homotopy_reduce(m)
     return _report(ns, "reduced", 0, structures=[structure_to_dict(d_model)],
@@ -185,6 +201,8 @@ def cmd_reduce(ns) -> int:
 
 
 def cmd_export_dot(ns) -> int:
+    from .dot import export_dot
+
     inst = _read_instance(ns, ns.instance)
     # a structure file needs both fields: build_structure rejects one alone
     target = build_relative(inst) if inst.cof is None and inst.fib is None else build_structure(inst)
@@ -193,7 +211,9 @@ def cmd_export_dot(ns) -> int:
 
 
 def cmd_fixture(ns) -> int:
-    inst = fixtures.fixture(ns.name)
+    from .fixtures import fixture
+
+    inst = fixture(ns.name)
     _emit(ns, print_instance(inst))
     return 0
 
@@ -241,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators", help="instance-format file whose weq field lists the generators (genmc)")
     command("verify", cmd_verify, "verify a full structure file", "instance")
     p = command("enumerate", cmd_enumerate, "exhaustively enumerate all model structures", "instance")
-    p.add_argument("--max-elements", type=int, default=oracle.DEFAULT_MAX_ELEMENTS)
-    p.add_argument("--max-generators", type=int, default=oracle.DEFAULT_MAX_GENERATORS)
+    p.add_argument("--max-elements", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-generators", type=int, default=argparse.SUPPRESS)
     p = command("zigzag", cmd_zigzag, "connect two structures by identity Quillen equivalences", "first", "second")
     p.add_argument("--contract", action="store_true", help="shorten the zigzag where possible")
     command("reduce", cmd_reduce, "reduce a structure to its homotopy category", "instance")

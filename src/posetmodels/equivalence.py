@@ -8,8 +8,6 @@ reduces to the trivial structure on its cofibrant-fibrant objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classes import MorphClass
 from .errors import InternalCheckFailed, MismatchedBase, NotALattice, Unbounded
 from .lattice import FiniteLattice, build_lattice
@@ -25,6 +23,7 @@ from .models import (
 )
 from .centers import compute_Jchi, product_centers
 from .relative import RelStruct
+from .report import FrozenRecord, Record, _set
 
 
 def _require_same_base(m1: ModelStruct, m2: ModelStruct) -> None:
@@ -48,8 +47,7 @@ def is_identity_left_quillen(m1: ModelStruct, m2: ModelStruct) -> bool:
     return m1.cof <= m2.cof
 
 
-@dataclass
-class Zigzag:
+class Zigzag(Record):
     """Alternating chain of identity Quillen equivalences.
 
     directions[i] is "lr" when the identity is left Quillen from nodes[i]
@@ -60,8 +58,11 @@ class Zigzag:
     The lists are the caller's own.
     """
 
-    nodes: list[ModelStruct]
-    directions: list[str]
+    __slots__ = ("nodes", "directions")
+
+    def __init__(self, nodes: list[ModelStruct], directions: list[str]):
+        self.nodes = nodes
+        self.directions = directions
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -183,8 +184,7 @@ def _contract(z: Zigzag) -> None:
                     break
 
 
-@dataclass(frozen=True)
-class ReductionMaps:
+class ReductionMaps(FrozenRecord):
     """Object maps of the reduction adjunctions.
 
     iota: element of the reduced lattice -> ambient element.
@@ -193,10 +193,14 @@ class ReductionMaps:
     lattice.
     """
 
-    iota: tuple[int, ...]
-    gamma: tuple[int, ...]
-    cofibrant: tuple[int, ...]
-    fibrant: tuple[int, ...]
+    __slots__ = ("iota", "gamma", "cofibrant", "fibrant")
+
+    def __init__(self, iota: tuple[int, ...], gamma: tuple[int, ...],
+                 cofibrant: tuple[int, ...], fibrant: tuple[int, ...]):
+        _set(self, "iota", iota)
+        _set(self, "gamma", gamma)
+        _set(self, "cofibrant", cofibrant)
+        _set(self, "fibrant", fibrant)
 
 
 def homotopy_reduce(m: ModelStruct) -> tuple[FiniteLattice, ModelStruct, ReductionMaps]:

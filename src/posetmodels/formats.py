@@ -17,15 +17,18 @@ can drift from json's.  Parsing is ``json.loads``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
 from .classes import MorphClass
 from .errors import InvalidInput
 from .lattice import FiniteLattice, _memoised, build_lattice
-from .models import ModelStruct
 from .relative import RelStruct, validate_relative
+from .report import Record
+
+if TYPE_CHECKING:
+    from .models import ModelStruct
 
 SCHEMA_VERSION = 1
 _SEQUENCES = {list, tuple}
@@ -81,18 +84,22 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(Record):
     """A (lattice, weak equivalences) instance; cof/fib present only for
     full-structure files."""
 
-    elements: list[str]
-    leq: list[tuple[str, str]]
-    weq: list[tuple[str, str]]
-    add_identities: bool = False
-    cof: list[tuple[str, str]] | None = None
-    fib: list[tuple[str, str]] | None = None
-    version: int = SCHEMA_VERSION
+    __slots__ = ("elements", "leq", "weq", "add_identities", "cof", "fib", "version")
+
+    def __init__(self, elements: list[str], leq: list[tuple[str, str]], weq: list[tuple[str, str]],
+                 add_identities: bool = False, cof: list[tuple[str, str]] | None = None,
+                 fib: list[tuple[str, str]] | None = None, version: int = SCHEMA_VERSION):
+        self.elements = elements
+        self.leq = leq
+        self.weq = weq
+        self.add_identities = add_identities
+        self.cof = cof
+        self.fib = fib
+        self.version = version
 
 
 def _pair_list(raw, name: str) -> list[tuple[str, str]]:
@@ -185,6 +192,8 @@ def build_structure(inst: InstanceFile) -> ModelStruct:
     """
     if inst.cof is None or inst.fib is None:
         raise InvalidInput("structure file requires 'cof' and 'fib' fields")
+    from .models import ModelStruct  # the models layer loads only when a command builds a structure
+
     rel = build_relative(inst)
     lat = rel.lattice
     cof = MorphClass.from_pairs(lat, inst.cof, add_identities=True)
@@ -230,16 +239,22 @@ def witness_to_names(lattice: FiniteLattice, witness) -> list:
     return out
 
 
-@dataclass
-class ReportFile:
-    command: list[str]
-    decision: str
-    witnesses: list[dict] = field(default_factory=list)
-    structures: list[dict] = field(default_factory=list)
-    centers: list[list[list[str]]] = field(default_factory=list)
-    zigzag: dict | None = None
-    timings: dict | None = None
-    version: int = SCHEMA_VERSION
+class ReportFile(Record):
+    """A report; the list fields default to a fresh empty list each."""
+
+    __slots__ = ("command", "decision", "witnesses", "structures", "centers", "zigzag", "timings", "version")
+
+    def __init__(self, command: list[str], decision: str, witnesses: list[dict] | None = None,
+                 structures: list[dict] | None = None, centers: list[list[list[str]]] | None = None,
+                 zigzag: dict | None = None, timings: dict | None = None, version: int = SCHEMA_VERSION):
+        self.command = command
+        self.decision = decision
+        self.witnesses = [] if witnesses is None else witnesses
+        self.structures = [] if structures is None else structures
+        self.centers = [] if centers is None else centers
+        self.zigzag = zigzag
+        self.timings = timings
+        self.version = version
 
 
 def report_to_dict(rep: ReportFile) -> dict:

@@ -11,7 +11,6 @@ construction is its primal run on the opposite structure (``op()``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .centers import (
     CenterMap,
@@ -43,14 +42,19 @@ from .relative import RelStruct, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
 
-@dataclass(eq=False)
 class ModelStruct(Dualizable):
-    rel: RelStruct
-    cof: MorphClass
-    fib: MorphClass
-    report: Report | None = field(default=None, repr=False)
-    _op: object = field(default=None, init=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    """Cofibrations and fibrations over a relative structure; `report` is
+    the one :func:`verify_model` attached, if any."""
+
+    __slots__ = ("rel", "cof", "fib", "report", "_op", "_memo", "__weakref__")
+
+    def __init__(self, rel: RelStruct, cof: MorphClass, fib: MorphClass, report: Report | None = None):
+        self.rel = rel
+        self.cof = cof
+        self.fib = fib
+        self.report = report
+        self._op = None
+        self._memo = {}
 
     def _reversed(self) -> "ModelStruct":
         """The opposite structure: cof and fib swap.  A passing report carries

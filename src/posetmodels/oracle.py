@@ -80,7 +80,6 @@ oracle rather than a construction: the recognition theorem is never used.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from .classes import _MODEL_CHECKS, MorphClass, _model_fails
@@ -88,7 +87,7 @@ from .errors import CapExceeded, InvalidInput, NotALattice, Unbounded
 from .lattice import Pair, _GridKit, _side_kit, build_lattice, iter_bits
 from .models import ModelStruct, _weq_checks
 from .relative import RelStruct, check_s2of3, validate_relative
-from .report import Check, Report
+from .report import Check, FrozenRecord, Report, _set
 
 DEFAULT_MAX_ELEMENTS = 10
 DEFAULT_MAX_GENERATORS = 14
@@ -203,13 +202,15 @@ def decide_by_enumeration(rel: RelStruct, **caps) -> bool:
     return bool(enumerate_model_structures(rel, **caps))
 
 
-@dataclass(frozen=True)
-class InstanceGen:
+class InstanceGen(FrozenRecord):
     """Reproducible stream parameters; identical seeds give identical streams."""
 
-    seed: int = 0
-    max_elements: int = 7
-    weq_density: float = 0.35
+    __slots__ = ("seed", "max_elements", "weq_density")
+
+    def __init__(self, seed: int = 0, max_elements: int = 7, weq_density: float = 0.35):
+        _set(self, "seed", seed)
+        _set(self, "max_elements", max_elements)
+        _set(self, "weq_density", weq_density)
 
 
 def _compose_close(n: int, pairs: set) -> set:

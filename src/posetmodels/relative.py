@@ -7,12 +7,11 @@ subclasses of W, and the finite recognition decision.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 
 from .classes import MorphClass, is_pushout_closed, subcategory_check
 from .errors import InternalCheckFailed, MissingIdentities, NotCompositionClosed
 from .lattice import Dualizable, FiniteLattice, Pair, _memoised, iter_bits, low_bit
-from .report import Check, Report
+from .report import Check, Record, Report
 
 
 class RelStruct(Dualizable):
@@ -177,14 +176,20 @@ def recognition_report(rel: RelStruct) -> Report:
     return Report(checks)
 
 
-@dataclass
-class Decision:
+class Decision(Record):
     """Outcome of the finite recognition: YES with the terminal structure
-    attached, or NO with the failing condition's witness."""
+    attached, or NO with the failing condition's witness.  The repr leaves
+    the structure out."""
 
-    yes: bool
-    report: Report
-    structure: object | None = field(default=None, repr=False)
+    __slots__ = ("yes", "report", "structure")
+
+    def __init__(self, yes: bool, report: Report, structure: object | None = None):
+        self.yes = yes
+        self.report = report
+        self.structure = structure
+
+    def __repr__(self) -> str:
+        return f"Decision(yes={self.yes!r}, report={self.report!r})"
 
     def __bool__(self) -> bool:
         return self.yes

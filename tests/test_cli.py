@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import re
@@ -346,7 +345,8 @@ def test_timings_report_differs_only_by_its_seconds(tmp_path, two_structures):
             rep = parse_report(timed)
             assert timed_code == code and rep.command == timed_argv
             assert list(rep.timings) == ["seconds"] and isinstance(rep.timings["seconds"], float)
-            assert print_report(dataclasses.replace(rep, command=command, timings=None)) == plain
+            rep.command, rep.timings = command, None
+            assert print_report(rep) == plain
 
 
 @pytest.mark.parametrize("field, value, what", [
@@ -478,3 +478,20 @@ def test_negative_oracle_caps_are_input_errors(tmp_path, capsys, two_structures,
     code, out = run(["enumerate", flag, str(cap), path])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: InvalidInput: {message}\n"
+
+
+def test_default_oracle_caps(tmp_path, capsys):
+    """Without cap flags, enumerate applies the oracle's default caps: at
+    most 10 lattice elements and 14 non-identity weak equivalences."""
+    eleven = write_fixture(tmp_path, "chain-9")  # bot, m1..m9, top
+    names = [f"x{i}" for i in range(6)]
+    full = InstanceFile(elements=names, leq=list(zip(names, names[1:])),
+                        weq=[(a, b) for i, a in enumerate(names) for b in names[i + 1:]], add_identities=True)
+    six = tmp_path / "six.json"
+    six.write_text(print_instance(full), encoding="utf-8")
+    capsys.readouterr()
+    for path, message in ((eleven, "lattice elements: 11 exceeds cap 10"),
+                          (str(six), "non-identity weak equivalences: 15 exceeds cap 14")):
+        code, out = run(["enumerate", path])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: CapExceeded: {message}\n"
