@@ -27,7 +27,7 @@ class).  The grid formulas are derived in the complements' docstrings.
 from __future__ import annotations
 
 from .errors import NoFactorization, NotPushoutClosed
-from .lattice import Dualizable, FiniteLattice, Pair, iter_bits, low_bit
+from .lattice import Dualizable, FiniteLattice, Pair, _from_flags, iter_bits, low_bit
 from .report import Check, Report
 
 
@@ -37,10 +37,10 @@ class MorphClass(Dualizable):
     ``bits`` holds the class in its kit's encoding, the grid on dense
     lattices and the pair mask on sparse ones.  It is the identity that
     equality, hashing, ``<=``, ``|``, ``&`` and ``-`` read, and it orders
-    classes as pair masks do.  The pair mask ``mask`` is the boundary, read
-    by iteration, membership and rendering: computed on
-    first read and written once, or kept from ``MorphClass(lattice, mask)``.
-    Kernels build with :meth:`_of`.
+    classes as pair masks do.  The pair mask ``mask``, computed on first
+    read or kept from ``MorphClass(lattice, mask)``, is the boundary that
+    iteration and rendering read and :meth:`from_pairs` builds, through the
+    lattice module's reader and writer.  Kernels build with :meth:`_of`.
     """
 
     __slots__ = ("lattice", "bits", "_mask", "_rows", "_cols", "_op", "__weakref__")
@@ -75,13 +75,13 @@ class MorphClass(Dualizable):
     @classmethod
     def from_pairs(cls, lattice, pairs, add_identities: bool = False) -> "MorphClass":
         index = lattice.pair_index
-        mask = lattice.identity_mask if add_identities else 0
+        flags = bytearray(len(index))
         for (src, dst) in pairs:
             p = lattice._pair_of(src, dst)
             if p not in index:
                 lattice.pair(*p)  # raises: an index outside range(n), or incomparable
-            mask |= 1 << index[p]
-        return cls(lattice, mask)
+            flags[index[p]] = 1
+        return cls(lattice, _from_flags(flags) | (lattice.identity_mask if add_identities else 0))
 
     @classmethod
     def identities(cls, lattice) -> "MorphClass":
@@ -92,13 +92,13 @@ class MorphClass(Dualizable):
         return cls._of(lattice, lattice._kit.order)
 
     def __contains__(self, pair) -> bool:
-        """Whether the pair, of indices or labels, is a member; an unknown label is an input error."""
-        i = self.lattice.pair_index.get(self.lattice._pair_of(*pair))
-        return i is not None and (self.mask >> i) & 1 == 1
+        """Whether the pair, of indices or labels, is a member: one bit of a
+        row.  An unknown label is an input error."""
+        a, b = self.lattice._pair_of(*pair)
+        return a in range(self.lattice.n) and b >= 0 and self.rows[a] >> b & 1 == 1
 
     def __iter__(self):
-        ps = self.lattice.pairs
-        return (ps[i] for i in iter_bits(self.mask))
+        return self.lattice._select(self.lattice.pairs, self.mask)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -280,9 +280,10 @@ def is_binary_product_closed(s: MorphClass) -> Check:
 def subcategory_check(s: MorphClass, name: str) -> Check:
     """Identities plus composition closure.  The witness is the least missing
     identity ``(Pair(x, x),)``, else the least (a, b, c) missing (a, c)."""
-    missing = MorphClass.identities(s.lattice) - s
+    kit = s.lattice._kit
+    missing = kit.ids & ~s.bits
     if missing:
-        return Check(name, False, (next(iter(missing)),))
+        return Check(name, False, (kit.pair(low_bit(missing)),))
     closed = is_composition_closed(s)
     return Check(name, closed.ok, closed.witness)
 

@@ -18,7 +18,7 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _edge_attrs(in_we: bool, in_cof: bool, in_fib: bool) -> str:
+def _edge_attrs(in_we: int, in_cof: int, in_fib: int) -> str:
     attrs = []
     if in_cof:
         attrs.append(('arrowtail', 'hook'))
@@ -35,23 +35,18 @@ def _edge_attrs(in_we: bool, in_cof: bool, in_fib: bool) -> str:
 
 def export_dot(target: RelStruct | ModelStruct) -> str:
     if isinstance(target, ModelStruct):
-        rel = target.rel
-        cof, fib = target.cof, target.fib
+        rel, cof, fib = target.rel, target.cof.rows, target.fib.rows
     else:
         rel = target
-        cof = fib = None
-    lat = rel.lattice
+        cof = fib = [0] * rel.lattice.n
+    lat, we = rel.lattice, rel.weq.rows
     edges = set(lat.cover_pairs())
     edges.update(rel.weq.nonidentity_pairs())
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for name in lat.names:
         lines.append(f"  {_quote(name)};")
     for p in sorted(edges):
-        attrs = _edge_attrs(
-            p in rel.weq,
-            cof is not None and p in cof,
-            fib is not None and p in fib,
-        )
+        attrs = _edge_attrs(*(rows[p.src] >> p.dst & 1 for rows in (we, cof, fib)))
         a, b = map(_quote, lat.pair_names(p))
         lines.append(f"  {a} -> {b}{attrs};")
     lines.append("}")

@@ -15,10 +15,13 @@ chain-N          bounded chain with full W between the N marked middles,
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 from .errors import UnknownFixture
 from .formats import InstanceFile, build_relative
-from .relative import RelStruct
+
+if TYPE_CHECKING:
+    from .relative import RelStruct
 
 _GADGET_EDGES = [
     ("U", "E"), ("U", "C"), ("Up", "C"), ("Up", "Ep"),

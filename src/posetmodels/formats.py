@@ -12,23 +12,26 @@ is pair lists of two labels, which the renderer emits with one
 ``str.join`` each.  Strings go through json's own C escaper and every
 other scalar through ``json.dumps`` of that value alone, so no spelling
 can drift from json's.  Parsing is ``json.loads``.
+
+The lattice, class and relative layers load only inside the functions
+that build or render classes: ``fixture`` loads none of them.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, compress
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
-from .classes import MorphClass
 from .errors import InvalidInput
-from .lattice import FiniteLattice, _memoised, build_lattice
-from .relative import RelStruct, validate_relative
 from .report import Record
 
 if TYPE_CHECKING:
+    from .classes import MorphClass
+    from .lattice import FiniteLattice
     from .models import ModelStruct
+    from .relative import RelStruct
 
 SCHEMA_VERSION = 1
 _SEQUENCES = {list, tuple}
@@ -181,6 +184,9 @@ def print_instance(inst: InstanceFile) -> str:
 
 
 def build_relative(inst: InstanceFile) -> RelStruct:
+    from .lattice import build_lattice
+    from .relative import validate_relative
+
     return validate_relative(build_lattice(inst.elements, inst.leq), inst.weq, add_identities=inst.add_identities)
 
 
@@ -192,7 +198,8 @@ def build_structure(inst: InstanceFile) -> ModelStruct:
     """
     if inst.cof is None or inst.fib is None:
         raise InvalidInput("structure file requires 'cof' and 'fib' fields")
-    from .models import ModelStruct  # the models layer loads only when a command builds a structure
+    from .classes import MorphClass
+    from .models import ModelStruct
 
     rel = build_relative(inst)
     lat = rel.lattice
@@ -201,21 +208,12 @@ def build_structure(inst: InstanceFile) -> ModelStruct:
     return ModelStruct(rel, cof, fib)
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
 def class_name_pairs(s: MorphClass) -> list[list[str]]:
     """Non-identity members as name pairs in the lattice's pair order:
     ``lat.pairs`` selected by the mask's bits, lowest first."""
     lat = s.lattice
-    bits = bin(s.mask & ~lat.identity_mask)[:1:-1].encode().translate(_BIT_BYTES)  # byte i is bit i
-    return list(map(list, compress(_name_pairs(lat), bits)))
-
-
-@_memoised
-def _name_pairs(lat: FiniteLattice) -> tuple[tuple[str, str], ...]:
-    """The name pair of every pair of `lat`, in pair order."""
-    return tuple(map(lat.pair_names, lat.pairs))
+    names = lat._cached("_name_pairs", lambda lat: tuple(map(lat.pair_names, lat.pairs)))  # in pair order
+    return list(map(list, lat._select(names, s.mask & ~lat.identity_mask)))
 
 
 def structure_to_dict(m: ModelStruct) -> dict:

@@ -12,14 +12,16 @@ with (c, b v c) not in S, one gather per row of the join table and one
 kit method.  It builds no table, so W_c, W_c^chi and the pushout guard
 (and, in L.op(), W_f, W_f^chi and pullback closure) read none on either
 kit.  The P-indexed pair tables remain for the pair-mask kit's lift
-scans and for outside callers: the lift table and the pushout
-targets are built from per-element pair masks, by_src[x] and by_dst[y]
-holding the pairs with source x and target y, src_up[a] and dst_up[b]
-those with source >= a and target >= b.  Row (a, b) of the left lift
-table is src_up[a] & ~src_up[b] & dst_up[b], and the pushout targets of
-(a, b) are po[b] & src_up[a], po[b] being the OR over c of
-by_src[c] & by_dst[b v c]: n^2 + P mask operations, and no pair is
-looked up.
+scans and for outside callers.  They are built from per-element pair
+masks, by_src[x] and by_dst[y] holding the pairs with source x and
+target y, src_up[a] and dst_up[b] those with source >= a and target >= b:
+n^2 + P mask operations, and no pair is looked up.
+
+Pair masks have one reader, :func:`_flags`, a byte per pair, and one
+writer, :func:`_from_flags`, from a flag per pair: each one C-level pass
+over a P-character string, where iter_bits or an OR per bit copies the
+P-bit int at every step.  The class boundary, rendering (through
+:meth:`FiniteLattice._select`) and _PairKit use them.
 
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
@@ -52,7 +54,9 @@ takes the grid path, since the wide one has the fewest pairs, 3n - 3.
 The grid kernels also run on stacks, many grids side by side in one int,
 bit-parallel across grids ("SIMD within a register": R. J. Fisher and
 H. G. Dietz, "Compiling for SIMD within a register", 1998); the oracle
-grows, generates and verifies all its candidates that way.
+grows, generates and verifies all its candidates that way, on the kit of
+:meth:`FiniteLattice._grid_route`: the side's own kit, its gathers the
+identity, if dense, else a grid kit built for the call and its gathers.
 """
 
 from __future__ import annotations
@@ -91,6 +95,24 @@ def iter_bits(mask: int) -> Iterator[int]:
 def low_bit(mask: int) -> int:
     """The lowest set bit position of a nonzero `mask`: the first of :func:`iter_bits`."""
     return (mask & -mask).bit_length() - 1
+
+
+_TO_FLAGS, _TO_DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags(mask: int, width: int) -> bytes:
+    """The pair-mask reader: byte i is bit i of `mask`, 0 or 1, for each i < width >= mask.bit_length()."""
+    return f"{mask:0{width}b}"[::-1].encode().translate(_TO_FLAGS)
+
+
+def _from_flags(flags) -> int:
+    """The pair-mask writer, inverse to :func:`_flags`: bit i is flags[i], one or more flags of 0 or 1."""
+    return int(bytes(flags)[::-1].translate(_TO_DIGITS), 2)
+
+
+def _same(x: int) -> int:
+    """The conversion between an encoding and itself."""
+    return x
 
 
 _op_lock = threading.Lock()
@@ -421,9 +443,9 @@ class _PairKit:
     """The methods of :class:`_GridKit` that the class algebra calls, on the
     pair masks of one sparse lattice side, in its terms: lc and rc read the
     left and right lift tables, the products test the first class's row
-    against the second's column.  Scans read ``bin(x)[:1:-1]`` (bit i at
-    index i) and build with ``int(..., 2)`` over the pairs reversed.  The kit
-    holds its lattice weakly: no reference cycle (:class:`Dualizable`)."""
+    against the second's column, each reading and building its masks
+    through :func:`_flags` and :func:`_from_flags`.  The kit holds its
+    lattice weakly: no reference cycle (:class:`Dualizable`)."""
 
     __slots__ = ("_lat", "n", "opposite", "pairs", "ids", "order", "_cells")
 
@@ -433,15 +455,12 @@ class _PairKit:
         self.ids, self.order = lat.identity_mask, lat.all_pairs_mask
         self._cells = ([(a, 1 << b) for a, b in self.pairs], [(b, 1 << a) for a, b in self.pairs])
 
-    def from_mask(self, mask: int) -> int:
-        return mask
-
-    to_mask = from_mask  # both return their input: the pair mask is this kit's encoding
+    from_mask = to_mask = staticmethod(_same)  # the pair mask is this kit's encoding
 
     def rows(self, mask: int, end: int = 0) -> list[int]:
         """rows[a] = the element mask of the b with (a, b) in `mask`; with end = 1, cols[b] of the a."""
         out = [0] * self.n
-        for a, bit in itertools.compress(self._cells[end], map("1".__eq__, bin(mask)[:1:-1])):
+        for a, bit in itertools.compress(self._cells[end], _flags(mask, len(self.pairs))):
             out[a] |= bit
         return out
 
@@ -449,21 +468,21 @@ class _PairKit:
         return self.rows(mask, 1)
 
     def lc(self, s: int) -> int:
-        return int("".join(["0" if s & row else "1" for row in reversed(self._lat().nonlift_left)]), 2)
+        return _from_flags([not s & row for row in self._lat().nonlift_left])
 
     def rc(self, s: int) -> int:
-        return int("".join(["0" if s & row else "1" for row in reversed(self._lat().nonlift_right)]), 2)
+        return _from_flags([not s & row for row in self._lat().nonlift_right])
 
     def composite(self, first: int, second: int) -> int:
         rows, cols = self.rows(first), self.cols(second)
-        return int("".join(["1" if rows[a] & cols[b] else "0" for a, b in reversed(self.pairs)]), 2)
+        return _from_flags([rows[a] & cols[b] != 0 for a, b in self.pairs])
 
     def product(self, x: int, y: int) -> int:
         """x∘y in primal terms, as :meth:`_GridKit.product`."""
         return self.composite(y, x) if self.opposite else self.composite(x, y)
 
     def outer(self, srcs: int, dsts: int) -> int:
-        return int("".join(["1" if srcs >> a & dsts >> b & 1 else "0" for a, b in reversed(self.pairs)]), 2)
+        return _from_flags([srcs >> a & dsts >> b & 1 for a, b in self.pairs])
 
     def pair(self, bit: int) -> Pair:
         return self.pairs[bit]
@@ -477,12 +496,7 @@ class _PairKit:
         for a, up in enumerate(self._lat()._up):
             for c in iter_bits(up):
                 out[a] |= rows[c]
-        return int("".join(["1" if out[a] >> b & 1 else "0" for a, b in reversed(self.pairs)]), 2)
-
-
-def _side_kit(lat: "FiniteLattice") -> _GridKit:
-    """A new grid kit read on `lat`'s op() side."""
-    return _GridKit(lat._down, lat._up).flipped() if lat.opposite else _GridKit(lat._up, lat._down)
+        return _from_flags([out[a] >> b & 1 for a, b in self.pairs])
 
 
 class FiniteLattice(Dualizable):
@@ -560,6 +574,10 @@ class FiniteLattice(Dualizable):
     def pair_names(self, p: Pair) -> tuple[str, str]:
         return (self.names[p.src], self.names[p.dst])
 
+    def _select(self, items, mask: int) -> Iterator:
+        """The items, one per pair in pair order, whose bits are set in the pair mask `mask`."""
+        return itertools.compress(items, _flags(mask, len(items)))
+
     def __eq__(self, other):
         if not isinstance(other, FiniteLattice):
             return NotImplemented
@@ -602,7 +620,7 @@ class FiniteLattice(Dualizable):
     @property
     @_memoised
     def identity_mask(self) -> int:
-        return sum(1 << i for i, (a, b) in enumerate(self.pairs) if a == b)
+        return _from_flags([a == b for a, b in self.pairs])
 
     @property
     @_memoised
@@ -612,6 +630,13 @@ class FiniteLattice(Dualizable):
         if self.n ** 3 > _GRID_DENSITY * pairs * pairs:
             return _PairKit(self)
         return self.op()._kit.flipped() if self.opposite else _GridKit(self._up, self._down)
+
+    def _grid_route(self) -> tuple[_GridKit, object, object]:
+        """This side's grid kit and the gathers from its encoding to grids and back (module docstring)."""
+        if isinstance(self._kit, _GridKit):
+            return self._kit, _same, _same
+        kit = _GridKit(self._down, self._up).flipped() if self.opposite else _GridKit(self._up, self._down)
+        return kit, kit.from_mask, kit.to_mask
 
     @property
     def all_pairs_mask(self) -> int:

@@ -257,17 +257,18 @@ def construct_genMC(rel: RelStruct, j: MorphClass) -> ModelStruct:
 
 def _genMC_classes(rel: RelStruct, j: MorphClass) -> tuple[MorphClass, MorphClass]:
     """The (cof, fib) of :func:`construct_genMC`, its hypotheses checked, unverified."""
-    extra = j - rel.weq
+    kit, weq = rel.lattice._kit, rel.weq.bits
+    extra = j.bits & ~weq
     if extra:
-        raise JNotInW(next(iter(extra)))
+        raise JNotInW(kit.pair(low_bit(extra)))
     _require_s2of3(rel)
     cof, fib = _generated_by(rel, j)
-    bad = right_complement(cof) - rel.weq
+    bad = right_complement(cof).bits & ~weq
     if bad:
-        raise HypothesisFailed(2, next(iter(bad)))
-    bad = left_complement(fib) - rel.weq
+        raise HypothesisFailed(2, kit.pair(low_bit(bad)))
+    bad = left_complement(fib).bits & ~weq
     if bad:
-        raise HypothesisFailed(3, next(iter(bad)))
+        raise HypothesisFailed(3, kit.pair(low_bit(bad)))
     return cof, fib
 
 
@@ -417,10 +418,10 @@ def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:
     m = lat.meet(f.dst, lat.join(f.src, chi.chi[f.src]))
     wc = compute_Wc_chi(rel, chi)
     wf = compute_Wf_chi(rel, chi)
-    first, second = Pair(f.src, m), Pair(m, f.dst)
-    if first not in wc or second not in wf:
+    first, second = lat._kit.bit(f.src, m), lat._kit.bit(m, f.dst)
+    if not (wc.bits & first and wf.bits & second):
         raise InternalCheckFailed(f"canonical factorization of {f} escaped its classes")
-    if second not in right_complement(wc):
+    if not right_complement(wc).bits & second:
         raise InternalCheckFailed(f"second factor of {f} not right-lifting against W_c^chi")
     return m
 

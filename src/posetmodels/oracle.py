@@ -57,12 +57,12 @@ place.  Passing each failed closure on to the children (FCbO:
 J. Outrata, V. Vychodil, *Information Sciences* 185, 2012) skips a
 seventh of the closures that remain, but measured no faster.
 
-Everything runs on stacks of grids (:class:`~posetmodels.lattice._GridKit`),
-cut into chunks of at most ``_STACK_BYTES`` bytes, on either side of the
-density gate (:func:`_grid_side`).  Growth goes one breadth-first level
-at a time: each frontier class s and each of its children's generators
-g give s | PO(g), PO(g) read off the join table, and one stacked
-Warshall pass of n steps closes them all.  One stacked pass of the
+Everything runs on stacks of grids, in chunks of at most ``_STACK_BYTES``
+bytes, on the kit and gathers of ``FiniteLattice._grid_route`` on either
+side of the gate.  Growth goes one breadth-first level at a time: each
+frontier class s and each of its children's generators g give
+s | PO(g), PO(g) read off the join table, and one stacked Warshall pass
+of n steps closes them all.  One stacked pass of the
 complement kernels then gives every closed class J its candidate
 (lc(W & rc(J)), rc(J)), and :func:`~posetmodels.classes._model_fails`, the
 one implementation of the ten cof/fib conditions of
@@ -84,7 +84,7 @@ from typing import Iterator
 
 from .classes import _MODEL_CHECKS, MorphClass, _model_fails
 from .errors import CapExceeded, InvalidInput, NotALattice, Unbounded
-from .lattice import Pair, _GridKit, _side_kit, build_lattice, iter_bits
+from .lattice import Pair, build_lattice, iter_bits
 from .models import ModelStruct, _weq_checks
 from .relative import RelStruct, check_s2of3, validate_relative
 from .report import Check, FrozenRecord, Report, _set
@@ -144,26 +144,6 @@ def _closed_grids(lat, kit, weq: int, gens: list[Pair]) -> list[int]:
     return found
 
 
-def _grid_side(rel: RelStruct):
-    """The grid kit of `rel`'s side, W's grid and the gather from grids to
-    the lattice's encoding (None where that is the grid).  A sparse lattice,
-    whose pair-mask kit has no stacks, builds a grid kit for the call: the
-    one place outside the lattice module that asks which kit it keeps."""
-    lat = rel.lattice
-    if isinstance(lat._kit, _GridKit):
-        return lat._kit, rel.weq.bits, None
-    kit = _side_kit(lat)
-    return kit, kit.from_mask(rel.weq.bits), kit.to_mask
-
-
-def _closed_classes(rel: RelStruct, max_generators: int) -> list[int]:
-    """Every identity-containing class inside W closed under composition
-    and pushout, as sorted pair masks (see the module docstring); W must be
-    a subcategory."""
-    kit, weq, _ = _grid_side(rel)
-    return sorted(map(kit.to_mask, _closed_grids(rel.lattice, kit, weq, _generators(rel, max_generators))))
-
-
 def enumerate_model_structures(
     rel: RelStruct,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
@@ -181,7 +161,8 @@ def enumerate_model_structures(
     we_sub, two_of_three = _weq_checks(rel)
     if not (we_sub.ok and two_of_three.ok):
         return []
-    kit, weq, gather = _grid_side(rel)
+    kit, to_grid, from_grid = lat._grid_route()
+    weq = to_grid(rel.weq.bits)
     report = Report((we_sub, *(Check(name, True) for name in _MODEL_CHECKS), two_of_three))
     found = set()
     for stack, chunk in _chunks(kit, _closed_grids(lat, kit, weq, gens)):
@@ -193,9 +174,8 @@ def enumerate_model_structures(
             failed |= fails
         cofs, fibs = stack.unpack(cof), stack.unpack(fib)
         found.update((cofs[j], fibs[j]) for j in stack.zero_blocks(failed))
-    if gather:  # back to the lattice's encoding
-        found = {(gather(c), gather(f)) for c, f in found}
-    return [ModelStruct(rel, MorphClass._of(lat, c), MorphClass._of(lat, f), report) for c, f in sorted(found)]
+    return [ModelStruct(rel, MorphClass._of(lat, from_grid(c)), MorphClass._of(lat, from_grid(f)), report)
+            for c, f in sorted(found)]
 
 
 def decide_by_enumeration(rel: RelStruct, **caps) -> bool:

@@ -43,6 +43,7 @@ from posetmodels import (
     validate_relative,
     verify_model,
 )
+from posetmodels import oracle
 from posetmodels.equivalence import _contract
 from posetmodels.errors import NotALattice
 from posetmodels.lattice import _GridKit, iter_bits, low_bit
@@ -146,6 +147,16 @@ def naive_closed_classes(rel) -> list[int]:
                 below = memo[start]
             closure[subset] = below
     return sorted({MorphClass.from_pairs(lat, c).mask for c in closure.values() if c is not None})
+
+
+def closed_classes(rel, cap: int) -> list[int]:
+    """The oracle's closed classes of `rel` (``oracle._closed_grids`` on the
+    lattice's grid route, at most `cap` generators), as sorted pair masks;
+    W must be a subcategory."""
+    lat = rel.lattice
+    kit, to_grid, from_grid = lat._grid_route()
+    grids = oracle._closed_grids(lat, kit, to_grid(rel.weq.bits), oracle._generators(rel, cap))
+    return sorted(MorphClass._of(lat, from_grid(g)).mask for g in grids)
 
 
 def reference_pushout_stable_part(rel, allowed: int) -> int:

@@ -503,16 +503,35 @@ def test_only_the_lattice_module_reads_the_pair_tables():
 
 def test_only_the_class_boundary_converts_encodings():
     # a class's encoding is decided behind MorphClass: besides the lattice
-    # module, which defines the gathers, only the class module and the
-    # oracle (whose sparse lattices build a grid kit for the call) convert
-    # between grids and pair masks
+    # module, which defines the gathers and hands the oracle its grid route,
+    # only the class module converts between grids and pair masks
     src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 10
     readers = sorted(path.name for path in modules
                      if any(isinstance(node, ast.Attribute) and node.attr in ("to_mask", "from_mask")
                             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
-    assert set(readers) - {"lattice.py"} == {"classes.py", "oracle.py"}
+    assert set(readers) - {"lattice.py"} == {"classes.py"}
+
+
+def test_only_the_lattice_module_reads_or_builds_mask_bits():
+    # the reader and the writer of pair masks, and every other string
+    # gather, live in the lattice module: no other module calls bin,
+    # int(..., 2) or .translate
+    src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+
+    def gathers(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", None)
+        return (name == "bin" or getattr(node.func, "attr", None) == "translate"
+                or name == "int" and (len(node.args) > 1 or any(k.arg == "base" for k in node.keywords)))
+
+    readers = sorted(path.name for path in modules
+                     if any(map(gathers, ast.walk(ast.parse(path.read_text(encoding="utf-8"))))))
+    assert readers == ["lattice.py"]
 
 
 def _kit_reads(tree) -> set:
@@ -548,25 +567,19 @@ def _tests_the_kit(node, kits: set) -> bool:
 def test_only_the_lattice_module_chooses_a_kit():
     # the density gate, both kits and the choice between them live in the
     # lattice module; every other module calls its side's kit without asking
-    # which one it is.  The oracle's route to a grid kit, which it needs for
-    # stacks, is the one exception: its helper and that helper's imports.
+    # which one it is, and the oracle takes its grid kit from the lattice
     src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 10
-    named = {"_GridKit", "_GridStack", "_PairKit", "_side_kit", "_GRID_DENSITY"}
+    named = {"_GridKit", "_GridStack", "_PairKit", "_GRID_DENSITY"}
     offenders = []
     for path in modules:
         if path.name == "lattice.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        kits, exempt = _kit_reads(tree), set()
-        if path.name == "oracle.py":
-            helper = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_grid_side")
-            exempt = {id(node) for node in ast.walk(helper)}
-            assert any(_tests_the_kit(node, kits) for node in ast.walk(helper))  # the guard sees the exception
+        kits = _kit_reads(tree)
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            import_of_helper = path.name == "oracle.py" and isinstance(node, ast.alias)
-            if id(node) not in exempt and (_tests_the_kit(node, kits) or (name in named and not import_of_helper)):
+            if _tests_the_kit(node, kits) or name in named:
                 offenders.append((path.name, getattr(node, "lineno", None), name))
     assert offenders == []

@@ -7,6 +7,7 @@ witnesses included; the kernels are checked against naive loops.
 import gc
 import itertools
 import random
+import time
 import weakref
 
 import pytest
@@ -47,7 +48,7 @@ from posetmodels import (
     verify_model,
 )
 from posetmodels.classes import _model_fails
-from posetmodels.lattice import _GridKit, _PairKit, _side_kit, iter_bits, low_bit
+from posetmodels.lattice import _GridKit, _PairKit, _flags, _from_flags, iter_bits, low_bit
 from posetmodels.models import _generated_by
 
 from helpers import (
@@ -348,7 +349,7 @@ def _kit_battery(lat, rng):
     """The pair-mask kit against a grid kit of `lat`'s side, method by
     method, each result read as a pair mask; operands are pair masks and
     their grids."""
-    pk, gk = _PairKit(lat), _side_kit(lat)
+    pk, gk = _PairKit(lat), lat._grid_route()[0]
     n, npairs = lat.n, len(lat.pairs)
     assert pk.ids == gk.to_mask(gk.ids) == lat.identity_mask and pk.order == gk.to_mask(gk.order)
     assert [pk.pair(i) for i in range(npairs)] == [gk.pair(low_bit(gk.from_mask(1 << i))) for i in range(npairs)]
@@ -382,6 +383,59 @@ def test_pair_kit_matches_grid_kit_on_wide_lattices():
         for side in (lat, lat.op()):
             assert not on_grid_path(side)
             _kit_battery(side, rng)
+
+
+def _or_per_bit(flags) -> int:
+    mask = 0
+    for i, flag in enumerate(flags):
+        if flag:
+            mask |= 1 << i
+    return mask
+
+
+def test_reader_and_writer_round_trip_random_masks():
+    # the reader against iter_bits and the writer against an OR per bit,
+    # on seeded random masks and flags of widths 1 to 2,000
+    rng = random.Random(41)
+    for width in [*range(1, 80), *(rng.randint(80, 2000) for _ in range(40)), 2000]:
+        for mask in (0, (1 << width) - 1, 1 << width - 1, rng.getrandbits(width)):
+            flags = _flags(mask, width)
+            assert len(flags) == width and set(flags) <= {0, 1}
+            assert [i for i, flag in enumerate(flags) if flag] == list(iter_bits(mask))
+            assert _from_flags(flags) == _from_flags(bytearray(flags)) == mask
+        flags = [rng.random() < 0.5 for _ in range(width)]
+        assert _from_flags(flags) == _or_per_bit(flags)
+        assert list(_flags(_from_flags(flags), width)) == flags
+
+
+def test_reader_and_writer_round_trip_at_the_pair_width_of_both_kits():
+    # a dense lattice and a wide one of 40 atoms, on both op() sides: the
+    # class boundary reads and builds pair masks through the pair
+    rng = random.Random(42)
+    for lat in (build_lattice(*_grid(4, 5)), _wide(42)):
+        for side in (lat, lat.op()):
+            pairs = side.pairs
+            assert on_grid_path(side) == (lat.n == 20)
+            assert side.identity_mask == _or_per_bit(a == b for a, b in pairs)
+            for mask in (0, side.identity_mask, side.all_pairs_mask, *(rng.getrandbits(len(pairs)) for _ in range(20))):
+                assert _from_flags(_flags(mask, len(pairs))) == mask
+                members = [pairs[i] for i in iter_bits(mask)]
+                s = MorphClass(side, mask)
+                assert list(s) == members and all(p in s for p in members)
+                assert not any(p in s for p in pairs if p not in members)
+                assert MorphClass.from_pairs(side, members).mask == mask
+                assert MorphClass.from_pairs(side, members, add_identities=True).mask == mask | side.identity_mask
+
+
+def test_reader_and_writer_are_linear():
+    # one round trip of a 2^19-bit mask takes tens of milliseconds; an OR
+    # per bit, quadratic in the width, takes seconds
+    rng = random.Random(43)
+    width = 1 << 19
+    for mask in ((1 << width) - 1, rng.getrandbits(width)):
+        start = time.perf_counter()
+        assert _from_flags(_flags(mask, width)) == mask
+        assert time.perf_counter() - start < 0.5
 
 
 def test_kits_form_no_reference_cycle():

@@ -63,8 +63,16 @@ def test_importing_the_package_loads_no_submodule():
 
 def test_the_command_line_module_loads_only_the_file_formats():
     added = loaded_by("import posetmodels.cli")
-    assert ours(added) == {"errors", "lattice", "report", "classes", "relative", "formats", "cli"}
+    assert ours(added) == {"errors", "report", "formats", "cli"}
     assert "dataclasses" not in added and "inspect" not in added
+
+
+def test_the_fixture_command_loads_no_lattice_layer():
+    added = ours(loaded_by(
+        "from posetmodels.cli import run_cli\n"
+        f"assert run_cli(['fixture', 'two-structures', '--out', {os.devnull!r}]) == 0"
+    ))
+    assert "fixtures" in added and not {"lattice", "classes", "relative"} & added
 
 
 @pytest.mark.parametrize("argv, loads, skips", [

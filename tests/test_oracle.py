@@ -24,11 +24,11 @@ from posetmodels import (
 )
 from posetmodels.errors import CapExceeded, S2OF3Failed
 from posetmodels.models import _weq_checks
-from posetmodels.oracle import _closed_classes
 
 from helpers import (
     all_weak,
     check_all_centers,
+    closed_classes,
     composition_closed_weqs,
     compose_close,
     naive_closed_classes,
@@ -172,12 +172,12 @@ def test_closures_match_naive_on_permuted_indices():
 
 def test_closed_classes_match_naive_closure(two_structures, forced, s2of3_fail, trunc1, two_chain):
     for rel in (two_structures, forced, s2of3_fail, trunc1, two_chain):
-        assert _closed_classes(rel, 14) == naive_closed_classes(rel)
+        assert closed_classes(rel, 14) == naive_closed_classes(rel)
     stream = random_instances(InstanceGen(seed=3, weq_density=0.6))
     small = (rel for rel in stream if len(rel.weq.nonidentity_pairs()) <= 8)
     sizes = set()
     for rel in itertools.islice(small, 150):
-        classes = _closed_classes(rel, 8)
+        classes = closed_classes(rel, 8)
         assert classes == naive_closed_classes(rel)
         sizes.add(len(classes))
     assert max(sizes) >= 10  # the sample grows more than a few classes
@@ -197,7 +197,7 @@ def test_enumeration_digests():
     cases += [(load("two-structures"), 14), (load("forced"), 14), (load("chain-8"), 28)]
     classes, structures = hashlib.sha256(), hashlib.sha256()
     for rel, cap in cases:
-        for mask in _closed_classes(rel, cap):
+        for mask in closed_classes(rel, cap):
             classes.update(b"%x," % mask)
         classes.update(b";")
         for m in enumerate_model_structures(rel, max_generators=cap):
@@ -209,8 +209,8 @@ def test_enumeration_digests():
 
 def _grown(rel, cap=14):
     """oracle._closed_grids on `rel`, as enumerate_model_structures calls it."""
-    kit, weq, _ = oracle._grid_side(rel)
-    return oracle._closed_grids(rel.lattice, kit, weq, oracle._generators(rel, cap))
+    kit, to_grid, _ = rel.lattice._grid_route()
+    return oracle._closed_grids(rel.lattice, kit, to_grid(rel.weq.bits), oracle._generators(rel, cap))
 
 
 def _digest_cases():
@@ -236,9 +236,7 @@ def test_canonical_growth_forms_each_closed_class_once():
         for lat in small_lattices(n):
             for rel in composition_closed_weqs(lat):
                 for side in (rel, rel.op()):
-                    grids = _grown(side)
-                    kit = oracle._grid_side(side)[0]
-                    assert sorted(map(kit.to_mask, grids)) == naive_closed_classes(side)
+                    assert closed_classes(side, 14) == naive_closed_classes(side)
 
 
 def test_closed_classes_do_not_depend_on_element_indices():
@@ -253,7 +251,7 @@ def test_closed_classes_do_not_depend_on_element_indices():
         unsorted += any(q.src > q.dst for q in p.lattice.pairs)
         for side, other in ((rel, p), (rel.op(), p.op())):
             named = [sorted(sorted(map(r.lattice.pair_names, MorphClass(r.lattice, mask).pairs()))
-                            for mask in _closed_classes(r, 14)) for r in (side, other)]
+                            for mask in closed_classes(r, 14)) for r in (side, other)]
             assert named[0] == named[1]
     assert unsorted >= 30
 
@@ -269,7 +267,7 @@ def test_closures_formed_by_canonical_growth(name, cap, closures, monkeypatch):
     formed = []
     for side in (rel, rel.op()):
         chunks.clear()
-        _closed_classes(side, cap)
+        closed_classes(side, cap)
         formed.append(sum(len(grids) for _, grids in chunks))
     assert formed == closures
 
@@ -348,7 +346,7 @@ def test_oracle_on_sparse_lattice_matches_reference_route():
         expected = reference_enumeration(side)
         assert len(expected) == 1
         assert _enumerated(side) == expected
-        assert _closed_classes(side, 14) == naive_closed_classes(side) and len(naive_closed_classes(side)) == 4
+        assert closed_classes(side, 14) == naive_closed_classes(side) and len(naive_closed_classes(side)) == 4
 
 
 def test_enumeration_does_not_depend_on_chunk_size(two_structures, forced, monkeypatch):
@@ -356,11 +354,11 @@ def test_enumeration_does_not_depend_on_chunk_size(two_structures, forced, monke
     # split closure growth and verification across many stacks
     rels = [two_structures, forced, _block_chain((4, 2, 2, 1))]
     rels += list(itertools.islice(random_instances(InstanceGen(seed=19)), 30))
-    expected = [(_enumerated(rel), _closed_classes(rel, 14)) for rel in rels]
+    expected = [(_enumerated(rel), closed_classes(rel, 14)) for rel in rels]
     assert sum(len(structures) for structures, _ in expected) >= 90
     for size in (1, 40, 200):
         monkeypatch.setattr(oracle, "_STACK_BYTES", size)
-        assert [(_enumerated(rel), _closed_classes(rel, 14)) for rel in rels] == expected
+        assert [(_enumerated(rel), closed_classes(rel, 14)) for rel in rels] == expected
 
 
 def _m3():
@@ -377,7 +375,7 @@ def test_closed_class_counts_with_every_pair_weak(rel, count):
     # "Self-duality of the lattice of transfer systems via weak factorization
     # systems"): L and L.op() have as many
     for side in (rel, rel.op()):
-        assert len(_closed_classes(side, 14)) == count
+        assert len(closed_classes(side, 14)) == count
 
 
 def test_closed_classes_are_left_complements_of_their_right_complements():
@@ -385,7 +383,7 @@ def test_closed_classes_are_left_complements_of_their_right_complements():
     stream = random_instances(InstanceGen(seed=17, weq_density=0.6))
     for rel in itertools.islice((rel for rel in stream if len(rel.weq.nonidentity_pairs()) <= 14), 100):
         for side in (rel, rel.op()):
-            for mask in _closed_classes(side, 14):
+            for mask in closed_classes(side, 14):
                 j = MorphClass(side.lattice, mask)
                 assert left_complement(right_complement(j)).mask == mask
                 checked += 1

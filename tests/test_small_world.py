@@ -6,11 +6,16 @@ the default options deselect (run it with ``pytest -m slow``), takes
 failed; an exhaustive sweep misses none.
 """
 
+import math
+
 import pytest
 
 from posetmodels import (
     ModelStruct,
+    MorphClass,
+    RelStruct,
     build_zigzag,
+    check_s2of3,
     compute_Jchi,
     construct_from_centers,
     construct_from_centers_dual,
@@ -29,6 +34,7 @@ from posetmodels import (
 from posetmodels.errors import S2OF3Failed
 
 from helpers import (
+    all_weak,
     composition_closed_weqs,
     reference_replacement,
     reference_zigzag,
@@ -101,6 +107,38 @@ def test_canonical_subcategories_match_the_brute_force_scan():
 def test_seven_chain_subcategories():
     # the next A006455 term; the brute-force scan would test 2^21 subsets
     assert len(subcategory_masks(_chain(7))) == 96428
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_chain_counts_match_their_closed_forms(n):
+    """On the n-chain 0 < 1 < ... < n - 1: C_n weak factorization systems
+    (the model structures with W every pair), 2^(n-1) subcategories W that
+    admit a model structure, and C(2n - 1, n) model structures over all W.
+
+    Proof of the middle count.  Strong 2-of-3 puts both factors of a
+    W-morphism (i, k) in W, so (i, k) in W puts every cover (j, j + 1),
+    i <= j < k, in W; W holds the composites of those covers, so the
+    converse holds too.  So W is the set of pairs inside the blocks of the
+    interval partition cut at the covers outside W, and each of the
+    2^(n-1) subsets of the n - 1 covers gives one such W, which has strong
+    2-of-3, as the factors of a pair inside a block stay in it.  A pushout
+    of (i, k) in W along i <= c is (c, max(k, c)): the identity if c > k,
+    and else a pair inside the block of i and k.  So W_c = W, and likewise
+    W_f = W, and (i, k) factors as itself, in W_c, followed by (k, k), in
+    W_f: the c/w factorization holds.  By the recognition principle the W
+    that admit a model structure are exactly those with strong 2-of-3,
+    which the oracle confirms W by W."""
+    lat = _chain(n)
+    cap = n * (n - 1) // 2
+    admitting = structures = 0
+    for mask in subcategory_masks(lat):
+        rel = RelStruct(lat, MorphClass(lat, mask))
+        found = len(enumerate_model_structures(rel, max_generators=cap))
+        assert (found > 0) == check_s2of3(rel).ok
+        admitting += found > 0
+        structures += found
+    wfs = len(enumerate_model_structures(all_weak(lat), max_generators=cap))
+    assert (wfs, admitting, structures) == (math.comb(2 * n, n) // (n + 1), 2 ** (n - 1), math.comb(2 * n - 1, n))
 
 
 def test_zigzag_and_reduce_every_structure_of_at_most_five_elements():
