@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .classes import MorphClass
 from .errors import InternalCheckFailed, InvalidInput, S2OF3Failed
-from .lattice import Pair, iter_bits
+from .lattice import Pair, _memoised, low_bit
 from .relative import RelStruct, check_s2of3, _pushout_stable_part
 from .report import Check, FrozenRecord, Report, _set
 
@@ -36,15 +36,31 @@ def center_square(rel: RelStruct, a: int, c: int) -> tuple[Pair, Pair, Pair, Pai
     return (Pair(m, c), Pair(m, a), Pair(a, j), Pair(c, j))
 
 
-def _square_in_weq(rel: RelStruct, a: int, c: int) -> bool:
-    """Whether all four edges of the comparison square of a with c lie in W."""
-    lat = rel.lattice
-    ac = 1 << a | 1 << c
-    return (rel.weq.rows[lat.meet(a, c)] & ac) == ac and (rel.weq.cols[lat.join(a, c)] & ac) == ac
+@_memoised
+def _square_rows(rel: RelStruct) -> list[int]:
+    """S[x] = {y : (x ^ y, x) and (x, x v y) in W}; the comparison square of
+    a and c lies in W iff c is in S[a] and a is in S[c]
+    (:meth:`~posetmodels.lattice.FiniteLattice._square_rows`).  S is
+    self-dual, so a side reads the one its opposite has memoised."""
+    built = rel.op()._memo.get("_square_rows")
+    return rel.lattice._square_rows(rel.weq.rows, rel.weq.cols) if built is None else built
 
 
 def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
     """Check every defining property of a choice of centers, least witness each.
+
+    A map is well formed when it holds n ints (not bools) in range(n).
+    Monotonicity reads value masks: with above[v] = {x : chi(x) >= v},
+    a <= b breaks it iff b is in up(a) & ~above[chi(a)], so the witness
+    is the least a with that set nonzero and its lowest bit b, the least
+    (a, b) in scan order.  The squares check reads the square rows
+    S[x] = {y : (x ^ y, x) and (x, x v y) in W} (:func:`_square_rows`).
+    Lemma: the comparison square of a and c lies in W iff c is in S[a]
+    and a is in S[c].  Proof: its edges are (a ^ c, a) and (a, a v c),
+    both in W iff c is in S[a], and (a ^ c, c) and (c, a v c), both in W
+    iff a is in S[c].  So the least a whose square with chi(a) leaves W
+    is found in O(n) bit tests, and only its four edges are built, for
+    the witness (a, its first edge outside W).
 
     Only a map that passes is memoised on `rel`, keyed by its chi tuple
     (see :class:`~posetmodels.lattice.Dualizable`); a failing map is
@@ -60,63 +76,39 @@ def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
 
 
 def _check_centers(rel: RelStruct, chi: CenterMap) -> Report:
-    lat = rel.lattice
+    lat, values = rel.lattice, chi.chi
     n = lat.n
-    well_formed = len(chi.chi) == n and all(0 <= v < n for v in chi.chi)
-    checks = [Check("well_formed", well_formed)]
-    if not well_formed:
-        return Report(tuple(checks))
-
-    witness = None
-    for a in range(n):
-        for b in iter_bits(lat.up_mask(a)):
-            if not lat.leq(chi.chi[a], chi.chi[b]):
-                witness = (a, b)
-                break
-        if witness:
-            break
-    checks.append(Check("monotone", witness is None, witness))
-
-    witness = None
-    for comp in rel.components:
-        vals = {chi.chi[x] for x in comp}
-        if len(vals) > 1:
-            witness = tuple(comp)
-            break
-    checks.append(Check("constant_on_components", witness is None, witness))
-
-    witness = None
-    for a in range(n):
-        if rel.component_of[chi.chi[a]] != rel.component_of[a]:
-            witness = (a, chi.chi[a])
-            break
-    checks.append(Check("center_in_component", witness is None, witness))
-
-    witness = None
-    rows = rel.weq.rows
-    for a in range(n):
-        for p in center_square(rel, a, chi.chi[a]):
-            if not rows[p.src] >> p.dst & 1:
-                witness = (a, p)
-                break
-        if witness:
-            break
-    checks.append(Check("squares_in_weq", witness is None, witness))
-
-    witness = None
-    for a in range(n):
-        if chi.chi[chi.chi[a]] != chi.chi[a]:
-            witness = (a,)
-            break
-    checks.append(Check("idempotent", witness is None, witness))
-    return Report(tuple(checks))
+    if len(values) != n or not all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n for v in values):
+        return Report((Check("well_formed", False),))
+    image = list(dict.fromkeys(values))  # above[v] = {x : chi(x) >= v}, one gather per v
+    above = dict(zip(image, lat._preimages(values, [lat.up_mask(v) for v in image])))
+    up = next(((a, m) for a, v in enumerate(values) if (m := lat.up_mask(a) & ~above[v])), None)
+    s, rows = _square_rows(rel), rel.weq.rows
+    a = next((a for a, c in enumerate(values) if not s[a] >> c & s[c] >> a & 1), None)
+    edges = () if a is None else center_square(rel, a, values[a])  # built only for the witness
+    square = next(((a, p) for p in edges if not rows[p.src] >> p.dst & 1), None)
+    witnesses = {
+        "monotone": up and (up[0], low_bit(up[1])),
+        "constant_on_components": next((comp for comp in rel.components if len({values[x] for x in comp}) > 1), None),
+        "center_in_component": next(((a, v) for a, v in enumerate(values)
+                                     if rel.component_of[v] != rel.component_of[a]), None),
+        "squares_in_weq": square,
+        "idempotent": next(((a,) for a, v in enumerate(values) if values[v] != v), None),
+    }
+    return Report((Check("well_formed", True), *(Check(name, w is None, w) for name, w in witnesses.items())))
 
 
 def _component_candidates(rel: RelStruct) -> list[list[int]]:
-    """Per component: the elements whose square with every member lies in W."""
+    """Per component K: the c in K whose square with every member lies in
+    W, {c in K : K <= S[c]} & (the AND of S[a], a in K), by the lemma of
+    :func:`validate_centers`: O(n) masks in all."""
+    s = _square_rows(rel)
     out = []
     for comp in rel.components:
-        out.append([c for c in comp if all(_square_in_weq(rel, a, c) for a in comp)])
+        k = common = sum(1 << x for x in comp)
+        for a in comp:
+            common &= s[a]
+        out.append([c for c in comp if common >> c & 1 and not k & ~s[c]])
     return out
 
 
@@ -142,6 +134,9 @@ def _search(rel: RelStruct):
     ascending, which makes depth-first emission order coincide with
     lexicographic order on chi (components are listed by least element and
     every prefix of element indices is covered by a prefix of components).
+    The candidates of a component K are the c in K with K <= S[c] and c in
+    S[a] for every a in K, S the square rows (the lemma of
+    :func:`validate_centers`): O(n) masks, no square is built.
     """
     candidates = _component_candidates(rel)
     crel = _component_relation(rel)
@@ -201,7 +196,9 @@ class CenterEnumeration(FrozenRecord):
 
 def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:
     """Up to `limit` valid center maps, lexicographically ordered; a
-    negative limit is an input error."""
+    limit that is no int, a bool or negative is an input error."""
+    if not isinstance(limit, int) or isinstance(limit, bool):
+        raise InvalidInput(f"limit must be an int, got {limit!r}")
     if limit < 0:
         raise InvalidInput(f"limit must be at least 0, got {limit}")
     _require_s2of3(rel)

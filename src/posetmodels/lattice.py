@@ -11,11 +11,13 @@ the pairs with a pushout outside a class S are O∘N, N[c] being the b
 with (c, b v c) not in S, one gather per row of the join table and one
 kit method.  It builds no table, so W_c, W_c^chi and the pushout guard
 (and, in L.op(), W_f, W_f^chi and pullback closure) read none on either
-kit.  The P-indexed pair tables remain for the pair-mask kit's lift
-scans and for outside callers.  They are built from per-element pair
-masks, by_src[x] and by_dst[y] holding the pairs with source x and
-target y, src_up[a] and dst_up[b] those with source >= a and target >= b:
-n^2 + P mask operations, and no pair is looked up.
+kit.  Two such gathers, through the meet and join rows, give the square
+rows of :meth:`FiniteLattice._square_rows`, which decide whether a
+comparison square lies in W.  The P-indexed pair tables remain for the
+pair-mask kit's lift scans and for outside callers.  They are built from
+per-element pair masks, by_src[x] and by_dst[y] holding the pairs with
+source x and target y, src_up[a] and dst_up[b] those with source >= a
+and target >= b: n^2 + P mask operations, and no pair is looked up.
 
 Pair masks have one reader, :func:`_flags`, a byte per pair, and one
 writer, :func:`_from_flags`, from a flag per pair: each one C-level pass
@@ -660,9 +662,36 @@ class FiniteLattice(Dualizable):
         which join keeps).  On L.op() the join table is L's meet table, so
         the pushouts there are L's pullbacks, and the kit reads O, and gives
         the bits, in L.op()'s terms."""
+        full = (1 << self.n) - 1
+        return self._kit.reach(self._gather([~row & full for row in rows], self._getters()[0]))
+
+    @_memoised
+    def _getters(self) -> tuple[list, list]:
+        """The itemgetters over each join row and each meet row, reversed, that
+        :meth:`_gather` applies; L.op() reads L's, swapped, as its tables are."""
+        if self.opposite:
+            return self.op()._getters()[::-1]
+        return tuple([operator.itemgetter(*reversed(row)) for row in table] for table in (self._join, self._meet))
+
+    def _gather(self, masks: list[int], getters: list) -> list[int]:
+        """For each x, the element mask holding at bit y the bit table[x][y]
+        of masks[x], getters[x] being the itemgetter over table[x] reversed:
+        one C-level gather per x (:meth:`_pushout_escapes`)."""
         top = 1 << self.n
-        return self._kit.reach([int("".join(operator.itemgetter(*reversed(joins))(bin(top | ~row & top - 1)[:2:-1])), 2)
-                                for row, joins in zip(rows, self._join)])
+        return [int("".join(get(bin(top | m)[:2:-1])), 2) for m, get in zip(masks, getters)]
+
+    def _preimages(self, values: tuple[int, ...], masks: list[int]) -> list[int]:
+        """For each element mask m, the mask of the x with values[x] in m."""
+        return self._gather(masks, [operator.itemgetter(*reversed(values))] * len(masks))
+
+    def _square_rows(self, rows: list[int], cols: list[int]) -> list[int]:
+        """S[x] = {y : (x ^ y, x) and (x, x v y) in the class with these
+        `rows` and `cols`}: two gathers per x, through x's meet and join
+        rows.  The comparison square of a and c lies in the class iff c is
+        in S[a] and a in S[c] (``centers.validate_centers``).  S is
+        self-dual: on L.op() meets and joins swap, and so do rows and cols."""
+        joins, meets = self._getters()
+        return [m & j for m, j in zip(self._gather(cols, meets), self._gather(rows, joins))]
 
     @_memoised
     def _pair_masks(self) -> tuple[list[int], list[int], list[int], list[int]]:

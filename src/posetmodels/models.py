@@ -38,7 +38,7 @@ from .errors import (
     S2OF3Failed,
 )
 from .lattice import Dualizable, Pair, _memoised, iter_bits, low_bit
-from .relative import RelStruct, check_s2of3, compute_Wc, recognition_report
+from .relative import RelStruct, _least_triple, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
 
@@ -108,20 +108,24 @@ class ModelStruct(Dualizable):
 
 
 def _two_of_three_check(rel: RelStruct) -> Check:
-    lat = rel.lattice
-    rows = rel.weq.rows
-    for a in range(lat.n):
-        for b in iter_bits(lat.up_mask(a)):
-            cs = lat.up_mask(b)
-            g = rows[b] & cs  # c with (b, c) in we
-            h = rows[a] & cs  # c with (a, c) in we
-            if (rows[a] >> b) & 1:
-                bad = (g & ~h) | (h & ~g)
-            else:
-                bad = g & h
-            if bad:
-                return Check("two_of_three", False, (a, b, low_bit(bad)))
-    return Check("two_of_three", True)
+    """2-of-3: of the three pairs of any a <= b <= c, never exactly two in W.
+
+    With N = O & ~W, the failing (a, c) are (W∘W) & N (both factors in W,
+    not the composite) and W & (W∘N | N∘W) (the composite and one factor):
+    three kit products.  The least failing (a, b, c) is read off one row
+    (:func:`~posetmodels.relative._least_triple`).
+    """
+    kit, w = rel.lattice._kit, rel.weq.bits
+    outside = kit.order & ~w  # N
+    bad = kit.composite(w, w) & outside | w & (kit.composite(w, outside) | kit.composite(outside, w))
+    if not bad:
+        return Check("two_of_three", True)
+    rows, up = rel.weq.rows, rel.lattice.up_mask
+
+    def third(a, b):  # the c >= b with two of (a, b), (b, c), (a, c) in W
+        g, h = rows[b] & up(b), rows[a] & up(b)
+        return g ^ h if rows[a] >> b & 1 else g & h
+    return Check("two_of_three", False, _least_triple(rel, bad, third))
 
 
 @_memoised

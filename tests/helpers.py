@@ -11,9 +11,11 @@ import itertools
 import random
 
 from posetmodels import (
+    Check,
     MorphClass,
     ModelStruct,
     Pair,
+    Report,
     Zigzag,
     build_lattice,
     check_s2of3,
@@ -44,6 +46,7 @@ from posetmodels import (
     verify_model,
 )
 from posetmodels import oracle
+from posetmodels.centers import center_square
 from posetmodels.equivalence import _contract
 from posetmodels.errors import NotALattice
 from posetmodels.lattice import _GridKit, iter_bits, low_bit
@@ -175,6 +178,117 @@ def reference_pushout_closed(s: MorphClass):
         if escaped:
             return ps[i], ps[low_bit(escaped)]
     return None
+
+
+def reference_s2of3(rel) -> Report:
+    """``check_s2of3`` by a scan of every pair (a, b), a <= b, for the
+    least failing c: the least triple (a, b, c) with (a, c) in W and
+    (a, b) or (b, c) outside it."""
+    lat = rel.lattice
+    rows = rel.weq.rows
+    witness = None
+    for a in range(lat.n):
+        if witness:
+            break
+        for b in iter_bits(lat.up_mask(a)):
+            cs = lat.up_mask(b) & rows[a]  # c >= b with (a, c) in W
+            if (rows[a] >> b) & 1:
+                bad = cs & ~rows[b]  # the factor (b, c) is missing from W
+            else:
+                bad = cs  # the factor (a, b) is already missing
+            if bad:
+                witness = (a, b, low_bit(bad))
+                break
+    return Report((Check("s2of3", witness is None, witness),))
+
+
+def reference_two_of_three(rel) -> Check:
+    """``verify_model``'s 2-of-3 check by a scan of every pair (a, b),
+    a <= b: the least (a, b, c) with exactly two of its pairs in W."""
+    lat = rel.lattice
+    rows = rel.weq.rows
+    for a in range(lat.n):
+        for b in iter_bits(lat.up_mask(a)):
+            cs = lat.up_mask(b)
+            g = rows[b] & cs  # c with (b, c) in we
+            h = rows[a] & cs  # c with (a, c) in we
+            if (rows[a] >> b) & 1:
+                bad = (g & ~h) | (h & ~g)
+            else:
+                bad = g & h
+            if bad:
+                return Check("two_of_three", False, (a, b, low_bit(bad)))
+    return Check("two_of_three", True)
+
+
+def reference_square_in_weq(rel, a: int, c: int) -> bool:
+    """Whether all four edges of the comparison square of a with c lie in W."""
+    lat = rel.lattice
+    ac = 1 << a | 1 << c
+    return (rel.weq.rows[lat.meet(a, c)] & ac) == ac and (rel.weq.cols[lat.join(a, c)] & ac) == ac
+
+
+def reference_check_centers(rel, chi) -> Report:
+    """``validate_centers``' report by per-pair scans: monotonicity over
+    every a <= b and each square edge by edge.  A well-formed map holds n
+    ints, not bools, in range(n)."""
+    lat = rel.lattice
+    n = lat.n
+    well_formed = len(chi.chi) == n and all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+                                            for v in chi.chi)
+    checks = [Check("well_formed", well_formed)]
+    if not well_formed:
+        return Report(tuple(checks))
+
+    witness = None
+    for a in range(n):
+        for b in iter_bits(lat.up_mask(a)):
+            if not lat.leq(chi.chi[a], chi.chi[b]):
+                witness = (a, b)
+                break
+        if witness:
+            break
+    checks.append(Check("monotone", witness is None, witness))
+
+    witness = None
+    for comp in rel.components:
+        vals = {chi.chi[x] for x in comp}
+        if len(vals) > 1:
+            witness = tuple(comp)
+            break
+    checks.append(Check("constant_on_components", witness is None, witness))
+
+    witness = None
+    for a in range(n):
+        if rel.component_of[chi.chi[a]] != rel.component_of[a]:
+            witness = (a, chi.chi[a])
+            break
+    checks.append(Check("center_in_component", witness is None, witness))
+
+    witness = None
+    rows = rel.weq.rows
+    for a in range(n):
+        for p in center_square(rel, a, chi.chi[a]):
+            if not rows[p.src] >> p.dst & 1:
+                witness = (a, p)
+                break
+        if witness:
+            break
+    checks.append(Check("squares_in_weq", witness is None, witness))
+
+    witness = None
+    for a in range(n):
+        if chi.chi[chi.chi[a]] != chi.chi[a]:
+            witness = (a,)
+            break
+    checks.append(Check("idempotent", witness is None, witness))
+    return Report(tuple(checks))
+
+
+def reference_component_candidates(rel) -> list[list[int]]:
+    """Per component: the elements whose square with every member lies in
+    W, one :func:`reference_square_in_weq` per pair of members."""
+    return [[c for c in comp if all(reference_square_in_weq(rel, a, c) for a in comp)] for comp in rel.components]
 
 
 def reference_enumeration(rel) -> list:
