@@ -9,6 +9,9 @@ route to the same answer.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .classes import MorphClass
 from .errors import InternalCheckFailed, InvalidInput, S2OF3Failed
 from .lattice import Pair, _memoised, low_bit
@@ -64,12 +67,19 @@ def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
 
     Only a map that passes is memoised on `rel`, keyed by its chi tuple
     (see :class:`~posetmodels.lattice.Dualizable`); a failing map is
-    checked in full on every call.
+    checked in full on every call.  A passing report memoised on
+    ``rel.op()`` is read instead: a passing report holds no witness, and
+    each check is self-dual.  ``op()`` keeps the elements and components
+    and reverses the order, so well-formedness, idempotence, constancy on
+    components and center-in-component read the same data; a <= b implies
+    chi(a) <= chi(b) reads, reversed, as the same statement; and as meet
+    and join swap, each comparison square keeps its four edges, reversed,
+    so it lies in W iff it lies in W.op().
     """
     key = ("validate_centers", chi.chi)
     report = rel._memo.get(key)
     if report is None:
-        report = _check_centers(rel, chi)
+        report = rel.op()._memo.get(key) or _check_centers(rel, chi)
         if report.ok:
             report = rel._cached(key, lambda _: report)
     return report
@@ -104,27 +114,10 @@ def _component_candidates(rel: RelStruct) -> list[list[int]]:
     :func:`validate_centers`: O(n) masks in all."""
     s = _square_rows(rel)
     out = []
-    for comp in rel.components:
-        k = common = sum(1 << x for x in comp)
-        for a in comp:
-            common &= s[a]
+    for k, comp in zip(rel.component_masks, rel.components):
+        common = functools.reduce(operator.and_, map(s.__getitem__, comp), k)
         out.append([c for c in comp if common >> c & 1 and not k & ~s[c]])
     return out
-
-
-def _component_relation(rel: RelStruct) -> list[list[bool]]:
-    """rel[i][j]: some element of component i is <= some element of component j."""
-    lat = rel.lattice
-    k = len(rel.components)
-    masks = [0] * k
-    for i, comp in enumerate(rel.components):
-        for x in comp:
-            masks[i] |= 1 << x
-    up_of_comp = [0] * k
-    for i, comp in enumerate(rel.components):
-        for x in comp:
-            up_of_comp[i] |= lat.up_mask(x)
-    return [[up_of_comp[i] & masks[j] != 0 for j in range(k)] for i in range(k)]
 
 
 def _search(rel: RelStruct):
@@ -137,37 +130,35 @@ def _search(rel: RelStruct):
     The candidates of a component K are the c in K with K <= S[c] and c in
     S[a] for every a in K, S the square rows (the lemma of
     :func:`validate_centers`): O(n) masks, no square is built.
-    """
-    candidates = _component_candidates(rel)
-    crel = _component_relation(rel)
-    lat = rel.lattice
-    k = len(rel.components)
-    assigned: list[int | None] = [None] * k
 
-    def consistent(i: int, c: int) -> bool:
-        for j in range(k):
-            d = assigned[j]
-            if d is None:
-                continue
-            if crel[j][i] and not lat.leq(d, c):
-                return False
-            if crel[i][j] and not lat.leq(c, d):
-                return False
-        return True
+    Monotonicity is one bound mask per level, U_j being the up-closure of
+    component K_j and d_j its center: c is allowed for K_i iff it is in
+    up(d_j) for each earlier j with U_j meeting K_i (an element of K_j
+    lies below one of K_i) and in down(d_j) for each with U_i meeting K_j.
+    So for any a <= b, the later of their components was bounded by the
+    earlier one's center, and each candidate is one bit test.
+    """
+    lat = rel.lattice
+    masks = rel.component_masks
+    closures = [functools.reduce(operator.or_, map(lat.up_mask, comp)) for comp in rel.components]
+    below = [[j for j in range(i) if closures[j] & masks[i]] for i in range(len(masks))]
+    above = [[j for j in range(i) if closures[i] & masks[j]] for i in range(len(masks))]
+    candidates = _component_candidates(rel)
+    assigned = [0] * len(masks)
 
     def extend(i: int):
-        if i == k:
-            chi = [0] * lat.n
-            for ci, comp in enumerate(rel.components):
-                for x in comp:
-                    chi[x] = assigned[ci]
-            yield CenterMap(tuple(chi))
+        if i == len(masks):
+            yield CenterMap(tuple(map(assigned.__getitem__, rel.component_of)))
             return
+        bound = -1
+        for j in below[i]:
+            bound &= lat.up_mask(assigned[j])
+        for j in above[i]:
+            bound &= lat.down_mask(assigned[j])
         for c in candidates[i]:
-            if consistent(i, c):
+            if bound >> c & 1:
                 assigned[i] = c
                 yield from extend(i + 1)
-                assigned[i] = None
 
     yield from extend(0)
 

@@ -563,12 +563,15 @@ class FiniteLattice(Dualizable):
         """The Pair of two indices or labels, unchecked; an unknown label raises InvalidInput."""
         return Pair(src if isinstance(src, int) else self.index(src), dst if isinstance(dst, int) else self.index(dst))
 
+    def _element(self, x) -> int:
+        """x, checked to be an element index: an int, not a bool, in range(n)."""
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.n:
+            raise InvalidInput(f"object index must be in range({self.n}), got {x!r}")
+        return x
+
     def pair(self, src, dst) -> Pair:
         """Build a Pair from indices or labels, checking indices and comparability."""
-        a, b = self._pair_of(src, dst)
-        for x in (a, b):
-            if x not in range(self.n):
-                raise InvalidInput(f"object index must be in range({self.n}), got {x!r}")
+        a, b = map(self._element, self._pair_of(src, dst))
         if not self.leq(a, b):
             raise NotComparable(self.names[a], self.names[b])
         return Pair(a, b)
@@ -845,14 +848,18 @@ def meet_all(lattice: FiniteLattice, elems: Iterable[int]) -> int:
 
 
 def pushout_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
-    """Cobase change of f=(a,b) along a <= c, namely (c, b v c)."""
-    if not lattice.leq(f.src, c):
-        raise NotComparable(lattice.name(f.src), lattice.name(c))
-    return Pair(c, lattice.join(f.dst, c))
+    """Cobase change of f=(a,b) along a <= c, namely (c, b v c); an index
+    that is no element is an input error."""
+    a, b, c = map(lattice._element, (*f, c))
+    if not lattice.leq(a, c):
+        raise NotComparable(lattice.name(a), lattice.name(c))
+    return Pair(c, lattice.join(b, c))
 
 
 def pullback_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
-    """Base change of f=(a,b) along c <= b, namely (a ^ c, c)."""
-    if not lattice.leq(c, f.dst):
-        raise NotComparable(lattice.name(c), lattice.name(f.dst))
-    return Pair(lattice.meet(f.src, c), c)
+    """Base change of f=(a,b) along c <= b, namely (a ^ c, c); an index
+    that is no element is an input error."""
+    a, b, c = map(lattice._element, (*f, c))
+    if not lattice.leq(c, b):
+        raise NotComparable(lattice.name(c), lattice.name(b))
+    return Pair(lattice.meet(a, c), c)

@@ -344,23 +344,21 @@ def fibrant_objects(m: ModelStruct) -> tuple[int, ...]:
 @_memoised
 def extract_centers(m: ModelStruct) -> CenterMap:
     """The center map of a verified structure: each component's unique
-    cofibrant-and-fibrant object.
+    cofibrant-and-fibrant object, the one bit of cf & K for each component
+    mask K, cf = cof.rows[bottom] & fib.cols[top].
 
     The map is validated (through :func:`validate_centers`) and memoised
     on `m` only once it passed (see :class:`~posetmodels.lattice.Dualizable`).
     """
     _require_verified(m)
-    cf = set(cofibrant_objects(m)) & set(fibrant_objects(m))
-    chi = [0] * m.lattice.n
-    for comp in m.rel.components:
-        centers = [x for x in comp if x in cf]
-        if len(centers) != 1:
-            raise InternalCheckFailed(
-                f"component {comp} has {len(centers)} cofibrant-fibrant objects"
-            )
-        for x in comp:
-            chi[x] = centers[0]
-    out = CenterMap(tuple(chi))
+    cf = m.cof.rows[m.lattice.bottom] & m.fib.cols[m.lattice.top]
+    centers = []
+    for comp, k in zip(m.rel.components, m.rel.component_masks):
+        c = cf & k
+        if c.bit_count() != 1:
+            raise InternalCheckFailed(f"component {comp} has {c.bit_count()} cofibrant-fibrant objects")
+        centers.append(low_bit(c))
+    out = CenterMap(tuple(map(centers.__getitem__, m.rel.component_of)))
     report = validate_centers(m.rel, out)
     if not report.ok:
         bad = report.witness_check()
@@ -383,9 +381,7 @@ def replacement(m: ModelStruct, a: int, side: str) -> int:
     _require_verified(m)
     if side not in ("cofibrant", "fibrant"):
         raise InvalidInput(f"side must be 'cofibrant' or 'fibrant', got {side!r}")
-    if a not in range(m.lattice.n):
-        raise InvalidInput(f"object index must be in range({m.lattice.n}), got {a!r}")
-    return _cofibrant_replacements(m if side == "cofibrant" else m.op())[a]
+    return _cofibrant_replacements(m if side == "cofibrant" else m.op())[m.lattice._element(a)]
 
 
 @_memoised

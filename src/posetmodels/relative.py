@@ -17,40 +17,37 @@ from .report import Check, Record, Report
 class RelStruct(Dualizable):
     """A finite bounded lattice plus a subcategory of weak equivalences.
 
-    `components` are the equivalence classes of the symmetric-transitive
-    closure of W (zigzag connectivity), each sorted, listed by least
-    element; ``component_of[x]`` indexes the one containing x.  W-derived
-    classes and reports, among them the W-only checks of ``verify_model``
-    and the center maps that passed validation, live in the memo (see
-    :class:`~posetmodels.lattice.Dualizable`).  ``op()`` is the same W over
-    the opposite lattice, with the same components.
+    The components of W, the classes of its symmetric-transitive closure
+    (zigzag connectivity), are listed by least element: ``component_masks``
+    as element masks, ``components`` as sorted tuples, and
+    ``component_of[x]`` indexes the one containing x.  Each mask grows
+    breadth first over the rows of W | Wᵀ, one element taken off the
+    frontier's low bit at a time: n visits, and no W pair is walked.
+    W-derived classes and reports, among them the W-only checks of
+    ``verify_model`` and the center maps that passed validation, live in
+    the memo (see :class:`~posetmodels.lattice.Dualizable`).  ``op()`` is
+    the same W over the opposite lattice, with the same components.
     """
 
     def __init__(self, lattice: FiniteLattice, weq: MorphClass):
         self.lattice = lattice
         self.weq = weq
-        parent = list(range(lattice.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, row in enumerate(weq.rows):
-            for b in iter_bits(row):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        components: list[list[int]] = []
-        component_of = [0] * lattice.n
-        for x in range(lattice.n):
-            root = find(x)  # the least element of x's component, so x == root comes first
-            if root == x:
-                components.append([])
-            component_of[x] = len(components) - 1 if root == x else component_of[root]
-            components[component_of[x]].append(x)
-        self.components: tuple[tuple[int, ...], ...] = tuple(map(tuple, components))
+        rows, cols = weq.rows, weq.cols
+        masks, component_of, free = [], [0] * lattice.n, (1 << lattice.n) - 1
+        while free:  # the least element not yet placed starts the next component
+            grown, frontier = 0, free & -free
+            while frontier:
+                x = low_bit(frontier)
+                grown |= 1 << x
+                component_of[x] = len(masks)
+                frontier = (frontier | rows[x] | cols[x]) & ~grown
+            masks.append(grown)
+            free &= ~grown
+        members = [[] for _ in masks]
+        for x, i in enumerate(component_of):
+            members[i].append(x)
+        self.component_masks: tuple[int, ...] = tuple(masks)
+        self.components: tuple[tuple[int, ...], ...] = tuple(map(tuple, members))
         self.component_of: tuple[int, ...] = tuple(component_of)
         self._op = None
         self._memo = {}

@@ -25,8 +25,9 @@ from posetmodels import (
 )
 from posetmodels.errors import S2OF3Failed
 
-from helpers import check_all_centers, memo_entry, record_calls
+from helpers import check_all_centers, memo_entry, record_calls, reference_check_centers
 from test_grid import _wide
+from test_reference_scans import small_world
 
 
 def identity_rel():
@@ -78,14 +79,16 @@ def test_passing_center_maps_are_memoised_per_side(monkeypatch):
     first = validate_centers(rel, good)
     assert first.ok and validate_centers(rel, good) is first
     assert len(checked) == 1
-    # the opposite keeps a memo of its own, and validates once there
-    assert validate_centers(rel.op(), good).ok and validate_centers(rel.op(), good).ok
-    assert len(checked) == 2
+    # every check is self-dual: the opposite reads the passing report and
+    # memoises it on its own side, with no second check
+    assert validate_centers(rel.op(), good) is first and validate_centers(rel.op(), good) is first
+    assert len(checked) == 1
+    assert memo_entry(rel.op(), ("validate_centers", good.chi)) is first
     # a failing map is never memoised: every call checks it again
     bad = CenterMap(tuple(range(rel.lattice.n)))
     for _ in range(2):
         assert not validate_centers(rel, bad).ok
-    assert len(checked) == 4
+    assert len(checked) == 3
     assert memo_entry(rel, ("validate_centers", good.chi)) is first
     assert memo_entry(rel, ("validate_centers", bad.chi)) is None
 
@@ -129,6 +132,22 @@ def test_enumeration_limit_zero_still_proves_existence(two_structures, s2of3_fai
     assert found.truncated and found.maps == ()
     with pytest.raises(S2OF3Failed):
         enumerate_centers(s2of3_fail, limit=0)
+
+
+def test_enumeration_is_the_sorted_brute_force_list_on_the_small_world():
+    # every one of the n^n maps checked by the per-pair reference scans:
+    # the search's bound masks may neither drop nor add a map, nor reorder
+    for rel in small_world():
+        for side in (rel, rel.op()):
+            if not check_s2of3(side).ok:
+                with pytest.raises(S2OF3Failed):
+                    enumerate_centers(side)
+                continue
+            n = side.lattice.n
+            expected = [chi for chi in itertools.product(range(n), repeat=n)
+                        if reference_check_centers(side, CenterMap(chi)).ok]
+            found = enumerate_centers(side)
+            assert not found.truncated and [m.chi for m in found.maps] == expected
 
 
 def test_forced_center(forced):

@@ -264,9 +264,9 @@ def test_replacement(two_structures, forced):
 def test_replacement_rejects_object_indices_outside_the_lattice(two_structures):
     m = right_printed(two_structures)
     n = two_structures.lattice.n
-    for a in (-1, n):
+    for a in (-1, n, 1.0, True):
         for side in ("cofibrant", "fibrant"):
-            with pytest.raises(InvalidInput, match=f"range\\({n}\\), got {a}"):
+            with pytest.raises(InvalidInput, match=f"range\\({n}\\), got {a!r}$"):
                 replacement(m, a, side)
 
 

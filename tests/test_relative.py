@@ -7,6 +7,7 @@ from posetmodels import (
     InstanceGen,
     MorphClass,
     Pair,
+    RelStruct,
     build_lattice,
     check_cw_factorization,
     check_s2of3,
@@ -31,6 +32,7 @@ from posetmodels.errors import (
 from posetmodels.relative import recognition_report
 
 from helpers import memo_entry, permuted, record_calls, permuted_instances, pushout_compose_close
+from test_reference_scans import block_chain, wide_rels
 
 FIXTURES = ("two-structures", "forced", "s2of3-fail", "chain-3", "chain-8", "trunc-1", "trunc-2")
 
@@ -54,12 +56,17 @@ def test_validate_two_structures(two_structures):
 
 def test_component_of_indexes_each_elements_component(two_structures, forced, s2of3_fail, trunc1, two_chain):
     # components against zigzag connectivity recomputed from W's pairs, on
-    # index orders that are and are not linear extensions of the order
+    # index orders that are and are not linear extensions of the order, on
+    # both op() sides, on the pair kit, a long chain and the two extreme Ws
     rng = random.Random(5)
     fixtures = [two_structures, forced, s2of3_fail, trunc1, two_chain]
     rels = fixtures + [permuted(rel, rng) for rel in fixtures for _ in range(3)]
     rels += itertools.islice(permuted_instances(InstanceGen(seed=11)), 60)
-    for rel in rels:
+    wide = wide_rels()
+    rels += wide + [block_chain(128, 4)]
+    for lat in [rel.lattice for rel in fixtures + wide[:1]]:
+        rels += [RelStruct(lat, MorphClass.identities(lat)), RelStruct(lat, MorphClass(lat, lat.all_pairs_mask))]
+    for rel in rels + [rel.op() for rel in rels]:
         n = rel.lattice.n
         linked = [1 << x for x in range(n)]
         for (a, b) in rel.weq:
@@ -71,8 +78,27 @@ def test_component_of_indexes_each_elements_component(two_structures, forced, s2
                     linked[x] |= linked[k]
         expected = sorted({tuple(x for x in range(n) if m >> x & 1) for m in linked})
         assert list(rel.components) == expected
+        assert [sum(1 << x for x in comp) for comp in expected] == list(rel.component_masks)
         for x in range(n):
             assert x in rel.components[rel.component_of[x]]
+
+
+def test_components_visit_each_element_once(monkeypatch):
+    # the components grow over rows, one visit per element: no W pair is
+    # walked (block_chain(128, 4) has 2,112 W pairs)
+    rel = block_chain(128, 4)
+    assert len(rel.weq) == 2112
+    walked, visits = [], []
+
+    def walk(mask, _f=relative.iter_bits):
+        for b in _f(mask):
+            walked.append(b)
+            yield b
+    monkeypatch.setattr(relative, "iter_bits", walk)
+    monkeypatch.setattr(relative, "low_bit", lambda mask, _f=relative.low_bit: visits.append(mask) or _f(mask))
+    built = RelStruct(rel.lattice, rel.weq)
+    assert len(walked) == 0 and len(visits) == 128
+    assert built.components == rel.components and len(built.components) == 4
 
 
 def test_validate_errors():
