@@ -26,7 +26,10 @@ class).  The grid formulas are derived in the complements' docstrings.
 
 from __future__ import annotations
 
-from .errors import NoFactorization, NotPushoutClosed
+import itertools
+import operator
+
+from .errors import InvalidInput, NoFactorization, NotPushoutClosed
 from .lattice import Dualizable, FiniteLattice, Pair, _from_flags, iter_bits, low_bit
 from .report import Check, Report
 
@@ -46,8 +49,11 @@ class MorphClass(Dualizable):
     __slots__ = ("lattice", "bits", "_mask", "_rows", "_cols", "_op", "__weakref__")
 
     def __init__(self, lattice: FiniteLattice, mask: int):
+        kit = lattice._kit
+        if mask >> kit.npairs:  # negative, or a bit past the last pair
+            raise InvalidInput(f"pair mask must be in range(2**{kit.npairs})")
         self.lattice = lattice
-        self.bits = lattice._kit.from_mask(mask)
+        self.bits = kit.from_mask(mask)
         self._mask = mask
         self._rows = self._cols = self._op = None
 
@@ -74,14 +80,18 @@ class MorphClass(Dualizable):
 
     @classmethod
     def from_pairs(cls, lattice, pairs, add_identities: bool = False) -> "MorphClass":
-        index = lattice.pair_index
-        flags = bytearray(len(index))
-        for (src, dst) in pairs:
-            p = lattice._pair_of(src, dst)
-            if p not in index:
-                lattice.pair(*p)  # raises: an index outside range(n), or incomparable
-            flags[index[p]] = 1
-        return cls(lattice, _from_flags(flags) | (lattice.identity_mask if add_identities else 0))
+        """The class of `pairs`: a pair of labels is one lookup in the lattice's
+        name table, any other pair goes through ``lattice.pair``, the checked
+        constructor, in list order, so the first offending pair raises."""
+        pairs, labels = list(pairs), lattice._label_index
+        try:
+            found = list(map(labels.get, pairs))
+        except TypeError:  # an unhashable pair, such as a list: every pair is checked
+            found = [None] * len(pairs)
+        others = itertools.compress(pairs, map(operator.is_, found, itertools.repeat(None)))
+        found += [lattice.pair_index[lattice.pair(src, dst)] for src, dst in others]
+        mask = _from_flags(map(set(found).__contains__, range(len(labels))))
+        return cls(lattice, mask | (lattice.identity_mask if add_identities else 0))
 
     @classmethod
     def identities(cls, lattice) -> "MorphClass":
@@ -93,8 +103,10 @@ class MorphClass(Dualizable):
 
     def __contains__(self, pair) -> bool:
         """Whether the pair, of indices or labels, is a member: one bit of a
-        row.  An unknown label is an input error."""
+        row.  An unknown label is an input error; a bool is no index."""
         a, b = self.lattice._pair_of(*pair)
+        if isinstance(a, bool) or isinstance(b, bool):
+            return False
         return a in range(self.lattice.n) and b >= 0 and self.rows[a] >> b & 1 == 1
 
     def __iter__(self):
@@ -131,7 +143,7 @@ class MorphClass(Dualizable):
         return list(self)
 
     def name_pairs(self) -> list[tuple[str, str]]:
-        return [self.lattice.pair_names(p) for p in self]
+        return list(self.lattice._select(self.lattice._label_index, self.mask))
 
     def nonidentity_pairs(self) -> list[Pair]:
         return [p for p in self if p.src != p.dst]

@@ -20,7 +20,7 @@ that build or render classes: ``fixture`` loads none of them.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
@@ -106,14 +106,16 @@ class InstanceFile(Record):
 
 
 def _pair_list(raw, name: str) -> list[tuple[str, str]]:
+    """`raw` as label pairs, checked in C-level passes; only a bad list is
+    walked item by item, to name its first bad item."""
     if not isinstance(raw, list):
         raise InvalidInput(f"field {name!r} must be a list of two-element label arrays")
-    out = []
+    if all(map(isinstance, raw, repeat(list))) and set(map(len, raw)) <= {2} \
+            and all(map(isinstance, chain.from_iterable(raw), repeat(str))):
+        return list(map(tuple, raw))
     for k, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2 or not all(isinstance(x, str) for x in item):
             raise InvalidInput(f"field {name}[{k}] must be a two-element label array")
-        out.append((item[0], item[1]))
-    return out
 
 
 def _check_version(data: dict) -> None:
@@ -212,8 +214,7 @@ def class_name_pairs(s: MorphClass) -> list[list[str]]:
     """Non-identity members as name pairs in the lattice's pair order:
     ``lat.pairs`` selected by the mask's bits, lowest first."""
     lat = s.lattice
-    names = lat._cached("_name_pairs", lambda lat: tuple(map(lat.pair_names, lat.pairs)))  # in pair order
-    return list(map(list, lat._select(names, s.mask & ~lat.identity_mask)))
+    return list(map(list, lat._select(lat._label_index, s.mask & ~lat.identity_mask)))
 
 
 def structure_to_dict(m: ModelStruct) -> dict:

@@ -25,6 +25,17 @@ over a P-character string, where iter_bits or an OR per bit copies the
 P-bit int at every step.  The class boundary, rendering (through
 :meth:`FiniteLattice._select`) and _PairKit use them.
 
+The pair layer is built in C-level passes, with no Python step per pair.
+:func:`build_lattice` takes ``down`` as the transpose of the up-masks'
+binary digits.  The order's flags, byte a*n + b set iff a <= b, are one
+:func:`_row_flags` pass over the up-masks: :attr:`FiniteLattice.pairs`
+divides by n each grid bit they select, and the grid kit's gathers come
+from one running count over them.  ``L.op().pairs`` is L's tuple with each
+pair reversed.  One name table per side, ``_label_index``, maps each label
+pair to its pair index in pair order: rendering selects its keys by a mask,
+``MorphClass.from_pairs`` resolves a label pair by one lookup, and
+``identity_mask`` looks up the (x, x).
+
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
 order, so a class mask names the same morphisms on both sides and witnesses
@@ -105,6 +116,12 @@ _TO_FLAGS, _TO_DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1"
 def _flags(mask: int, width: int) -> bytes:
     """The pair-mask reader: byte i is bit i of `mask`, 0 or 1, for each i < width >= mask.bit_length()."""
     return f"{mask:0{width}b}"[::-1].encode().translate(_TO_FLAGS)
+
+
+def _row_flags(rows: list[int], width: int) -> bytes:
+    """:func:`_flags` of each row, laid end to end: byte a*width + b is bit b of rows[a]."""
+    spec = f"0{width}b"
+    return "".join(map(format, reversed(rows), itertools.repeat(spec)))[::-1].encode().translate(_TO_FLAGS)
 
 
 def _from_flags(flags) -> int:
@@ -240,15 +257,14 @@ class _GridKit:
         self.k = 1
         self.opposite = False
         self.block_bytes = (nn + 7) // 8
-        cells = [a * n + b for a in range(n) for b in iter_bits(up[a])]  # pair i's grid bit
-        p = self.npairs = len(cells)
+        flags = _row_flags(up, n)  # byte a*n + b: whether (a, b) is a pair
+        p = self.npairs = flags.count(1)
         ints = list(range(nn + 1))  # one int object per position value
-        source = [ints[p]] * nn  # grid bit -> index of its pair's digit in the mask string, or the pad
-        for i, t in enumerate(cells):
-            source[t] = ints[p - 1 - i]
-        self._from_mask = operator.itemgetter(*reversed(source))
-        self._to_mask = operator.itemgetter(*[ints[nn - 1 - t] for t in reversed(cells)])
-        self._transpose = operator.itemgetter(*[ints[b * n + a] for a in range(n) for b in range(n)])
+        # grid bit t -> index of its pair's digit in the mask string, p - (pairs up to t), or the pad p
+        source = map(operator.sub, itertools.repeat(p), map(operator.mul, flags, itertools.accumulate(flags)))
+        self._from_mask = operator.itemgetter(*map(ints.__getitem__, reversed(list(source))))
+        self._to_mask = operator.itemgetter(*itertools.compress(ints, flags[::-1]))  # nn - 1 - t, t descending
+        self._transpose = operator.itemgetter(*itertools.chain.from_iterable(ints[a:nn:n] for a in range(n)))
         self._steps = tuple((m, ints[m * n]) for m in range(n))  # (column, row shift)
         self.full = (1 << n) - 1
         self.col0 = sum(1 << a * n for a in range(n))
@@ -449,11 +465,11 @@ class _PairKit:
     through :func:`_flags` and :func:`_from_flags`.  The kit holds its
     lattice weakly: no reference cycle (:class:`Dualizable`)."""
 
-    __slots__ = ("_lat", "n", "opposite", "pairs", "ids", "order", "_cells")
+    __slots__ = ("_lat", "n", "opposite", "pairs", "npairs", "ids", "order", "_cells")
 
     def __init__(self, lat: "FiniteLattice"):
         self._lat = weakref.ref(lat)
-        self.n, self.opposite, self.pairs = lat.n, lat.opposite, lat.pairs
+        self.n, self.opposite, self.pairs, self.npairs = lat.n, lat.opposite, lat.pairs, len(lat.pairs)
         self.ids, self.order = lat.identity_mask, lat.all_pairs_mask
         self._cells = ([(a, 1 << b) for a, b in self.pairs], [(b, 1 << a) for a, b in self.pairs])
 
@@ -611,21 +627,33 @@ class FiniteLattice(Dualizable):
     @_memoised
     def pairs(self) -> tuple[Pair, ...]:
         """All comparable pairs (morphisms), sorted lexicographically; in op(), by their primal reading."""
-        # rows ascending, each row's bits ascending: lexicographic already;
-        # in op() the primal up-masks are this side's down-masks
-        if self.opposite:
-            return tuple(Pair(b, a) for a in range(self.n) for b in iter_bits(self._down[a]))
-        return tuple(Pair(a, b) for a in range(self.n) for b in iter_bits(self._up[a]))
+        if self.opposite:  # the primal pairs, each reversed
+            primal = self.op().pairs
+            return tuple(map(tuple.__new__, itertools.repeat(Pair),
+                             zip(map(operator.itemgetter(1), primal), map(operator.itemgetter(0), primal))))
+        # the grid bits a*n + b of the pairs, ascending: lexicographic already
+        n = self.n
+        cells = itertools.compress(range(n * n), _row_flags(self._up, n))
+        return tuple(map(tuple.__new__, itertools.repeat(Pair), map(divmod, cells, itertools.repeat(n))))
 
     @property
     @_memoised
     def pair_index(self) -> dict[Pair, int]:
-        return {p: i for i, p in enumerate(self.pairs)}
+        return dict(zip(self.pairs, itertools.count()))
 
     @property
     @_memoised
     def identity_mask(self) -> int:
-        return _from_flags([a == b for a, b in self.pairs])
+        """The bits of the (a, a), one name-table lookup each; distinct bits, so their sum is their OR."""
+        return sum(map((1).__lshift__, map(self._label_index.__getitem__, zip(self.names, self.names))))
+
+    @property
+    @_memoised
+    def _label_index(self) -> dict[tuple[str, str], int]:
+        """{(name of a, name of b): i} for pair i = (a, b), in pair order: the name table
+        (module docstring)."""
+        labels = map(list(self.names).__getitem__, itertools.chain.from_iterable(self.pairs))  # a list's is faster
+        return dict(zip(zip(labels, labels), itertools.count()))
 
     @property
     @_memoised
@@ -800,18 +828,15 @@ def build_lattice(
             if up[a] >> k & 1:
                 up[a] |= up[k]
 
-    for a in range(n):
-        for b in iter_bits(up[a]):
-            if b != a and (up[b] >> a) & 1:
-                raise CycleDetected(names[a], names[b])
-    n_pairs = sum(m.bit_count() for m in up)
+    # the transpose: column j of the rows' binary digits, a descending, is down[n - 1 - j]
+    down = [int("".join(col), 2) for col in zip(*map(format, reversed(up), itertools.repeat(f"0{n}b")))][::-1]
+    for a in range(n):  # the least a in a cycle, with its least partner b: b in up(a) and down(a)
+        cycle = up[a] & down[a] & ~(1 << a)
+        if cycle:
+            raise CycleDetected(names[a], names[low_bit(cycle)])
+    n_pairs = sum(map(int.bit_count, up))
     if n_pairs > MAX_PAIRS:
         raise CapExceeded("comparable pairs", MAX_PAIRS, n_pairs)
-
-    down = [0] * n
-    for a in range(n):
-        for b in iter_bits(up[a]):
-            down[b] |= 1 << a
 
     # the upper bounds of {a, b} are up[a v b] when the join exists, and
     # otherwise the up-mask of no element; meets likewise through down

@@ -233,7 +233,7 @@ def random_instances(gen: InstanceGen, s2of3_only: bool = False) -> Iterator[Rel
             (p.src, p.dst) for p in candidates if rng.random() < gen.weq_density
         }
         closed = _compose_close(n, chosen)
-        rel = validate_relative(lat, sorted(closed), add_identities=True)
+        rel = validate_relative(lat, [(names[a], names[b]) for a, b in sorted(closed)], add_identities=True)
         if s2of3_only and not check_s2of3(rel).ok:
             continue
         yield rel

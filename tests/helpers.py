@@ -8,7 +8,9 @@ against them are genuine dual-route checks.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+import sys
 
 from posetmodels import (
     Check,
@@ -45,11 +47,12 @@ from posetmodels import (
     validate_relative,
     verify_model,
 )
+from posetmodels import lattice as lattice_module
 from posetmodels import oracle
 from posetmodels.centers import center_square
 from posetmodels.equivalence import _contract
-from posetmodels.errors import NotALattice
-from posetmodels.lattice import _GridKit, iter_bits, low_bit
+from posetmodels.errors import CapExceeded, CycleDetected, InvalidInput, NotALattice, Unbounded
+from posetmodels.lattice import DEFAULT_MAX_ELEMENTS, FiniteLattice, _from_flags, _GridKit, iter_bits, low_bit
 from posetmodels.models import _generated_by
 
 
@@ -590,3 +593,159 @@ def check_all_centers(rel, limit: int = 64) -> int:
         check_center_invariants(rel, chi)
         n += 1
     return n
+
+
+def line_events(fn) -> int:
+    """The number of line events that ``fn()`` runs in frames of the
+    posetmodels package, counted through ``sys.settrace``: Python-level
+    work, with no clock in it.  The trace function in force before is put
+    back afterwards."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_globals.get("__name__", "").startswith("posetmodels") else None
+
+    before = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+# -- the pair layer's per-pair loops, as they were before the row passes --
+
+def reference_pairs(lat) -> tuple:
+    """``FiniteLattice.pairs``, one Pair built per step."""
+    # rows ascending, each row's bits ascending: lexicographic already;
+    # in op() the primal up-masks are this side's down-masks
+    if lat.opposite:
+        return tuple(Pair(b, a) for a in range(lat.n) for b in iter_bits(lat._down[a]))
+    return tuple(Pair(a, b) for a in range(lat.n) for b in iter_bits(lat._up[a]))
+
+
+def reference_pair_index(lat) -> dict:
+    return {p: i for i, p in enumerate(lat.pairs)}
+
+
+def reference_identity_mask(lat) -> int:
+    return _from_flags([a == b for a, b in lat.pairs])
+
+
+def reference_name_pairs(lat) -> tuple:
+    """The name table that rendering read: one ``pair_names`` call per pair, in pair order."""
+    return tuple(map(lat.pair_names, lat.pairs))
+
+
+def reference_grid_positions(up: list[int]) -> tuple[list, list, list]:
+    """The positions of ``_GridKit``'s gathers from a pair mask, to a pair
+    mask and for the transpose, one pair or grid bit per step."""
+    n = len(up)
+    nn = n * n
+    cells = [a * n + b for a in range(n) for b in iter_bits(up[a])]  # pair i's grid bit
+    p = len(cells)
+    ints = list(range(nn + 1))  # one int object per position value
+    source = [ints[p]] * nn  # grid bit -> index of its pair's digit in the mask string, or the pad
+    for i, t in enumerate(cells):
+        source[t] = ints[p - 1 - i]
+    return (list(reversed(source)), [ints[nn - 1 - t] for t in reversed(cells)],
+            [ints[b * n + a] for a in range(n) for b in range(n)])
+
+
+def reference_grid_kit(up: list[int], down: list[int]) -> _GridKit:
+    """``_GridKit(up, down)`` with its gathers over :func:`reference_grid_positions`."""
+    kit = _GridKit(up, down)
+    kit._from_mask, kit._to_mask, kit._transpose = map(lambda ps: operator.itemgetter(*ps),
+                                                       reference_grid_positions(up))
+    return kit
+
+
+def reference_pair_list(raw, name: str) -> list[tuple[str, str]]:
+    """``formats._pair_list``, one item per step."""
+    if not isinstance(raw, list):
+        raise InvalidInput(f"field {name!r} must be a list of two-element label arrays")
+    out = []
+    for k, item in enumerate(raw):
+        if not isinstance(item, list) or len(item) != 2 or not all(isinstance(x, str) for x in item):
+            raise InvalidInput(f"field {name}[{k}] must be a two-element label array")
+        out.append((item[0], item[1]))
+    return out
+
+
+def reference_from_pairs(lattice, pairs, add_identities: bool = False) -> MorphClass:
+    """``MorphClass.from_pairs``, one Pair built per pair.  It reads a bool
+    index as the int it equals, when that makes a pair."""
+    index = lattice.pair_index
+    flags = bytearray(len(index))
+    for (src, dst) in pairs:
+        p = lattice._pair_of(src, dst)
+        if p not in index:
+            lattice.pair(*p)  # raises: an index outside range(n), or incomparable
+        flags[index[p]] = 1
+    return MorphClass(lattice, _from_flags(flags) | (lattice.identity_mask if add_identities else 0))
+
+
+def reference_build_lattice(names, relations, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FiniteLattice:
+    """``build_lattice`` with its cycle check and ``down`` one pair per step."""
+    names = list(names)
+    n = len(names)
+    if n == 0:
+        raise Unbounded("an empty element list has no bottom or top")
+    if n > max_elements:
+        raise CapExceeded("lattice elements", max_elements, n)
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise InvalidInput(f"duplicate element label {name!r}")
+        seen.add(name)
+    index = {name: i for i, name in enumerate(names)}
+
+    up = [1 << a for a in range(n)]
+    for (x, y) in relations:
+        if x not in index:
+            raise InvalidInput(f"relation references unknown label {x!r}")
+        if y not in index:
+            raise InvalidInput(f"relation references unknown label {y!r}")
+        up[index[x]] |= 1 << index[y]
+    for k in range(n):  # Warshall's transitive closure
+        for a in range(n):
+            if up[a] >> k & 1:
+                up[a] |= up[k]
+
+    for a in range(n):
+        for b in iter_bits(up[a]):
+            if b != a and (up[b] >> a) & 1:
+                raise CycleDetected(names[a], names[b])
+    n_pairs = sum(m.bit_count() for m in up)
+    if n_pairs > lattice_module.MAX_PAIRS:
+        raise CapExceeded("comparable pairs", lattice_module.MAX_PAIRS, n_pairs)
+
+    down = [0] * n
+    for a in range(n):
+        for b in iter_bits(up[a]):
+            down[b] |= 1 << a
+
+    by_up = {m: u for u, m in enumerate(up)}
+    by_down = {m: v for v, m in enumerate(down)}
+    join_table = [[0] * n for _ in range(n)]
+    meet_table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            least = by_up.get(up[a] & up[b])
+            if least is None:
+                raise NotALattice(names[a], names[b], "join")
+            join_table[a][b] = join_table[b][a] = least
+            greatest = by_down.get(down[a] & down[b])
+            if greatest is None:
+                raise NotALattice(names[a], names[b], "meet")
+            meet_table[a][b] = meet_table[b][a] = greatest
+
+    every = (1 << n) - 1
+    return FiniteLattice(names, up, down, join_table, meet_table, by_up[every], by_down[every])

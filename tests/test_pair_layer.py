@@ -1,0 +1,210 @@
+"""The pair layer's row passes against the per-pair loops they replaced.
+
+``FiniteLattice.pairs`` on both op() sides, ``pair_index``,
+``identity_mask``, the name table, ``build_lattice``'s ``down`` and cycle
+check, the grid kit's gathers, ``formats._pair_list`` and
+``MorphClass.from_pairs`` are built in C-level passes; the bodies they
+replaced are the ``helpers.reference_*``.  Values, order, types and every
+error, type and message, must agree, and a line-event count pins the
+Python-level work of the instance boundary below one step per two pairs.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from posetmodels import InstanceGen, MorphClass, Pair, build_lattice, random_instances, validate_relative
+from posetmodels.errors import InvalidInput, PosetModelError
+from posetmodels.formats import InstanceFile, _pair_list, class_name_pairs, parse_instance, print_instance
+from posetmodels.lattice import _GridKit
+
+from helpers import (
+    line_events,
+    on_grid_path,
+    permuted_instances,
+    reference_build_lattice,
+    reference_from_pairs,
+    reference_grid_kit,
+    reference_identity_mask,
+    reference_name_pairs,
+    reference_pair_index,
+    reference_pair_list,
+    reference_pairs,
+    small_lattices,
+)
+from test_grid import _chain, _wide
+
+
+def outcome(fn, *args):
+    """("ok", the value) of ``fn(*args)``, or the type, message and args of the input error it raises."""
+    try:
+        return "ok", fn(*args)
+    except (PosetModelError, ValueError) as e:
+        return type(e), str(e), e.args
+
+
+def lattices():
+    """Every lattice of at most 5 elements, 200 random ones and as many
+    re-indexed, wide-36 (pair-mask kernels) and chain-178 (the pair cap)."""
+    out = [lat for n in range(1, 6) for lat in small_lattices(n)]
+    out += [rel.lattice for rel in itertools.islice(random_instances(InstanceGen(seed=24, max_elements=9)), 200)]
+    out += [rel.lattice for rel in itertools.islice(permuted_instances(InstanceGen(seed=25, max_elements=9)), 200)]
+    return out + [_wide(36), _chain(178)]
+
+
+def test_row_passes_match_the_per_pair_references():
+    rng = random.Random(24)
+    sides = 0
+    for lat in lattices():
+        rebuilt = reference_build_lattice(lat.names, map(lat.pair_names, lat.cover_pairs()))
+        assert (rebuilt._up, rebuilt._down) == (lat._up, lat._down)
+        # the opposite side first on half of them: its pairs build the primal's
+        for side in (lat.op(), lat) if rng.random() < 0.5 else (lat, lat.op()):
+            ps = side.pairs
+            assert ps == reference_pairs(side) and all(type(p) is Pair for p in ps)
+            assert side.pair_index == reference_pair_index(side)
+            assert side.identity_mask == reference_identity_mask(side)
+            assert tuple(side._label_index) == reference_name_pairs(side)
+            assert list(side._label_index.values()) == list(range(len(ps)))
+            sides += 1
+        assert lat.op().pairs == tuple(p.op() for p in lat.pairs)
+        kit, ref = _GridKit(lat._up, lat._down), reference_grid_kit(lat._up, lat._down)
+        p, nn = len(lat.pairs), lat.n * lat.n
+        for _ in range(3):
+            mask, grid = rng.getrandbits(p), rng.getrandbits(nn)
+            assert kit.from_mask(mask) == ref.from_mask(mask)
+            assert kit.to_mask(grid) == ref.to_mask(grid) and kit.to_mask(kit.from_mask(mask)) == mask
+            assert kit.transpose(grid) == ref.transpose(grid)
+    assert sides > 2 * 400
+    assert not on_grid_path(_wide(36)) and on_grid_path(_chain(178))
+
+
+def test_from_pairs_matches_the_reference():
+    rng = random.Random(2024)
+    for lat in lattices()[::7]:
+        for side in (lat, lat.op()):
+            for _ in range(4):
+                chosen = [p for p in side.pairs if rng.random() < 0.4]
+                # labels, indices, Pairs and lists, in any order
+                spelled = [rng.choice((side.pair_names(p), tuple(p), p, list(side.pair_names(p)))) for p in chosen]
+                rng.shuffle(spelled)
+                for add in (False, True):
+                    got = MorphClass.from_pairs(side, iter(spelled), add_identities=add)
+                    assert got == reference_from_pairs(side, spelled, add_identities=add)
+                    assert got.mask == reference_from_pairs(side, spelled, add_identities=add).mask
+                assert MorphClass.from_pairs(side, [side.pair_names(p) for p in chosen]).pairs() == chosen
+
+
+def test_cycles_and_non_lattices_raise_as_the_reference_does():
+    # the least (a, b) of a cycle; a missing join before a missing meet at the least pair
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        names = [f"e{i}" for i in range(n)]
+        rng.shuffle(names)
+        density = rng.random() * 0.5
+        rels = [(names[a], names[b]) for a in range(n) for b in range(n) if a != b and rng.random() < density / 2]
+        got, want = outcome(build_lattice, names, rels), outcome(reference_build_lattice, names, rels)
+        if got[0] == "ok":
+            lat, ref = got[1], want[1]
+            assert (lat.names, lat._up, lat._down, lat._join, lat._meet, lat.bottom, lat.top) == \
+                (ref.names, ref._up, ref._down, ref._join, ref._meet, ref.bottom, ref.top)
+        else:
+            assert got == want
+        kinds.add(got[0] if got[0] == "ok" else (got[0].__name__, "join" in got[1]))
+    assert {"ok", ("CycleDetected", False), ("NotALattice", True), ("NotALattice", False)} <= kinds
+
+
+def test_malformed_pair_lists_name_the_first_bad_item():
+    rng = random.Random(11)
+    items = [["a", "b"], ["c", "a"], ("a", "b"), ["a"], [], ["a", "b", "c"], ["a", 1], [1, "b"], [None, None],
+             "ab", 3, None, {"a": "b"}, [["a"], "b"], ["a", "b", 2]]
+    bad = 0
+    for _ in range(500):
+        raw = [rng.choice(items[:2]) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.7:
+            raw.insert(rng.randint(0, len(raw)), rng.choice(items[2:]))
+            raw.extend(rng.choice(items) for _ in range(rng.randint(0, 2)))
+        got, want = outcome(_pair_list, raw, "weq"), outcome(reference_pair_list, raw, "weq")
+        assert got == want
+        if got[0] == "ok":
+            assert all(type(p) is tuple for p in got[1])
+        else:
+            bad += 1
+    assert bad > 300
+    for raw in ({"a": "b"}, "ab", None, 3, ("a", "b")):
+        assert outcome(_pair_list, raw, "leq") == outcome(reference_pair_list, raw, "leq")
+
+
+def test_the_first_offending_pair_raises():
+    # unknown labels, incomparable pairs, indices outside range(n) and bool
+    # indices, mixed with valid pairs: the error of the first offender, the
+    # one ``lattice.pair`` raises on it alone, whatever follows
+    rng = random.Random(13)
+    for lat in (_chain(3), small_lattices(5)[2], _wide(36)):
+        for side in (lat, lat.op()):
+            a, b = side.pair_names(side.pairs[1])
+            wrong = [("zz", a), (a, "zz"), (b, a), (side.n, 0), (-1, 0), (0, side.n), (True, 1), (1, True),
+                     (0, False), (False, 0), (side.index(a), "zz"), ["zz", "yy"], (b, side.index(a)), (a, 2.5)]
+            good = [side.pair_names(p) for p in side.pairs] + list(side.pairs)
+            for _ in range(150):
+                pairs = [rng.choice(good if rng.random() < 0.7 else wrong) for _ in range(rng.randint(1, 6))]
+                first = next((p for p in pairs if outcome(side.pair, *p)[0] != "ok"), None)
+                got = outcome(MorphClass.from_pairs, side, pairs)
+                if first is None:
+                    assert got[0] == "ok"
+                    assert got[1] == reference_from_pairs(side, pairs)
+                else:
+                    assert got == outcome(side.pair, *first)
+                if not any(isinstance(x, bool) for p in pairs for x in p):
+                    want = outcome(reference_from_pairs, side, pairs)
+                    assert got[0] == want[0] and (got[0] == "ok" or got == want)
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        MorphClass.from_pairs(_chain(3), [("c0", "c1", "c2")])
+
+
+def test_a_bool_is_no_element_index():
+    lat = _chain(3)
+    with pytest.raises(InvalidInput, match=r"^object index must be in range\(3\), got True$"):
+        MorphClass.from_pairs(lat, [(True, 1)])
+    for side in (lat, lat.op()):
+        every = MorphClass.all_morphisms(side)
+        assert all(p in every for p in side.pairs) and (1, 1) in every
+        assert (True, 1) not in every and (1, True) not in every and (False, 2) not in every
+
+
+def test_a_mask_outside_the_pairs_is_an_input_error():
+    for lat in (_chain(3), _wide(36)):
+        for side in (lat, lat.op()):
+            p = len(side.pairs)
+            for mask in (1 << p, (1 << p) | 1, -1, -(1 << p)):
+                with pytest.raises(InvalidInput, match=rf"^pair mask must be in range\(2\*\*{p}\)$"):
+                    MorphClass(side, mask)
+            every = MorphClass(side, (1 << p) - 1)
+            assert every == MorphClass.all_morphisms(side) and len(every) == p == len(list(every))
+            assert MorphClass(side, 0).pairs() == []
+
+
+def test_the_instance_boundary_takes_under_one_python_step_per_two_pairs():
+    # chain-178 with every pair in W, P = 15,931: the per-pair loops ran
+    # 95,796 line events in parse_instance and 513,550 after build_lattice
+    n = 178
+    names = [f"c{i}" for i in range(n)]
+    weq = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    text = print_instance(InstanceFile(names, list(zip(names, names[1:])), weq, add_identities=True))
+    npairs = n * (n + 1) // 2
+    parsed = []
+    assert line_events(lambda: parsed.append(parse_instance(text))) < npairs / 2
+    inst = parsed[0]
+    lat = build_lattice(inst.elements, inst.leq)
+    out = []
+
+    def boundary():
+        lat.pairs
+        lat.op().pairs
+        rel = validate_relative(lat, inst.weq, add_identities=inst.add_identities)
+        out.append(class_name_pairs(rel.weq))
+    assert line_events(boundary) < npairs / 2
+    assert len(lat.pairs) == npairs and out == [[list(p) for p in weq]]
