@@ -14,10 +14,17 @@ kit method.  It builds no table, so W_c, W_c^chi and the pushout guard
 kit.  Two such gathers, through the meet and join rows, give the square
 rows of :meth:`FiniteLattice._square_rows`, which decide whether a
 comparison square lies in W.  The P-indexed pair tables remain for the
-pair-mask kit's lift scans and for outside callers.  They are built from
-per-element pair masks, by_src[x] and by_dst[y] holding the pairs with
-source x and target y, src_up[a] and dst_up[b] those with source >= a
-and target >= b: n^2 + P mask operations, and no pair is looked up.
+pair-mask kit's lift scans and for outside callers.  Each is built from
+per-element pair masks that :meth:`FiniteLattice._pair_masks` reads off
+the primal side at every build and never memoises: by_src[x], the pairs
+with source x, is one run of bits, as pairs are sorted by source, and
+by_dst[y] sums the bits of one run of the pair indices sorted by target.
+L.op() reads the same masks swapped and L's pair ends as (dsts, srcs), so
+its tables build no pairs of their own.  src_up[a] and dst_up[b], the
+pairs with source >= a and target >= b, are C-level sums of the masks over
+up(a): work that grows with |up(a)|, never with n.  Each table is then one
+map over the pair ends, only the tables are memoised, and no pair is
+looked up.
 
 Pair masks have one reader, :func:`_flags`, a byte per pair, and one
 writer, :func:`_from_flags`, from a flag per pair: each one C-level pass
@@ -26,14 +33,16 @@ P-bit int at every step.  The class boundary, rendering (through
 :meth:`FiniteLattice._select`) and _PairKit use them.
 
 The pair layer is built in C-level passes, with no Python step per pair.
-:func:`build_lattice` takes ``down`` as the transpose of the up-masks'
+:func:`build_lattice` closes the order by Warshall's algorithm (S. Warshall,
+"A theorem on Boolean matrices", 1962) on its grid, n steps of
+:meth:`_GridKit.closure`, and takes ``down`` as the transpose of the grid's
 binary digits.  The order's flags, byte a*n + b set iff a <= b, are one
 :func:`_row_flags` pass over the up-masks: :attr:`FiniteLattice.pairs`
 divides by n each grid bit they select, and the grid kit's gathers come
-from one running count over them.  ``L.op().pairs`` is L's tuple with each
-pair reversed.  One name table per side, ``_label_index``, maps each label
-pair to its pair index in pair order: rendering selects its keys by a mask,
-``MorphClass.from_pairs`` resolves a label pair by one lookup, and
+from the grid positions they select.  ``L.op().pairs`` is L's tuple with
+each pair reversed.  One name table per side, ``_label_index``, maps each
+label pair to its pair index in pair order: rendering selects its keys by
+a mask, ``MorphClass.from_pairs`` resolves a label pair by one lookup, and
 ``identity_mask`` looks up the (x, x).
 
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
@@ -132,6 +141,14 @@ def _from_flags(flags) -> int:
 def _same(x: int) -> int:
     """The conversion between an encoding and itself."""
     return x
+
+
+def _run_sums(values, cuts: bytes) -> list[int]:
+    """The sums of `values` over consecutive runs, none empty, cuts[k] set
+    iff a run starts at index k or k = len(values): the prefix sums read at
+    each cut in one C-level pass, then differenced."""
+    prefix = list(itertools.compress(itertools.accumulate(values, initial=0), cuts))
+    return list(map(operator.sub, prefix[1:], prefix))
 
 
 _op_lock = threading.Lock()
@@ -257,20 +274,23 @@ class _GridKit:
         self.k = 1
         self.opposite = False
         self.block_bytes = (nn + 7) // 8
-        flags = _row_flags(up, n)  # byte a*n + b: whether (a, b) is a pair
-        p = self.npairs = flags.count(1)
         ints = list(range(nn + 1))  # one int object per position value
-        # grid bit t -> index of its pair's digit in the mask string, p - (pairs up to t), or the pad p
-        source = map(operator.sub, itertools.repeat(p), map(operator.mul, flags, itertools.accumulate(flags)))
-        self._from_mask = operator.itemgetter(*map(ints.__getitem__, reversed(list(source))))
-        self._to_mask = operator.itemgetter(*itertools.compress(ints, flags[::-1]))  # nn - 1 - t, t descending
+        self.order = sum(map(operator.lshift, up, ints[::n]))
+        self.order_t = sum(map(operator.lshift, down, ints[::n]))
+        flags = f"{self.order:0{nn}b}".encode().translate(_TO_FLAGS)  # byte j: whether grid bit nn - 1 - j is a pair
+        p = self.npairs = flags.count(1)
+        # the grid string's index j = nn - 1 - t of each pair's bit t, ascending: pair order read backwards,
+        # as the mask string holds its digits, so the pairs' positions there are 0, 1, ..., p - 1
+        cells = list(itertools.compress(ints, flags))
+        self._to_mask = operator.itemgetter(*cells)
+        source = [ints[p]] * nn  # the pad p, after the mask's digits, for every grid bit not a pair
+        list(map(source.__setitem__, cells, ints))
+        self._from_mask = operator.itemgetter(*source)
         self._transpose = operator.itemgetter(*itertools.chain.from_iterable(ints[a:nn:n] for a in range(n)))
-        self._steps = tuple((m, ints[m * n]) for m in range(n))  # (column, row shift)
+        self._steps = tuple(zip(range(n), ints[::n]))  # (column, row shift)
         self.full = (1 << n) - 1
-        self.col0 = sum(1 << a * n for a in range(n))
-        self.ids = sum(1 << a * (n + 1) for a in range(n))
-        self.order = sum(m << a * n for a, m in enumerate(up))
-        self.order_t = sum(m << a * n for a, m in enumerate(down))
+        self.col0 = ((1 << nn) - 1) // self.full  # bits a*n, a < n: a geometric sum, as in build_lattice
+        self.ids = (1 << nn + n) // ((2 << n) - 1)  # bits a*(n + 1), a < n
         # step m of x∘O: (shift of x's column m, row m of O); of x∘Oᵀ likewise
         self._up_rows = tuple(zip(range(n), up))
         self._down_rows = tuple(zip(range(n), down))
@@ -724,33 +744,38 @@ class FiniteLattice(Dualizable):
         joins, meets = self._getters()
         return [m & j for m, j in zip(self._gather(cols, meets), self._gather(rows, joins))]
 
-    @_memoised
-    def _pair_masks(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """The per-element pair masks (by_src, by_dst, src_up, dst_up) of the
-        module docstring.  Only nonlift_left and pushout_targets read them;
-        the one built second frees them."""
-        by_src = [0] * self.n
-        by_dst = [0] * self.n
-        for j, (x, y) in enumerate(self.pairs):
-            by_src[x] |= 1 << j
-            by_dst[y] |= 1 << j
-        src_up = [0] * self.n
-        dst_up = [0] * self.n
-        for a in range(self.n):
-            for x in iter_bits(self._up[a]):
-                src_up[a] |= by_src[x]
-                dst_up[a] |= by_dst[x]
-        return (by_src, by_dst, src_up, dst_up)
+    def _pair_masks(self) -> tuple[tuple, tuple, list[int], list[int], tuple, bytes]:
+        """This side's pair ends (srcs, dsts), per-element pair masks (by_src,
+        by_dst), and up-sets: `ups` lays the elements of each up(a), a
+        ascending, end to end, and `cuts` flags where each run starts
+        (:func:`_run_sums`).  Read off the primal side and never memoised
+        (module docstring)."""
+        primal = self.op() if self.opposite else self
+        srcs, dsts = zip(*primal.pairs)
+        ends = len(dsts) + 1
+        # pairs are sorted by source: those with source x are one run, and their targets are up(x)
+        bounds = list(map((1).__lshift__, itertools.accumulate(map(int.bit_count, primal._up), initial=0)))
+        by_src = list(map(operator.sub, bounds[1:], bounds))
+        # sorted by target, those with target y are one run, and their sources are down(y)
+        order = sorted(range(len(dsts)), key=dsts.__getitem__)
+        starts = itertools.accumulate(map(int.bit_count, primal._down), initial=0)
+        cuts = _flags(sum(map((1).__lshift__, starts)), ends)
+        by_dst = _run_sums(map((1).__lshift__, order), cuts)
+        if self.opposite:  # L.op()'s pair i is L's reversed: sources and targets swap, up-sets are down-sets
+            return dsts, srcs, by_dst, by_src, tuple(map(srcs.__getitem__, order)), cuts
+        return srcs, dsts, by_src, by_dst, dsts, _flags(sum(bounds), ends)
 
     @property
     @_memoised
     def nonlift_left(self) -> list[int]:
         """nonlift_left[i] = mask of j such that pairs[i] does NOT lift left of
-        pairs[j]: for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and y in up[b]."""
-        _, _, src_up, dst_up = self._pair_masks()
-        if "pushout_targets" in self._memo:
-            self._memo.pop("_pair_masks", None)
-        return [src_up[a] & ~src_up[b] & dst_up[b] for (a, b) in self.pairs]
+        pairs[j]: for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and
+        y in up[b], src_up[a] & only[b] with only[b] = dst_up[b] ^ src_up[b],
+        the pairs with target >= b and source not, as src_up[b] <= dst_up[b]."""
+        srcs, dsts, by_src, by_dst, ups, cuts = self._pair_masks()
+        src_up = _run_sums(map(by_src.__getitem__, ups), cuts)
+        only = list(map(operator.xor, _run_sums(map(by_dst.__getitem__, ups), cuts), src_up))
+        return list(map(operator.and_, map(src_up.__getitem__, srcs), map(only.__getitem__, dsts)))
 
     @property
     def nonlift_right(self) -> list[int]:
@@ -767,16 +792,10 @@ class FiniteLattice(Dualizable):
         by_src[c] & by_dst[b v c] (each term the single bit of one pair),
         holds every pushout of a pair ending in b.
         """
-        by_src, by_dst, src_up, _ = self._pair_masks()
-        if "nonlift_left" in self._memo:
-            self._memo.pop("_pair_masks", None)
-        po = []
-        for row in self._join:
-            m = 0
-            for c, bc in enumerate(row):
-                m |= by_src[c] & by_dst[bc]
-            po.append(m)
-        return [po[b] & src_up[a] for (a, b) in self.pairs]
+        srcs, dsts, by_src, by_dst, ups, cuts = self._pair_masks()
+        po = [sum(map(operator.and_, by_src, map(by_dst.__getitem__, row))) for row in self._join]
+        src_up = _run_sums(map(by_src.__getitem__, ups), cuts)
+        return list(map(operator.and_, map(po.__getitem__, dsts), map(src_up.__getitem__, srcs)))
 
     @property
     def pullback_targets(self) -> list[int]:
@@ -809,12 +828,9 @@ def build_lattice(
         raise Unbounded("an empty element list has no bottom or top")
     if n > max_elements:
         raise CapExceeded("lattice elements", max_elements, n)
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise InvalidInput(f"duplicate element label {name!r}")
-        seen.add(name)
-    index = {name: i for i, name in enumerate(names)}
+    index = dict(zip(names, range(n)))
+    if len(index) < n:  # name the first label seen twice
+        raise InvalidInput(f"duplicate element label {next(x for i, x in enumerate(names) if names.index(x) < i)!r}")
 
     up = [1 << a for a in range(n)]
     for (x, y) in relations:
@@ -823,13 +839,16 @@ def build_lattice(
         if y not in index:
             raise InvalidInput(f"relation references unknown label {y!r}")
         up[index[x]] |= 1 << index[y]
-    for k in range(n):  # Warshall's transitive closure
-        for a in range(n):
-            if up[a] >> k & 1:
-                up[a] |= up[k]
-
-    # the transpose: column j of the rows' binary digits, a descending, is down[n - 1 - j]
-    down = [int("".join(col), 2) for col in zip(*map(format, reversed(up), itertools.repeat(f"0{n}b")))][::-1]
+    # Warshall's transitive closure on the order grid, row a up(a): n steps of _GridKit.closure
+    nn, full = n * n, (1 << n) - 1
+    rows = range(0, nn, n)
+    grid, col0 = sum(map(operator.lshift, up, rows)), ((1 << nn) - 1) // full
+    for m, shift in enumerate(rows):
+        grid |= (grid >> m & col0) * (grid >> shift & full)
+    up = [grid >> shift & full for shift in rows]
+    # the transpose: the grid's binary digits from index j in steps of n are down[n - 1 - j]
+    digits = f"{grid:0{nn}b}"
+    down = [int(digits[j::n], 2) for j in range(n)][::-1]
     for a in range(n):  # the least a in a cycle, with its least partner b: b in up(a) and down(a)
         cycle = up[a] & down[a] & ~(1 << a)
         if cycle:

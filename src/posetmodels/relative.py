@@ -6,8 +6,6 @@ subclasses of W, and the finite recognition decision.
 
 from __future__ import annotations
 
-import copy
-
 from .classes import MorphClass, is_pushout_closed, subcategory_check
 from .errors import InternalCheckFailed, MissingIdentities, NotCompositionClosed
 from .lattice import Dualizable, FiniteLattice, _memoised, iter_bits, low_bit
@@ -54,8 +52,9 @@ class RelStruct(Dualizable):
 
     def _reversed(self) -> "RelStruct":
         """W over the opposite lattice, sharing the components."""
-        o = copy.copy(self)
-        o.lattice, o.weq, o._memo = self.lattice.op(), self.weq.op(), {}
+        o = RelStruct.__new__(RelStruct)
+        o.lattice, o.weq, o._op, o._memo = self.lattice.op(), self.weq.op(), None, {}
+        o.component_masks, o.components, o.component_of = self.component_masks, self.components, self.component_of
         return o
 
     def __eq__(self, other):

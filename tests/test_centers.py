@@ -14,6 +14,8 @@ from posetmodels import (
     compute_Qchi,
     compute_Wc_chi,
     compute_Wf_chi,
+    construct_from_centers,
+    construct_from_centers_dual,
     enumerate_centers,
     centers,
     find_centers,
@@ -24,6 +26,7 @@ from posetmodels import (
     validate_relative,
 )
 from posetmodels.errors import S2OF3Failed
+from posetmodels.lattice import FiniteLattice
 
 from helpers import check_all_centers, memo_entry, record_calls, reference_check_centers
 from test_grid import _wide
@@ -91,6 +94,27 @@ def test_passing_center_maps_are_memoised_per_side(monkeypatch):
     assert len(checked) == 3
     assert memo_entry(rel, ("validate_centers", good.chi)) is first
     assert memo_entry(rel, ("validate_centers", bad.chi)) is None
+
+
+def test_square_rows_are_built_once_per_relative_structure(monkeypatch):
+    # find_centers and both center constructions read S on rel and rel.op();
+    # S is self-dual, so one build serves both sides
+    built = record_calls(monkeypatch, FiniteLattice, "_square_rows")
+    rels = [load("two-structures"), load("chain-8"), *itertools.islice(random_instances(InstanceGen(seed=11)), 40)]
+    reached = 0
+    for rel in rels:
+        before = len(built)
+        try:
+            chi = find_centers(rel)
+        except S2OF3Failed:
+            continue
+        if chi is not None:
+            construct_from_centers(rel, chi)
+            construct_from_centers_dual(rel, chi)
+        assert centers._square_rows(rel.op()) is centers._square_rows(rel)
+        assert len(built) == before + 1 and built[-1][0] is rel.lattice
+        reached += 1
+    assert reached > 20
 
 
 def test_squares_witness_is_first_missing_edge(forced):

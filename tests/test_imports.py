@@ -89,6 +89,20 @@ def test_a_subcommand_loads_only_what_it_runs(tmp_path, argv, loads, skips):
     assert loads <= added and not skips & added
 
 
+@pytest.mark.parametrize("command", ["validate", "recognize"])
+def test_validate_and_recognize_load_no_copy_module(tmp_path, command):
+    # the opposite relative structure is built directly, not copied
+    path = tmp_path / "two-structures.json"
+    path.write_text(print_instance(fixture("two-structures")), encoding="utf-8")
+    added = loaded_by(
+        "import sys\n"
+        "from posetmodels.cli import run_cli\n"
+        f"assert run_cli({[command, str(path), '--out', os.devnull]!r}) == 0\n"
+        "assert 'copy' not in sys.modules"
+    )
+    assert {"relative", "lattice"} <= ours(added) and "copy" not in added
+
+
 def test_no_module_imports_dataclasses():
     for path in sorted((SRC / "posetmodels").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

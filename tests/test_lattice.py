@@ -18,7 +18,7 @@ from posetmodels.fixtures import fixture
 from posetmodels.formats import InstanceFile, print_instance
 from posetmodels.lattice import FiniteLattice
 
-from helpers import memo_entry, naive_join, naive_lifts, naive_meet, permuted_instances
+from helpers import line_events, naive_join, naive_lifts, naive_meet, permuted_instances
 
 
 @st.composite
@@ -213,11 +213,18 @@ CW_GADGET_LEQ = [
     ("x2", "x6"), ("x3", "x6"), ("x4", "x5"), ("x5", "x7"), ("x6", "x7"),
 ]
 
+
+def _wide(atoms):
+    names = ["b", *(f"a{i}" for i in range(atoms)), "t"]
+    return names, [("b", a) for a in names[1:-1]] + [(a, "t") for a in names[1:-1]]
+
+
 LARGE_LATTICES = {
     "chain-32": (fixture("chain-32").elements, fixture("chain-32").leq),
     "grid-6x5": _grid(6, 5),
     "trunc-4": (fixture("trunc-4").elements, fixture("trunc-4").leq),
     "cw-gadget": ([f"x{i}" for i in range(8)], CW_GADGET_LEQ),
+    "wide-42": _wide(40),  # sparse: pair-mask kernels
 }
 
 
@@ -241,24 +248,28 @@ def test_tables_on_large_lattices(name, monkeypatch):
     def no_lookup(self):
         raise AssertionError("a table build looked up pair_index")
 
-    built = []
-    pair_masks = FiniteLattice._pair_masks
-
-    def counted(self):
-        if memo_entry(self, "_pair_masks") is None:
-            built.append(self)
-        return pair_masks(self)
-
     monkeypatch.setattr(FiniteLattice, "pair_index", property(no_lookup))
-    monkeypatch.setattr(FiniteLattice, "_pair_masks", counted)
     lat = build_lattice(*LARGE_LATTICES[name])
-    for side in (lat, lat.op()):
-        tables = (side.pushout_targets, side.pullback_targets, side.nonlift_left, side.nonlift_right)
-        assert tables == _naive_tables(side)
-    # the pair masks are computed once per side and freed once both tables
-    # that read them exist
-    assert len(built) == 2 and {id(x) for x in built} == {id(lat), id(lat.op())}
-    assert memo_entry(lat, "_pair_masks") is None and memo_entry(lat.op(), "_pair_masks") is None
+    lat.pairs
+    tables = [(side.pushout_targets, side.pullback_targets, side.nonlift_left, side.nonlift_right)
+              for side in (lat, lat.op())]
+    # each side memoises its two tables and no per-element mask list, and
+    # L.op()'s tables read L's pairs: L.op() builds none of its own
+    assert set(lat._memo) == {"pairs", "pushout_targets", "nonlift_left"}
+    assert set(lat.op()._memo) == {"pushout_targets", "nonlift_left"}
+    assert not any(isinstance(v, list) and len(v) == lat.n for side in (lat, lat.op()) for v in side._memo.values())
+    assert tables == [_naive_tables(side) for side in (lat, lat.op())]
+
+
+def test_the_forced_tables_take_under_one_python_step_per_two_pairs():
+    # chain-64, P = 2,080: the three tables a benchmark op reads, built from
+    # per-element masks in C-level passes, with no Python step per pair
+    names = [f"c{i}" for i in range(64)]
+    lat = build_lattice(names, zip(names, names[1:]))
+    npairs = len(lat.pairs)
+    assert npairs == 2080
+    assert line_events(lambda: (lat.pushout_targets, lat.pullback_targets, lat.nonlift_left)) < npairs / 2
+    assert lat.nonlift_left[0] == 0 and lat.pushout_targets[0] == sum(1 << lat.pairs.index((c, c)) for c in range(64))
 
 
 def _build_outcome(names, relations):

@@ -17,6 +17,7 @@ import pytest
 from posetmodels import InstanceGen, MorphClass, Pair, build_lattice, random_instances, validate_relative
 from posetmodels.errors import InvalidInput, PosetModelError
 from posetmodels.formats import InstanceFile, _pair_list, class_name_pairs, parse_instance, print_instance
+from posetmodels.fixtures import fixture
 from posetmodels.lattice import _GridKit
 
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     small_lattices,
 )
 from test_grid import _chain, _wide
+from test_lattice import _grid
 
 
 def outcome(fn, *args):
@@ -115,6 +117,45 @@ def test_cycles_and_non_lattices_raise_as_the_reference_does():
             assert got == want
         kinds.add(got[0] if got[0] == "ok" else (got[0].__name__, "join" in got[1]))
     assert {"ok", ("CycleDetected", False), ("NotALattice", True), ("NotALattice", False)} <= kinds
+
+
+def _orders_beyond_seven():
+    """(names, relations) of 1 to 102 elements, past the random sweep's 7."""
+    def chain(n):
+        return [f"c{i}" for i in range(n)], [(f"c{i}", f"c{i + 1}") for i in range(n - 1)]
+    atoms = [f"a{i}" for i in range(100)]
+    trunc = fixture("trunc-4")
+    return [chain(n) for n in (1, 2, 8, 16, 32, 64)] + [
+        _grid(6, 5), (trunc.elements, trunc.leq), (["b", *atoms, "t"], [("b", a) for a in atoms] + [(a, "t") for a in atoms])]
+
+
+def test_the_grid_closure_builds_what_the_reference_does_beyond_seven_elements():
+    # each order as given, with a relation closing a cycle, with two elements
+    # above the last that have no join, and with a label repeated; element
+    # and relation order shuffled
+    rng = random.Random(64)
+    kinds = set()
+    for names, rels in _orders_beyond_seven():
+        for variant in ("order", "cycle", "no join", "duplicate"):
+            ns, rs = list(names), list(rels)
+            if variant == "cycle":
+                rs.append((ns[-1], ns[0]))
+            elif variant == "no join":
+                rs += [(ns[-1], "x"), (ns[-1], "y")]
+                ns += ["x", "y"]
+            elif variant == "duplicate":
+                ns.append(rng.choice(ns))
+            rng.shuffle(ns)
+            rng.shuffle(rs)
+            got, want = outcome(build_lattice, ns, rs), outcome(reference_build_lattice, ns, rs)
+            if got[0] == "ok":
+                lat, ref = got[1], want[1]
+                assert (lat.names, lat._up, lat._down, lat._join, lat._meet, lat.bottom, lat.top) == \
+                    (ref.names, ref._up, ref._down, ref._join, ref._meet, ref.bottom, ref.top)
+            else:
+                assert got == want
+            kinds.add(got[0] if got[0] == "ok" else got[0].__name__)
+    assert kinds == {"ok", "CycleDetected", "NotALattice", "InvalidInput"}
 
 
 def test_malformed_pair_lists_name_the_first_bad_item():
