@@ -25,7 +25,7 @@ class CenterMap(FrozenRecord):
     __slots__ = ("chi",)
 
     def __init__(self, chi: tuple[int, ...]):
-        _set(self, "chi", chi)
+        _set(self, "chi", tuple(chi))
 
     def __call__(self, a: int) -> int:
         return self.chi[a]

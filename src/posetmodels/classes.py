@@ -89,7 +89,7 @@ class MorphClass(Dualizable):
         except TypeError:  # an unhashable pair, such as a list: every pair is checked
             found = [None] * len(pairs)
         others = itertools.compress(pairs, map(operator.is_, found, itertools.repeat(None)))
-        found += [lattice.pair_index[lattice.pair(src, dst)] for src, dst in others]
+        found += [labels[lattice.pair_names(lattice.pair(src, dst))] for src, dst in others]
         mask = _from_flags(map(set(found).__contains__, range(len(labels))))
         return cls(lattice, mask | (lattice.identity_mask if add_identities else 0))
 
@@ -170,9 +170,11 @@ class MorphClass(Dualizable):
 def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
     """True iff every commutative square with f on the left and g on the
     right has a diagonal.  In a poset there is at most one square, so this
-    reduces to: (src f <= src g and dst f <= dst g) implies dst f <= src g."""
-    if lattice.leq(f.src, g.src) and lattice.leq(f.dst, g.dst):
-        return lattice.leq(f.dst, g.src)
+    reduces to: (src f <= src g and dst f <= dst g) implies dst f <= src g.
+    An index that is no element is an input error."""
+    a, b, c, d = map(lattice._element, (*f, *g))
+    if lattice.leq(a, c) and lattice.leq(b, d):
+        return lattice.leq(b, c)
     return True
 
 
@@ -213,14 +215,15 @@ def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> li
     For a pushout-closed j this list is empty exactly when every member of
     j lifts on the left of f.  Certified mode runs :func:`is_pushout_closed`
     on j at each call; if j fails, it raises :class:`NotPushoutClosed` with the witness.
+    An index that is no element is an input error.
     """
+    lat = j.lattice
+    a, b = map(lat._element, f)
     if certified:
         closed = is_pushout_closed(j)
         if not closed:
             raise NotPushoutClosed(closed.witness)
-    lat = j.lattice
-    candidates = j.rows[f.src] & lat.down_mask(f.dst) & ~(1 << f.src)
-    return list(iter_bits(candidates))
+    return list(iter_bits(j.rows[a] & lat.down_mask(b) & ~(1 << a)))
 
 
 def is_pushout_closed(s: MorphClass) -> Check:
@@ -392,9 +395,11 @@ def is_wfs(lc: MorphClass, rc: MorphClass) -> Report:
 
 
 def factorize(lc: MorphClass, rc: MorphClass, f: Pair, require: bool = False) -> list[int]:
-    """All middles m with (src f, m) in lc and (m, dst f) in rc, ascending."""
+    """All middles m with (src f, m) in lc and (m, dst f) in rc, ascending;
+    an index that is no element is an input error."""
     lat = lc.lattice
-    middles = lc.rows[f.src] & rc.cols[f.dst] & lat.up_mask(f.src) & lat.down_mask(f.dst)
+    a, b = map(lat._element, f)
+    middles = lc.rows[a] & rc.cols[b] & lat.up_mask(a) & lat.down_mask(b)
     if require and middles == 0:
         raise NoFactorization(f)
     return list(iter_bits(middles))

@@ -45,9 +45,9 @@ def _render(obj, pad: str = "") -> str:
         if not obj:
             return "[]"
         inner = pad + "  "
-        open_leaves, leaf_sep, close_leaves = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
         if set(map(type, obj)) <= _SEQUENCES and set(map(len, obj)) == {2}:
             # a list of pairs, in one join over its quoted labels, taken two at a time
+            open_leaves, leaf_sep, close_leaves = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
             labels = map(_quote, chain.from_iterable(obj))
             try:
                 pairs = (close_leaves + ",\n" + inner + open_leaves).join(map(leaf_sep.join, zip(labels, labels)))
@@ -55,19 +55,7 @@ def _render(obj, pad: str = "") -> str:
                 pass
             else:
                 return "[\n" + inner + open_leaves + pairs + close_leaves + "\n" + pad + "]"
-        items = []
-        for item in obj:
-            if isinstance(item, str):
-                items.append(_quote(item))
-            elif item and isinstance(item, (list, tuple)):
-                try:  # a list of strings, such as a pair, in one join
-                    leaves = leaf_sep.join(map(_quote, item))
-                except TypeError:  # _quote takes strings only
-                    items.append(_render(item, inner))
-                else:
-                    items.append(open_leaves + leaves + close_leaves)
-            else:
-                items.append(_render(item, inner))
+        items = [_render(item, inner) for item in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:

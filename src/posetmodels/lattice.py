@@ -41,9 +41,13 @@ binary digits.  The order's flags, byte a*n + b set iff a <= b, are one
 divides by n each grid bit they select, and the grid kit's gathers come
 from the grid positions they select.  ``L.op().pairs`` is L's tuple with
 each pair reversed.  One name table per side, ``_label_index``, maps each
-label pair to its pair index in pair order: rendering selects its keys by
-a mask, ``MorphClass.from_pairs`` resolves a label pair by one lookup, and
-``identity_mask`` looks up the (x, x).
+label pair to its pair index in pair order, and no other table indexes
+pairs: rendering selects its keys by a mask, ``MorphClass.from_pairs``
+resolves a pair, of labels or of indices through their labels, by one
+lookup, ``identity_mask`` looks up the (x, x) and the pair kit's ``bit``
+the (a, b).  The covers (:meth:`FiniteLattice.cover_pairs`) are one kit
+product: strict & ~(strict∘strict), strict the order less the identities,
+n loop steps on a grid and one pass over the pairs on the pair kit.
 
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
@@ -526,7 +530,8 @@ class _PairKit:
         return self.pairs[bit]
 
     def bit(self, a: int, b: int) -> int:
-        return 1 << self._lat().pair_index[Pair(a, b)]
+        lat = self._lat()
+        return 1 << lat._label_index[lat.names[a], lat.names[b]]
 
     def reach(self, rows: list[int]) -> int:
         """:meth:`_GridKit.reach`: row a of O∘R is the OR of rows[c] over c in up(a)."""
@@ -631,15 +636,12 @@ class FiniteLattice(Dualizable):
         return f"FiniteLattice({self.n} elements, bottom={self.names[self.bottom]!r}, top={self.names[self.top]!r})"
 
     def cover_pairs(self) -> list[Pair]:
-        """Covering relations (the Hasse diagram edges), lex-sorted."""
-        out = []
-        for a in range(self.n):
-            strict_up = self._up[a] & ~(1 << a)
-            for b in iter_bits(strict_up):
-                between = self._up[a] & self._down[b] & ~(1 << a) & ~(1 << b)
-                if between == 0:
-                    out.append(Pair(a, b))
-        return out
+        """Covering relations (the Hasse diagram edges), lex-sorted: the strict
+        pairs that are no composite of two, strict & ~(strict∘strict) on this
+        side's kit; sorted, as L.op()'s pair order is not lexicographic."""
+        kit = self._kit
+        strict = kit.order & ~kit.ids
+        return sorted(self._select(self.pairs, kit.to_mask(strict & ~kit.composite(strict, strict))))
 
     # -- morphism bookkeeping -------------------------------------------
 
@@ -655,11 +657,6 @@ class FiniteLattice(Dualizable):
         n = self.n
         cells = itertools.compress(range(n * n), _row_flags(self._up, n))
         return tuple(map(tuple.__new__, itertools.repeat(Pair), map(divmod, cells, itertools.repeat(n))))
-
-    @property
-    @_memoised
-    def pair_index(self) -> dict[Pair, int]:
-        return dict(zip(self.pairs, itertools.count()))
 
     @property
     @_memoised

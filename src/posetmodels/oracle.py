@@ -95,6 +95,9 @@ _STACK_BYTES = 1 << 15  # the most bytes one stack spans (module docstring)
 
 
 def _require_cap(name: str, cap: int) -> None:
+    """A cap that is no int, a bool or negative is an input error."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise InvalidInput(f"{name} must be an int, got {cap!r}")
     if cap < 0:
         raise InvalidInput(f"{name} must be at least 0, got {cap}")
 
@@ -150,8 +153,9 @@ def enumerate_model_structures(
     max_generators: int = DEFAULT_MAX_GENERATORS,
 ) -> list[ModelStruct]:
     """All model structures with weak equivalences W, ordered by (cof mask,
-    fib mask).  A cap below 0 is an input error.  Both caps are checked
-    first; then W's own checks may return [] before any growth."""
+    fib mask).  A cap that is no int, a bool or below 0 is an input error.
+    Both caps are checked first; then W's own checks may return [] before
+    any growth."""
     _require_cap("max_elements", max_elements)
     _require_cap("max_generators", max_generators)
     lat = rel.lattice
@@ -193,25 +197,13 @@ class InstanceGen(FrozenRecord):
         _set(self, "weq_density", weq_density)
 
 
-def _compose_close(n: int, pairs: set) -> set:
-    """Close a set of element pairs under composition: Warshall's
-    transitive closure on element rows."""
-    rows = [0] * n
-    for (a, b) in pairs:
-        rows[a] |= 1 << b
-    for k in range(n):
-        for a in range(n):
-            if rows[a] >> k & 1:
-                rows[a] |= rows[k]
-    return {(a, b) for a in range(n) for b in iter_bits(rows[a])}
-
-
 def random_instances(gen: InstanceGen, s2of3_only: bool = False) -> Iterator[RelStruct]:
     """Endless stream of random valid relative structures.
 
     Random order closures are lattice-validated by rejection; W is a random
-    pair subset closed under composition, with identities added.  The
-    optional filter keeps only instances satisfying strong 2-of-3.
+    pair subset closed under composition by the grid kit's Warshall
+    closure, with identities added.  The optional filter keeps only
+    instances satisfying strong 2-of-3.
     """
     rng = random.Random(gen.seed)
     while True:
@@ -228,12 +220,10 @@ def random_instances(gen: InstanceGen, s2of3_only: bool = False) -> Iterator[Rel
             lat = build_lattice(names, rels)
         except (NotALattice, Unbounded):
             continue
-        candidates = [p for p in lat.pairs if p.src != p.dst]
-        chosen = {
-            (p.src, p.dst) for p in candidates if rng.random() < gen.weq_density
-        }
-        closed = _compose_close(n, chosen)
-        rel = validate_relative(lat, [(names[a], names[b]) for a, b in sorted(closed)], add_identities=True)
+        kit, _, from_grid = lat._grid_route()
+        chosen = sum(kit.bit(a, b) for a, b in lat.pairs if a != b and rng.random() < gen.weq_density)
+        closed = MorphClass._of(lat, from_grid(kit.closure(chosen)))
+        rel = validate_relative(lat, closed.name_pairs(), add_identities=True)
         if s2of3_only and not check_s2of3(rel).ok:
             continue
         yield rel

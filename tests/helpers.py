@@ -403,7 +403,7 @@ def subcategory_masks(lat) -> list[int]:
     children at i + 1.  Adding (a, b) to a transitively closed s adds
     (x, y) for every x that is a or has (x, a) in s and every y that is b
     or has (b, y) in s."""
-    n, index = lat.n, lat.pair_index
+    n, index = lat.n, reference_pair_index(lat)
     gens = sorted((a * n + b, a, b) for a, b in lat.pairs if a != b)
     grids = []
 
@@ -635,6 +635,18 @@ def reference_pair_index(lat) -> dict:
     return {p: i for i, p in enumerate(lat.pairs)}
 
 
+def reference_cover_pairs(lat) -> list:
+    """``FiniteLattice.cover_pairs``, one pair and its interval per step."""
+    out = []
+    for a in range(lat.n):
+        strict_up = lat._up[a] & ~(1 << a)
+        for b in iter_bits(strict_up):
+            between = lat._up[a] & lat._down[b] & ~(1 << a) & ~(1 << b)
+            if between == 0:
+                out.append(Pair(a, b))
+    return out
+
+
 def reference_identity_mask(lat) -> int:
     return _from_flags([a == b for a, b in lat.pairs])
 
@@ -682,7 +694,7 @@ def reference_pair_list(raw, name: str) -> list[tuple[str, str]]:
 def reference_from_pairs(lattice, pairs, add_identities: bool = False) -> MorphClass:
     """``MorphClass.from_pairs``, one Pair built per pair.  It reads a bool
     index as the int it equals, when that makes a pair."""
-    index = lattice.pair_index
+    index = reference_pair_index(lattice)
     flags = bytearray(len(index))
     for (src, dst) in pairs:
         p = lattice._pair_of(src, dst)

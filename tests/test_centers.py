@@ -57,6 +57,17 @@ def test_validate_two_structures_centers(two_structures):
     assert validate_centers(two_structures, const_chi(two_structures, "A")).ok
 
 
+def test_a_center_map_given_a_list_holds_its_tuple(two_structures):
+    # the list and tuple forms are one map: equal, hashed alike, and both
+    # validate and construct, keyed in the memos by the same chi tuple
+    listed, tupled = CenterMap([0, 1, 1, 1, 1, 5]), CenterMap((0, 1, 1, 1, 1, 5))
+    assert listed.chi == tupled.chi == (0, 1, 1, 1, 1, 5)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert validate_centers(two_structures, listed).ok and validate_centers(two_structures, tupled).ok
+    for construct in (construct_from_centers, construct_from_centers_dual):
+        assert construct(two_structures, listed) == construct(two_structures, tupled)
+
+
 def test_validate_catches_bad_maps(two_structures):
     lat = two_structures.lattice
     # collapsing the big component onto bot leaves its component

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,23 @@ def test_indices_outside_the_lattice_are_input_errors(src, dst, bad):
     assert lat.pair(0, 2) == Pair(0, 2) and MorphClass.from_pairs(lat, [(0, 2)]).pairs() == [Pair(0, 2)]
     with pytest.raises(NotComparable, match="'c' and 'a'"):
         MorphClass.from_pairs(lat, [(2, 0)])
+
+
+@pytest.mark.parametrize("bad", [-1, 6, True, 1.5])
+def test_factorize_proper_factorizations_and_lifts_check_indices(two_structures, bad):
+    # a negative index would read the top's row, a bool element 1 and n past
+    # the last row: each is an input error, as in pair and pushout_of
+    lat, weq = two_structures.lattice, two_structures.weq
+    every, top = MorphClass.all_morphisms(lat), lat.top
+    calls = [lambda: factorize(every, every, Pair(bad, top)), lambda: factorize(every, every, Pair(0, bad)),
+             lambda: proper_factorizations(weq, Pair(bad, top)), lambda: proper_factorizations(weq, Pair(0, bad)),
+             lambda: lifts(lat, Pair(bad, 1), Pair(0, 1)), lambda: lifts(lat, Pair(0, bad), Pair(0, 1)),
+             lambda: lifts(lat, Pair(0, 1), Pair(bad, 1)), lambda: lifts(lat, Pair(0, 1), Pair(0, bad))]
+    for call in calls:
+        with pytest.raises(InvalidInput, match=rf"^object index must be in range\(6\), got {re.escape(repr(bad))}$"):
+            call()
+    assert factorize(every, every, Pair(0, top)) == list(range(lat.n))
+    assert lifts(lat, Pair(0, top), Pair(0, 1)) and proper_factorizations(weq, Pair(0, 0)) == []
 
 
 def test_lifts_examples(two_structures):

@@ -59,6 +59,7 @@ from helpers import (
     on_grid_path,
     permuted_instances,
     record_calls,
+    reference_pair_index,
     reference_pushout_closed,
     reference_pushout_stable_part,
 )
@@ -269,8 +270,10 @@ def test_classes_with_the_same_pairs_are_equal_however_built(gate, monkeypatch):
             x, y = MorphClass(lat, mx), MorphClass(lat, my)
             rc, lc = right_complement(x), left_complement(x)
 
+            index = reference_pair_index(lat)
+
             def mask_of(pairs):
-                return sum(1 << lat.pair_index[p] for p in pairs)
+                return sum(1 << index[p] for p in pairs)
 
             built = [  # (class, the mask of its pairs, computed without the class algebra)
                 (x, mx), (y, my), (x | y, mx | my), (y | x, mx | my), (x & y, mx & my), (x - y, mx & ~my),

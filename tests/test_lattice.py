@@ -18,7 +18,15 @@ from posetmodels.fixtures import fixture
 from posetmodels.formats import InstanceFile, print_instance
 from posetmodels.lattice import FiniteLattice
 
-from helpers import line_events, naive_join, naive_lifts, naive_meet, permuted_instances
+from helpers import (
+    line_events,
+    naive_join,
+    naive_lifts,
+    naive_meet,
+    permuted_instances,
+    reference_cover_pairs,
+    reference_pair_index,
+)
 
 
 @st.composite
@@ -177,7 +185,8 @@ def relation_lists(draw, max_n=6):
 
 
 def _pair_mask(lat, pairs):
-    return sum(1 << lat.pair_index[p] for p in set(pairs))
+    index = reference_pair_index(lat)
+    return sum(1 << index[p] for p in set(pairs))
 
 
 @given(lattices())
@@ -246,9 +255,9 @@ def test_tables_on_large_lattices(name, monkeypatch):
     # lattices with hundreds of pairs, beyond what `lattices()` draws: every
     # bit of both target lists and both lift tables, on L and on L.op()
     def no_lookup(self):
-        raise AssertionError("a table build looked up pair_index")
+        raise AssertionError("a table build looked up the name table")
 
-    monkeypatch.setattr(FiniteLattice, "pair_index", property(no_lookup))
+    monkeypatch.setattr(FiniteLattice, "_label_index", property(no_lookup))
     lat = build_lattice(*LARGE_LATTICES[name])
     lat.pairs
     tables = [(side.pushout_targets, side.pullback_targets, side.nonlift_left, side.nonlift_right)
@@ -259,6 +268,22 @@ def test_tables_on_large_lattices(name, monkeypatch):
     assert set(lat.op()._memo) == {"pushout_targets", "nonlift_left"}
     assert not any(isinstance(v, list) and len(v) == lat.n for side in (lat, lat.op()) for v in side._memo.values())
     assert tables == [_naive_tables(side) for side in (lat, lat.op())]
+
+
+@given(lattices())
+@settings(max_examples=60, deadline=None)
+def test_cover_pairs_match_the_reference(lat):
+    for side in (lat, lat.op()):
+        assert side.cover_pairs() == reference_cover_pairs(side)
+
+
+@pytest.mark.parametrize("name", [*sorted(LARGE_LATTICES), "wide-40", "wide-510", "chain-180"])
+def test_cover_pairs_match_the_reference_on_large_lattices(name):
+    # one kit product on both op() sides: grids, and the pair kit of the wide lattices
+    shapes = {**LARGE_LATTICES, "wide-40": _wide(38), "wide-510": _wide(508), "chain-180": _chain(180)}
+    lat = build_lattice(*shapes[name])
+    for side in (lat, lat.op()):
+        assert side.cover_pairs() == reference_cover_pairs(side)
 
 
 def test_the_forced_tables_take_under_one_python_step_per_two_pairs():

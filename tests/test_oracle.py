@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from posetmodels import (
     validate_relative,
     verify_model,
 )
-from posetmodels.errors import CapExceeded, S2OF3Failed
+from posetmodels.errors import CapExceeded, InvalidInput, S2OF3Failed
 from posetmodels.models import _weq_checks
 
 from helpers import (
@@ -86,6 +87,14 @@ def test_caps():
     big = next(r for r in random_instances(gen) if len(r.weq.nonidentity_pairs()) >= 2)
     with pytest.raises(CapExceeded):
         enumerate_model_structures(big, max_generators=1)
+
+
+@pytest.mark.parametrize("cap", [True, 1.5, "3"])
+@pytest.mark.parametrize("name", ["max_elements", "max_generators"])
+def test_caps_that_are_no_int_are_input_errors(two_structures, name, cap):
+    # a bool is no cap, as a bool is no enumeration limit
+    with pytest.raises(InvalidInput, match=rf"^{name} must be an int, got {re.escape(repr(cap))}$"):
+        enumerate_model_structures(two_structures, **{name: cap})
 
 
 def test_non_subcategory_w_enumerates_to_nothing_after_both_caps(monkeypatch):
@@ -154,7 +163,7 @@ def test_three_way_agreement_on_permuted_indices():
 
 
 def test_closures_match_naive_on_permuted_indices():
-    """build_lattice's and _compose_close's Warshall closures against the
+    """build_lattice's and the grid route's Warshall closures against the
     naive fixpoint, on indices that are not a linear extension."""
     rng = random.Random(9)
     unsorted = 0
@@ -165,7 +174,9 @@ def test_closures_match_naive_on_permuted_indices():
                   for a, b in (rel.lattice.pair_names(c) for c in rel.lattice.cover_pairs())}
         assert set(lat.pairs) == compose_close(covers | {(x, x) for x in range(lat.n)})
         chosen = {tuple(q) for q in lat.pairs if q.src != q.dst and rng.random() < 0.5}
-        assert oracle._compose_close(lat.n, chosen) == compose_close(chosen)
+        kit, _, from_grid = lat._grid_route()
+        closed = MorphClass._of(lat, from_grid(kit.closure(sum(kit.bit(a, b) for a, b in chosen))))
+        assert set(closed) == compose_close(chosen)
         unsorted += any(a > b for (a, b) in covers)
     assert unsorted >= 150
 
@@ -272,16 +283,19 @@ def test_closures_formed_by_canonical_growth(name, cap, closures, monkeypatch):
     assert formed == closures
 
 
-def test_random_stream_matches_naive_compose_close(monkeypatch):
-    def draw(seed):
-        return [
-            (rel.lattice.names, rel.lattice.pairs, rel.weq.mask)
-            for rel in itertools.islice(random_instances(InstanceGen(seed=seed)), 200)
-        ]
+# sha256 of (names, pairs, W mask) of the first 200 instances of seeds 0, 5
+# and 42, recorded when W was closed by a Warshall loop on element rows
+RANDOM_STREAM_SHA256 = "f0caaed272b8a85d1b3dc78f597059aad01d739b1ac74c50b0ceb2666042b7a9"
 
-    warshall = {seed: draw(seed) for seed in (0, 5, 42)}
-    monkeypatch.setattr(oracle, "_compose_close", lambda n, pairs: compose_close(pairs))
-    assert {seed: draw(seed) for seed in (0, 5, 42)} == warshall
+
+def test_random_stream_matches_naive_compose_close():
+    digest = hashlib.sha256()
+    for seed in (0, 5, 42):
+        for rel in itertools.islice(random_instances(InstanceGen(seed=seed)), 200):
+            lat, pairs = rel.lattice, set(map(tuple, rel.weq))
+            assert compose_close(pairs) == pairs
+            digest.update(repr((lat.names, tuple(map(tuple, lat.pairs)), rel.weq.mask)).encode())
+    assert digest.hexdigest() == RANDOM_STREAM_SHA256
 
 
 def _block_chain(blocks):

@@ -1,9 +1,9 @@
 """The pair layer's row passes against the per-pair loops they replaced.
 
-``FiniteLattice.pairs`` on both op() sides, ``pair_index``,
-``identity_mask``, the name table, ``build_lattice``'s ``down`` and cycle
-check, the grid kit's gathers, ``formats._pair_list`` and
-``MorphClass.from_pairs`` are built in C-level passes; the bodies they
+``FiniteLattice.pairs`` on both op() sides, ``identity_mask``, the name
+table, ``build_lattice``'s ``down`` and cycle check, the grid kit's
+gathers, ``formats._pair_list`` and ``MorphClass.from_pairs`` are built in
+C-level passes, and ``cover_pairs`` by one kit product; the bodies they
 replaced are the ``helpers.reference_*``.  Values, order, types and every
 error, type and message, must agree, and a line-event count pins the
 Python-level work of the instance boundary below one step per two pairs.
@@ -25,11 +25,11 @@ from helpers import (
     on_grid_path,
     permuted_instances,
     reference_build_lattice,
+    reference_cover_pairs,
     reference_from_pairs,
     reference_grid_kit,
     reference_identity_mask,
     reference_name_pairs,
-    reference_pair_index,
     reference_pair_list,
     reference_pairs,
     small_lattices,
@@ -65,7 +65,7 @@ def test_row_passes_match_the_per_pair_references():
         for side in (lat.op(), lat) if rng.random() < 0.5 else (lat, lat.op()):
             ps = side.pairs
             assert ps == reference_pairs(side) and all(type(p) is Pair for p in ps)
-            assert side.pair_index == reference_pair_index(side)
+            assert side.cover_pairs() == reference_cover_pairs(side)
             assert side.identity_mask == reference_identity_mask(side)
             assert tuple(side._label_index) == reference_name_pairs(side)
             assert list(side._label_index.values()) == list(range(len(ps)))
