@@ -13,7 +13,7 @@ import functools
 import operator
 
 from .classes import MorphClass
-from .errors import InternalCheckFailed, InvalidInput, S2OF3Failed
+from .errors import InternalCheckFailed, InvalidCenters, S2OF3Failed, require_count
 from .lattice import Pair, _memoised, low_bit
 from .relative import RelStruct, check_s2of3, _pushout_stable_part
 from .report import Check, FrozenRecord, Report, _set
@@ -83,6 +83,12 @@ def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
         if report.ok:
             report = rel._cached(key, lambda _: report)
     return report
+
+
+def _require_valid_centers(rel: RelStruct, chi: CenterMap) -> None:
+    report = validate_centers(rel, chi)
+    if not report.ok:
+        raise InvalidCenters(report)
 
 
 def _check_centers(rel: RelStruct, chi: CenterMap) -> Report:
@@ -188,10 +194,7 @@ class CenterEnumeration(FrozenRecord):
 def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:
     """Up to `limit` valid center maps, lexicographically ordered; a
     limit that is no int, a bool or negative is an input error."""
-    if not isinstance(limit, int) or isinstance(limit, bool):
-        raise InvalidInput(f"limit must be an int, got {limit!r}")
-    if limit < 0:
-        raise InvalidInput(f"limit must be at least 0, got {limit}")
+    require_count("limit", limit)
     _require_s2of3(rel)
     maps = []
     truncated = False
@@ -231,7 +234,10 @@ def compute_Wf_chi(rel: RelStruct, chi: CenterMap) -> MorphClass:
 
 
 def product_centers(rel: RelStruct, chi1: CenterMap, chi2: CenterMap) -> CenterMap:
-    """Pointwise product (meet) of two center maps; always valid again."""
+    """Pointwise product (meet) of two valid center maps, valid again; an
+    invalid factor raises :class:`InvalidCenters`."""
+    _require_valid_centers(rel, chi1)
+    _require_valid_centers(rel, chi2)
     lat = rel.lattice
     chi = CenterMap(tuple(lat.meet(chi1.chi[a], chi2.chi[a]) for a in range(lat.n)))
     rep = validate_centers(rel, chi)

@@ -50,7 +50,8 @@ class MorphClass(Dualizable):
 
     def __init__(self, lattice: FiniteLattice, mask: int):
         kit = lattice._kit
-        if mask >> kit.npairs:  # negative, or a bit past the last pair
+        # no int, a bool, negative, or a bit past the last pair
+        if not isinstance(mask, int) or isinstance(mask, bool) or mask >> kit.npairs:
             raise InvalidInput(f"pair mask must be in range(2**{kit.npairs})")
         self.lattice = lattice
         self.bits = kit.from_mask(mask)
@@ -103,7 +104,10 @@ class MorphClass(Dualizable):
 
     def __contains__(self, pair) -> bool:
         """Whether the pair, of indices or labels, is a member: one bit of a
-        row.  An unknown label is an input error; a bool is no index."""
+        row.  An unknown label is an input error; a bool is no index, and
+        a tuple of another length no pair."""
+        if len(pair) != 2:
+            return False
         a, b = self.lattice._pair_of(*pair)
         if isinstance(a, bool) or isinstance(b, bool):
             return False
@@ -171,8 +175,9 @@ def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
     """True iff every commutative square with f on the left and g on the
     right has a diagonal.  In a poset there is at most one square, so this
     reduces to: (src f <= src g and dst f <= dst g) implies dst f <= src g.
-    An index that is no element is an input error."""
-    a, b, c, d = map(lattice._element, (*f, *g))
+    f and g are read through ``lattice.pair``: an index that is no element,
+    or a pair that is no morphism, is an input error."""
+    (a, b), (c, d) = lattice.pair(*f), lattice.pair(*g)
     if lattice.leq(a, c) and lattice.leq(b, d):
         return lattice.leq(b, c)
     return True
@@ -215,10 +220,11 @@ def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> li
     For a pushout-closed j this list is empty exactly when every member of
     j lifts on the left of f.  Certified mode runs :func:`is_pushout_closed`
     on j at each call; if j fails, it raises :class:`NotPushoutClosed` with the witness.
-    An index that is no element is an input error.
+    f is read through ``lattice.pair``: an index that is no element, or a
+    pair that is no morphism, is an input error.
     """
     lat = j.lattice
-    a, b = map(lat._element, f)
+    a, b = lat.pair(*f)
     if certified:
         closed = is_pushout_closed(j)
         if not closed:
@@ -260,11 +266,12 @@ def is_composition_closed(s: MorphClass) -> Check:
     in pair order that has some (b, c) in s without (a, c), with the least
     such c.
 
-    s is closed iff S∘S & ~S = 0, which reads the same on both op()
-    sides; only a class that fails scans for its witness.
+    s is closed iff S∘S & ~S = 0, S∘S being the kit's composite of S
+    with itself, which reads the same on both op() sides and on stacks;
+    only a class that fails scans for its witness.
     """
     g = s.bits
-    if not s.lattice._kit.product(g, g) & ~g:
+    if not s.lattice._kit.composite(g, g) & ~g:
         return Check("composition_closed", True)
     rows = s.rows
     a, b = next(p for p in s if rows[p.dst] & ~rows[p.src])
@@ -332,7 +339,7 @@ def _model_fails(kit, cof: int, fib: int, weq: int) -> list[int]:
     (cof, fib & weq) and (cof & weq, fib).  The one implementation of those
     conditions on both encodings: ``verify_model`` passes a class's bits
     and the oracle stacks of candidate grids."""
-    return [(kit.ids | kit.product(cof, cof)) & ~cof, (kit.ids | kit.product(fib, fib)) & ~fib,
+    return [(kit.ids | kit.composite(cof, cof)) & ~cof, (kit.ids | kit.composite(fib, fib)) & ~fib,
             *_wfs_fails(kit, cof, fib & weq), *_wfs_fails(kit, cof & weq, fib)]
 
 
@@ -396,9 +403,10 @@ def is_wfs(lc: MorphClass, rc: MorphClass) -> Report:
 
 def factorize(lc: MorphClass, rc: MorphClass, f: Pair, require: bool = False) -> list[int]:
     """All middles m with (src f, m) in lc and (m, dst f) in rc, ascending;
-    an index that is no element is an input error."""
+    f is read through ``lattice.pair``, so an index that is no element, or a
+    pair that is no morphism, is an input error."""
     lat = lc.lattice
-    a, b = map(lat._element, f)
+    a, b = lat.pair(*f)
     middles = lc.rows[a] & rc.cols[b] & lat.up_mask(a) & lat.down_mask(b)
     if require and middles == 0:
         raise NoFactorization(f)

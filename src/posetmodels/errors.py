@@ -1,4 +1,4 @@
-"""Structured exceptions shared across the package."""
+"""Structured exceptions shared across the package, and the one check of a count argument."""
 
 
 class PosetModelError(Exception):
@@ -7,6 +7,14 @@ class PosetModelError(Exception):
 
 class InvalidInput(PosetModelError):
     """Malformed user input: bad labels, missing fields, unusable files."""
+
+
+def require_count(name: str, value, least: int = 0) -> None:
+    """A count that is no int, a bool or below `least` is an input error."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidInput(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise InvalidInput(f"{name} must be at least {least}, got {value}")
 
 
 class CycleDetected(PosetModelError):

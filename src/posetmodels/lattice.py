@@ -35,12 +35,17 @@ P-bit int at every step.  The class boundary, rendering (through
 The pair layer is built in C-level passes, with no Python step per pair.
 :func:`build_lattice` closes the order by Warshall's algorithm (S. Warshall,
 "A theorem on Boolean matrices", 1962) on its grid, n steps of
-:meth:`_GridKit.closure`, and takes ``down`` as the transpose of the grid's
-binary digits.  The order's flags, byte a*n + b set iff a <= b, are one
-:func:`_row_flags` pass over the up-masks: :attr:`FiniteLattice.pairs`
-divides by n each grid bit they select, and the grid kit's gathers come
-from the grid positions they select.  ``L.op().pairs`` is L's tuple with
-each pair reversed.  One name table per side, ``_label_index``, maps each
+:meth:`_GridKit.closure`, and keeps the closed grid (row a is up(a)) and its
+transpose (row c is down(c)), read off the columns of the grid's binary
+digits, which also give ``down``.  The cycle check is one AND: the lowest
+bit of grid & transpose off the diagonal is the least a in a cycle with its
+least partner.  Every later reader takes the kept grids: ``L.op()`` holds
+them swapped, the kit gate counts the grid's bits, the grid kit's ``order``
+and ``order_t`` are them, and the order's flags, byte a*n + b set iff
+a <= b, are :func:`_flags` of the grid: :attr:`FiniteLattice.pairs` divides
+by n each grid bit they select, and the grid kit's gathers come from the
+grid positions they select.  ``L.op().pairs`` is L's tuple with each pair
+reversed.  One name table per side, ``_label_index``, maps each
 label pair to its pair index in pair order, and no other table indexes
 pairs: rendering selects its keys by a mask, ``MorphClass.from_pairs``
 resolves a pair, of labels or of indices through their labels, by one
@@ -52,8 +57,9 @@ n loop steps on a grid and one pass over the pairs on the pair kit.
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
 order, so a class mask names the same morphisms on both sides and witnesses
-stay the same least pairs.  Each side builds only its own left lift table;
-L's right table is the left table of ``L.op()``.  Orientation is part of
+stay the same least pairs.  Each side builds only its own left lift table,
+and no alias names another: the pair kit's right complement reads the left
+table of ``L.op()``.  Orientation is part of
 equality: ``L.op()`` is not equal to the lattice built from the reversed
 order.  Every table is memoised per side (:class:`Dualizable`); a hit
 reads the memo directly (:func:`_memoised`).
@@ -101,6 +107,7 @@ from .errors import (
     NotALattice,
     NotComparable,
     Unbounded,
+    require_count,
 )
 
 DEFAULT_MAX_ELEMENTS = 512
@@ -129,12 +136,6 @@ _TO_FLAGS, _TO_DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1"
 def _flags(mask: int, width: int) -> bytes:
     """The pair-mask reader: byte i is bit i of `mask`, 0 or 1, for each i < width >= mask.bit_length()."""
     return f"{mask:0{width}b}"[::-1].encode().translate(_TO_FLAGS)
-
-
-def _row_flags(rows: list[int], width: int) -> bytes:
-    """:func:`_flags` of each row, laid end to end: byte a*width + b is bit b of rows[a]."""
-    spec = f"0{width}b"
-    return "".join(map(format, reversed(rows), itertools.repeat(spec)))[::-1].encode().translate(_TO_FLAGS)
 
 
 def _from_flags(flags) -> int:
@@ -271,16 +272,16 @@ class _GridKit:
     __slots__ = ("n", "npairs", "full", "col0", "order", "order_t", "ids", "k", "block_bytes", "opposite", "_steps",
                  "_up_rows", "_down_rows", "_down_cols", "_up_cols", "_from_mask", "_to_mask", "_transpose")
 
-    def __init__(self, up: list[int], down: list[int]):
-        """`up` and `down` are the order masks of the primal side; this kit reads the primal side."""
-        n = self.n = len(up)
+    def __init__(self, lat: "FiniteLattice"):
+        """`lat` is the primal side, which this kit reads: its order masks and
+        its two grids, kept by :func:`build_lattice`, are `order` and `order_t`."""
+        n = self.n = lat.n
         nn = n * n
         self.k = 1
         self.opposite = False
         self.block_bytes = (nn + 7) // 8
         ints = list(range(nn + 1))  # one int object per position value
-        self.order = sum(map(operator.lshift, up, ints[::n]))
-        self.order_t = sum(map(operator.lshift, down, ints[::n]))
+        self.order, self.order_t = lat._grid, lat._grid_t
         flags = f"{self.order:0{nn}b}".encode().translate(_TO_FLAGS)  # byte j: whether grid bit nn - 1 - j is a pair
         p = self.npairs = flags.count(1)
         # the grid string's index j = nn - 1 - t of each pair's bit t, ascending: pair order read backwards,
@@ -296,8 +297,8 @@ class _GridKit:
         self.col0 = ((1 << nn) - 1) // self.full  # bits a*n, a < n: a geometric sum, as in build_lattice
         self.ids = (1 << nn + n) // ((2 << n) - 1)  # bits a*(n + 1), a < n
         # step m of x∘O: (shift of x's column m, row m of O); of x∘Oᵀ likewise
-        self._up_rows = tuple(zip(range(n), up))
-        self._down_rows = tuple(zip(range(n), down))
+        self._up_rows = tuple(zip(range(n), lat._up))
+        self._down_rows = tuple(zip(range(n), lat._down))
         # step m of O∘y: (column m of O spread over the rows, shift of y's row m); of Oᵀ∘y likewise
         col0, order, order_t = self.col0, self.order, self.order_t
         self._down_cols = tuple((order >> m & col0, shift) for m, shift in self._steps)
@@ -483,10 +484,10 @@ class _GridStack(_GridKit):
 
 class _PairKit:
     """The methods of :class:`_GridKit` that the class algebra calls, on the
-    pair masks of one sparse lattice side, in its terms: lc and rc read the
-    left and right lift tables, the products test the first class's row
-    against the second's column, each reading and building its masks
-    through :func:`_flags` and :func:`_from_flags`.  The kit holds its
+    pair masks of one sparse lattice side, in its terms: lc reads this
+    side's left lift table and rc that of L.op(), composite tests the first
+    class's row against the second's column, each reading and building its
+    masks through :func:`_flags` and :func:`_from_flags`.  The kit holds its
     lattice weakly: no reference cycle (:class:`Dualizable`)."""
 
     __slots__ = ("_lat", "n", "opposite", "pairs", "npairs", "ids", "order", "_cells")
@@ -513,15 +514,12 @@ class _PairKit:
         return _from_flags([not s & row for row in self._lat().nonlift_left])
 
     def rc(self, s: int) -> int:
-        return _from_flags([not s & row for row in self._lat().nonlift_right])
+        """f lifts left of g iff g lifts left of f in L.op(): the left table of L.op()."""
+        return _from_flags([not s & row for row in self._lat().op().nonlift_left])
 
     def composite(self, first: int, second: int) -> int:
         rows, cols = self.rows(first), self.cols(second)
         return _from_flags([rows[a] & cols[b] != 0 for a, b in self.pairs])
-
-    def product(self, x: int, y: int) -> int:
-        """x∘y in primal terms, as :meth:`_GridKit.product`."""
-        return self.composite(y, x) if self.opposite else self.composite(x, y)
 
     def outer(self, srcs: int, dsts: int) -> int:
         return _from_flags([srcs >> a & dsts >> b & 1 for a, b in self.pairs])
@@ -550,11 +548,13 @@ class FiniteLattice(Dualizable):
     :func:`build_lattice`, never directly; ``op()`` gives the opposite.
     """
 
-    def __init__(self, names, up, down, join_table, meet_table, bottom, top):
+    def __init__(self, names, up, down, grid, grid_t, join_table, meet_table, bottom, top):
         self.names: tuple[str, ...] = tuple(names)
         self.n = len(self.names)
         self._up = up          # up[a] = bitmask of elements >= a (includes a)
         self._down = down      # down[a] = bitmask of elements <= a
+        self._grid = grid      # the order grid: bits a*n .. a*n + n - 1 are up[a]
+        self._grid_t = grid_t  # its transpose: row a is down[a]
         self._join = join_table
         self._meet = meet_table
         self.bottom = bottom
@@ -566,7 +566,8 @@ class FiniteLattice(Dualizable):
 
     def _reversed(self) -> "FiniteLattice":
         """The opposite lattice, sharing this one's tables, swapped."""
-        o = FiniteLattice(self.names, self._down, self._up, self._meet, self._join, self.top, self.bottom)
+        o = FiniteLattice(self.names, self._down, self._up, self._grid_t, self._grid, self._meet, self._join,
+                          self.top, self.bottom)
         o.opposite = not self.opposite
         return o
 
@@ -601,8 +602,9 @@ class FiniteLattice(Dualizable):
         return self.names[i]
 
     def _pair_of(self, src, dst) -> Pair:
-        """The Pair of two indices or labels, unchecked; an unknown label raises InvalidInput."""
-        return Pair(src if isinstance(src, int) else self.index(src), dst if isinstance(dst, int) else self.index(dst))
+        """The Pair of two indices or labels, unchecked: a str is a label, and an
+        unknown one raises InvalidInput; anything else is kept as an index."""
+        return Pair(self.index(src) if isinstance(src, str) else src, self.index(dst) if isinstance(dst, str) else dst)
 
     def _element(self, x) -> int:
         """x, checked to be an element index: an int, not a bool, in range(n)."""
@@ -655,7 +657,7 @@ class FiniteLattice(Dualizable):
                              zip(map(operator.itemgetter(1), primal), map(operator.itemgetter(0), primal))))
         # the grid bits a*n + b of the pairs, ascending: lexicographic already
         n = self.n
-        cells = itertools.compress(range(n * n), _row_flags(self._up, n))
+        cells = itertools.compress(range(n * n), _flags(self._grid, n * n))
         return tuple(map(tuple.__new__, itertools.repeat(Pair), map(divmod, cells, itertools.repeat(n))))
 
     @property
@@ -676,16 +678,15 @@ class FiniteLattice(Dualizable):
     @_memoised
     def _kit(self) -> _GridKit | _PairKit:
         """This side's kernels: grids if dense, else pair masks (module docstring)."""
-        pairs = sum(m.bit_count() for m in self._up)
-        if self.n ** 3 > _GRID_DENSITY * pairs * pairs:
+        if self.n ** 3 > _GRID_DENSITY * self._grid.bit_count() ** 2:
             return _PairKit(self)
-        return self.op()._kit.flipped() if self.opposite else _GridKit(self._up, self._down)
+        return self.op()._kit.flipped() if self.opposite else _GridKit(self)
 
     def _grid_route(self) -> tuple[_GridKit, object, object]:
         """This side's grid kit and the gathers from its encoding to grids and back (module docstring)."""
         if isinstance(self._kit, _GridKit):
             return self._kit, _same, _same
-        kit = _GridKit(self._down, self._up).flipped() if self.opposite else _GridKit(self._up, self._down)
+        kit = _GridKit(self.op()).flipped() if self.opposite else _GridKit(self)
         return kit, kit.from_mask, kit.to_mask
 
     @property
@@ -775,12 +776,6 @@ class FiniteLattice(Dualizable):
         return list(map(operator.and_, map(src_up.__getitem__, srcs), map(only.__getitem__, dsts)))
 
     @property
-    def nonlift_right(self) -> list[int]:
-        """nonlift_right[j] = mask of i such that pairs[i] does NOT lift left of
-        pairs[j]: f lifts left of g iff g lifts left of f in op, so op builds it."""
-        return self.op().nonlift_left
-
-    @property
     @_memoised
     def pushout_targets(self) -> list[int]:
         """For each pair index i=(a,b): the pair mask of (c, b v c) over all c >= a.
@@ -814,11 +809,13 @@ def build_lattice(
     there is no global bottom or top (only possible for an empty element
     list once the lattice checks pass).
 
+    A `max_elements` that is no int, a bool or negative is an input error.
     Raises :class:`CapExceeded` for more than `max_elements` elements, and
     for more than :data:`MAX_PAIRS` comparable pairs right after the
     closure, before any table is built: the two lift tables hold P^2 bits,
     so the pair count P, not the element count, bounds their memory.
     """
+    require_count("max_elements", max_elements)
     names = list(names)
     n = len(names)
     if n == 0:
@@ -843,14 +840,16 @@ def build_lattice(
     for m, shift in enumerate(rows):
         grid |= (grid >> m & col0) * (grid >> shift & full)
     up = [grid >> shift & full for shift in rows]
-    # the transpose: the grid's binary digits from index j in steps of n are down[n - 1 - j]
+    # the transpose: the grid's binary digits from index j in steps of n are column n - 1 - j, down[n - 1 - j]
     digits = f"{grid:0{nn}b}"
-    down = [int(digits[j::n], 2) for j in range(n)][::-1]
-    for a in range(n):  # the least a in a cycle, with its least partner b: b in up(a) and down(a)
-        cycle = up[a] & down[a] & ~(1 << a)
-        if cycle:
-            raise CycleDetected(names[a], names[low_bit(cycle)])
-    n_pairs = sum(map(int.bit_count, up))
+    cols = [digits[j::n] for j in range(n)]
+    grid_t = int("".join(cols), 2)
+    down = [int(c, 2) for c in reversed(cols)]
+    # the least a in a cycle, with its least partner b: the lowest (a, b) off the diagonal in both grids
+    cycle = grid & grid_t & ~((1 << nn + n) // ((2 << n) - 1))
+    if cycle:
+        raise CycleDetected(*map(names.__getitem__, divmod(low_bit(cycle), n)))
+    n_pairs = grid.bit_count()
     if n_pairs > MAX_PAIRS:
         raise CapExceeded("comparable pairs", MAX_PAIRS, n_pairs)
 
@@ -872,13 +871,14 @@ def build_lattice(
             meet_table[a][b] = meet_table[b][a] = greatest
 
     every = (1 << n) - 1
-    return FiniteLattice(names, up, down, join_table, meet_table, by_up[every], by_down[every])
+    return FiniteLattice(names, up, down, grid, grid_t, join_table, meet_table, by_up[every], by_down[every])
 
 
 def join_all(lattice: FiniteLattice, elems: Iterable[int]) -> int:
-    """Least upper bound of a set; the empty join is the bottom."""
+    """Least upper bound of a set; the empty join is the bottom.  An index
+    that is no element is an input error."""
     acc = None
-    for e in elems:
+    for e in map(lattice._element, elems):
         acc = e if acc is None else lattice.join(acc, e)
     return lattice.bottom if acc is None else acc
 
@@ -889,18 +889,18 @@ def meet_all(lattice: FiniteLattice, elems: Iterable[int]) -> int:
 
 
 def pushout_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
-    """Cobase change of f=(a,b) along a <= c, namely (c, b v c); an index
-    that is no element is an input error."""
-    a, b, c = map(lattice._element, (*f, c))
-    if not lattice.leq(a, c):
-        raise NotComparable(lattice.name(a), lattice.name(c))
+    """Cobase change of f=(a,b) along a <= c, namely (c, b v c); f and
+    (a, c) are read through :meth:`FiniteLattice.pair`, so an index that
+    is no element, or a pair that is no morphism, is an input error."""
+    a, b = lattice.pair(*f)
+    c = lattice.pair(a, c).dst
     return Pair(c, lattice.join(b, c))
 
 
 def pullback_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
-    """Base change of f=(a,b) along c <= b, namely (a ^ c, c); an index
-    that is no element is an input error."""
-    a, b, c = map(lattice._element, (*f, c))
-    if not lattice.leq(c, b):
-        raise NotComparable(lattice.name(c), lattice.name(b))
+    """Base change of f=(a,b) along c <= b, namely (a ^ c, c); f and
+    (c, b) are read through :meth:`FiniteLattice.pair`, so an index that
+    is no element, or a pair that is no morphism, is an input error."""
+    a, b = lattice.pair(*f)
+    c = lattice.pair(c, b).src
     return Pair(lattice.meet(a, c), c)

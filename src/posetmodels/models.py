@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from .centers import (
     CenterMap,
     _require_s2of3,
+    _require_valid_centers,
     compute_Jchi,
     compute_Wc_chi,
     compute_Wf_chi,
@@ -197,12 +198,6 @@ def construct_terminal(rel: RelStruct) -> ModelStruct:
         raise RecognitionFailed(bad.name, bad.witness)
     cof, fib = _generated_by(rel, compute_Wc(rel))
     return _verified(rel, cof, fib, "terminal construction")
-
-
-def _require_valid_centers(rel: RelStruct, chi: CenterMap) -> None:
-    report = validate_centers(rel, chi)
-    if not report.ok:
-        raise InvalidCenters(report)
 
 
 def construct_from_centers(rel: RelStruct, chi: CenterMap) -> ModelStruct:
@@ -410,11 +405,13 @@ def _cofibrant_replacements(m: ModelStruct) -> tuple[int, ...]:
 
 def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:
     """Middle of the canonical W_c^chi-then-W_f^chi factorization of a
-    weak equivalence: dst ^ (src v chi(src))."""
+    weak equivalence: dst ^ (src v chi(src)).  `f` is read through
+    ``lattice.pair``: a bad index or an incomparable pair is an input error."""
+    lat = rel.lattice
+    f = lat.pair(*f)
     if f not in rel.weq:
         raise NotWeakEquivalence(f)
     _require_valid_centers(rel, chi)
-    lat = rel.lattice
     m = lat.meet(f.dst, lat.join(f.src, chi.chi[f.src]))
     wc = compute_Wc_chi(rel, chi)
     wf = compute_Wf_chi(rel, chi)

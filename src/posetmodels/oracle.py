@@ -83,7 +83,7 @@ import random
 from typing import Iterator
 
 from .classes import _MODEL_CHECKS, MorphClass, _model_fails
-from .errors import CapExceeded, InvalidInput, NotALattice, Unbounded
+from .errors import CapExceeded, InvalidInput, NotALattice, Unbounded, require_count
 from .lattice import Pair, build_lattice, iter_bits
 from .models import ModelStruct, _weq_checks
 from .relative import RelStruct, check_s2of3, validate_relative
@@ -92,14 +92,6 @@ from .report import Check, FrozenRecord, Report, _set
 DEFAULT_MAX_ELEMENTS = 10
 DEFAULT_MAX_GENERATORS = 14
 _STACK_BYTES = 1 << 15  # the most bytes one stack spans (module docstring)
-
-
-def _require_cap(name: str, cap: int) -> None:
-    """A cap that is no int, a bool or negative is an input error."""
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise InvalidInput(f"{name} must be an int, got {cap!r}")
-    if cap < 0:
-        raise InvalidInput(f"{name} must be at least 0, got {cap}")
 
 
 def _chunks(kit, grids: list[int]) -> Iterator[tuple[object, list[int]]]:
@@ -156,8 +148,8 @@ def enumerate_model_structures(
     fib mask).  A cap that is no int, a bool or below 0 is an input error.
     Both caps are checked first; then W's own checks may return [] before
     any growth."""
-    _require_cap("max_elements", max_elements)
-    _require_cap("max_generators", max_generators)
+    require_count("max_elements", max_elements)
+    require_count("max_generators", max_generators)
     lat = rel.lattice
     if lat.n > max_elements:
         raise CapExceeded("lattice elements", max_elements, lat.n)
@@ -187,11 +179,16 @@ def decide_by_enumeration(rel: RelStruct, **caps) -> bool:
 
 
 class InstanceGen(FrozenRecord):
-    """Reproducible stream parameters; identical seeds give identical streams."""
+    """Reproducible stream parameters; identical seeds give identical streams.
+    An element cap that is no int of at least 2, or a density that is no
+    real in [0, 1] (a bool is neither), is an input error."""
 
     __slots__ = ("seed", "max_elements", "weq_density")
 
     def __init__(self, seed: int = 0, max_elements: int = 7, weq_density: float = 0.35):
+        require_count("max_elements", max_elements, 2)
+        if not isinstance(weq_density, (int, float)) or isinstance(weq_density, bool) or not 0 <= weq_density <= 1:
+            raise InvalidInput(f"weq_density must be a real in [0, 1], got {weq_density!r}")
         _set(self, "seed", seed)
         _set(self, "max_elements", max_elements)
         _set(self, "weq_density", weq_density)

@@ -671,11 +671,11 @@ def reference_grid_positions(up: list[int]) -> tuple[list, list, list]:
             [ints[b * n + a] for a in range(n) for b in range(n)])
 
 
-def reference_grid_kit(up: list[int], down: list[int]) -> _GridKit:
-    """``_GridKit(up, down)`` with its gathers over :func:`reference_grid_positions`."""
-    kit = _GridKit(up, down)
+def reference_grid_kit(lat: FiniteLattice) -> _GridKit:
+    """``_GridKit(lat)`` with its gathers over :func:`reference_grid_positions`."""
+    kit = _GridKit(lat)
     kit._from_mask, kit._to_mask, kit._transpose = map(lambda ps: operator.itemgetter(*ps),
-                                                       reference_grid_positions(up))
+                                                       reference_grid_positions(lat._up))
     return kit
 
 
@@ -760,4 +760,11 @@ def reference_build_lattice(names, relations, max_elements: int = DEFAULT_MAX_EL
             meet_table[a][b] = meet_table[b][a] = greatest
 
     every = (1 << n) - 1
-    return FiniteLattice(names, up, down, join_table, meet_table, by_up[every], by_down[every])
+    grid, grid_t = reference_grids(up, down)
+    return FiniteLattice(names, up, down, grid, grid_t, join_table, meet_table, by_up[every], by_down[every])
+
+
+def reference_grids(up: list[int], down: list[int]) -> tuple[int, int]:
+    """The order grid and its transpose, row a up[a] and down[a], summed row by row."""
+    n = len(up)
+    return sum(row << a * n for a, row in enumerate(up)), sum(row << a * n for a, row in enumerate(down))

@@ -25,7 +25,7 @@ from posetmodels import (
     validate_centers,
     validate_relative,
 )
-from posetmodels.errors import S2OF3Failed
+from posetmodels.errors import InvalidCenters, S2OF3Failed
 from posetmodels.lattice import FiniteLattice
 
 from helpers import check_all_centers, memo_entry, record_calls, reference_check_centers
@@ -260,6 +260,15 @@ def test_product_centers(two_structures):
     prod2 = product_centers(two_structures, least, chi_b)
     assert all(lat.leq(prod2.chi[a], least.chi[a]) and lat.leq(prod2.chi[a], chi_b.chi[a])
                for a in range(lat.n))
+
+
+def test_product_centers_validates_both_factors(two_structures):
+    # an invalid factor is the caller's error, raised before any meet is read
+    good = const_chi(two_structures, "B")
+    for bad in (CenterMap((9,) * 6), CenterMap((0,) * 6), CenterMap((True,) * 6), CenterMap(())):
+        for chi1, chi2 in ((bad, good), (good, bad)):
+            with pytest.raises(InvalidCenters, match="^invalid choice of centers: "):
+                product_centers(two_structures, chi1, chi2)
 
 
 def test_center_laws_on_fixtures(two_structures, forced, trunc1):

@@ -20,6 +20,8 @@ from posetmodels import (
     left_complement,
     lifts,
     proper_factorizations,
+    pullback_of,
+    pushout_of,
     right_complement,
 )
 from posetmodels.errors import InvalidInput, NoFactorization, NotComparable, NotPushoutClosed
@@ -88,6 +90,42 @@ def test_factorize_proper_factorizations_and_lifts_check_indices(two_structures,
             call()
     assert factorize(every, every, Pair(0, top)) == list(range(lat.n))
     assert lifts(lat, Pair(0, top), Pair(0, 1)) and proper_factorizations(weq, Pair(0, 0)) == []
+
+
+def test_morphism_arguments_are_read_as_morphisms(two_structures):
+    # a reversed pair (top, bot) is no morphism: each reader raises what
+    # lattice.pair raises on it, and a plain index tuple reads as its Pair
+    lat, weq = two_structures.lattice, two_structures.weq
+    every, top, bot = MorphClass.all_morphisms(lat), lat.top, lat.bottom
+    f = Pair(top, bot)
+    calls = [(lambda: lifts(lat, f, Pair(0, 1)), "top", "bot"), (lambda: lifts(lat, Pair(0, 1), f), "top", "bot"),
+             (lambda: factorize(weq, weq, f), "top", "bot"), (lambda: factorize(every, every, f), "top", "bot"),
+             (lambda: proper_factorizations(weq, f), "top", "bot"), (lambda: pushout_of(lat, f, top), "top", "bot"),
+             (lambda: pullback_of(lat, f, bot), "top", "bot"), (lambda: pushout_of(lat, Pair(1, 1), bot), "A", "bot"),
+             (lambda: pullback_of(lat, Pair(1, 1), top), "top", "A")]
+    for call, x, y in calls:
+        with pytest.raises(NotComparable, match=f"^elements '{x}' and '{y}' are not comparable$"):
+            call()
+    a, b, c = (lat.index(x) for x in ("A", "B", "C"))
+    assert lifts(lat, (a, b), (c, top)) == lifts(lat, Pair(a, b), Pair(c, top))
+    assert not lifts(lat, (a, b), (a, c))
+    assert factorize(every, every, (a, c)) == factorize(every, every, Pair(a, c)) == [a, b, lat.index("Bp"), c]
+    assert proper_factorizations(weq, (a, c)) == proper_factorizations(weq, Pair(a, c)) == [b, lat.index("Bp"), c]
+    assert pushout_of(lat, (a, b), lat.index("Bp")) == Pair(lat.index("Bp"), c)
+    assert pullback_of(lat, (a, c), b) == Pair(a, b)
+
+
+def test_membership_masks_check_their_inputs(two_structures):
+    # a tuple of another length is no pair, and a mask that is no int (a
+    # bool counts as none) is as bad as one out of range
+    lat, weq = two_structures.lattice, two_structures.weq
+    for side, s in ((lat, weq), (lat.op(), weq.op())):
+        assert (0, 1, 2) not in s and (0,) not in s and () not in s and (0, 0) in s
+        p = len(side.pairs)
+        for mask in (True, False, 1.5, "1", None):
+            with pytest.raises(InvalidInput, match=rf"^pair mask must be in range\(2\*\*{p}\)$"):
+                MorphClass(side, mask)
+        assert MorphClass(side, 1).pairs() == [side.pairs[0]]
 
 
 def test_lifts_examples(two_structures):

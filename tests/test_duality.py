@@ -330,7 +330,6 @@ def test_op_is_a_cached_involution(two_structures):
     for x in (lat, rel.weq, rel, m):
         assert x.op() is x.op() and x.op().op() is x
     assert [p.op() for p in lat.op().pairs] == list(lat.pairs)
-    assert lat.op().nonlift_left is lat.nonlift_right
     assert lat.op().pushout_targets is lat.pullback_targets
     assert rel.op().components is rel.components
     assert (m.op().cof.mask, m.op().fib.mask) == (m.fib.mask, m.cof.mask)

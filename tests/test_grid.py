@@ -363,7 +363,6 @@ def _kit_battery(lat, rng):
         assert (pk.rows(x), pk.cols(x)) == (gk.rows(gx), gk.cols(gx))
         assert (pk.lc(x), pk.rc(x)) == (gk.to_mask(gk.lc(gx)), gk.to_mask(gk.rc(gx)))
         assert pk.composite(x, y) == gk.to_mask(gk.composite(gx, gy))
-        assert pk.product(x, y) == gk.to_mask(gk.product(gx, gy))
         srcs, dsts = rng.getrandbits(n), rng.getrandbits(n)
         assert pk.outer(srcs, dsts) == gk.to_mask(gk.outer(srcs, dsts))
         rows = [rng.getrandbits(n) for _ in range(n)]

@@ -147,6 +147,28 @@ def test_join_all_meet_all(two_structures, forced):
     assert naive_meet(flat, d, dp) == flat.index("C")
 
 
+def test_folds_check_their_elements(two_structures):
+    lat = two_structures.lattice
+    for fold in (join_all, meet_all):
+        for elems, bad in (([9], 9), ([True, 2], True), ([1, -1], -1), ([2, 1.0], 1.0), (["A"], "A")):
+            with pytest.raises(InvalidInput, match=rf"^object index must be in range\(6\), got {bad!r}$"):
+                fold(lat, elems)
+    assert join_all(lat, (x for x in [1, 2])) == 2 and meet_all(lat, iter([2, 3])) == 1
+
+
+@pytest.mark.parametrize("cap, message", [
+    (True, "max_elements must be an int, got True"), (1.5, "max_elements must be an int, got 1.5"),
+    ("3", "max_elements must be an int, got '3'"), (-1, "max_elements must be at least 0, got -1")])
+def test_the_element_cap_is_a_count(cap, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        build_lattice(*_chain(2), max_elements=cap)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        build_lattice([], [], max_elements=cap)  # checked before the elements are
+    with pytest.raises(CapExceeded, match="^lattice elements: 1 exceeds cap 0$"):
+        build_lattice(["x"], [], max_elements=0)
+    assert build_lattice(*_chain(2), max_elements=2).n == 2
+
+
 def test_pushout_pullback_examples(two_structures, forced):
     lat = two_structures.lattice
     a, b, bp, c = (lat.index(x) for x in ("A", "B", "Bp", "C"))
@@ -201,7 +223,7 @@ def test_order_table_agreement(lat):
     for i, f in enumerate(ps):
         for j, g in enumerate(ps):
             assert bool(lat.nonlift_left[i] >> j & 1) == (not naive_lifts(lat, f, g))
-            assert bool(lat.nonlift_right[j] >> i & 1) == (not naive_lifts(lat, f, g))
+            assert bool(lat.op().nonlift_left[j] >> i & 1) == (not naive_lifts(lat, f, g))
     for i, (a, b) in enumerate(ps):
         above = [c for c in lat.elements if lat.leq(a, c)]
         below = [c for c in lat.elements if lat.leq(c, b)]
@@ -260,7 +282,7 @@ def test_tables_on_large_lattices(name, monkeypatch):
     monkeypatch.setattr(FiniteLattice, "_label_index", property(no_lookup))
     lat = build_lattice(*LARGE_LATTICES[name])
     lat.pairs
-    tables = [(side.pushout_targets, side.pullback_targets, side.nonlift_left, side.nonlift_right)
+    tables = [(side.pushout_targets, side.pullback_targets, side.nonlift_left, side.op().nonlift_left)
               for side in (lat, lat.op())]
     # each side memoises its two tables and no per-element mask list, and
     # L.op()'s tables read L's pairs: L.op() builds none of its own

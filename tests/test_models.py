@@ -38,6 +38,7 @@ from posetmodels.errors import (
     HypothesisFailed,
     InvalidInput,
     JNotInW,
+    NotComparable,
     NotWeakEquivalence,
     RecognitionFailed,
 )
@@ -281,6 +282,21 @@ def test_factor_via_centers(two_structures, forced):
     assert factor_via_centers(forced, fchi, Pair(flat.index("U"), flat.index("D"))) == flat.index("C")
     with pytest.raises(NotWeakEquivalence):
         factor_via_centers(two_structures, chi, Pair(lat.bottom, a))
+
+
+def test_factor_via_centers_reads_its_pair_through_the_lattice(two_structures):
+    # a plain index tuple is a Pair, and a reversed pair is no morphism
+    chi = const_chi(two_structures, "C")
+    lat = two_structures.lattice
+    a, b, c = (lat.index(x) for x in ("A", "B", "C"))
+    assert factor_via_centers(two_structures, chi, (a, b)) == factor_via_centers(two_structures, chi, Pair(a, b))
+    assert factor_via_centers(two_structures, chi, ("A", "C")) == c
+    with pytest.raises(NotComparable, match=r"^elements 'top' and 'bot' are not comparable$"):
+        factor_via_centers(two_structures, chi, Pair(lat.top, lat.bottom))
+    with pytest.raises(InvalidInput, match=r"^object index must be in range\(6\), got 6$"):
+        factor_via_centers(two_structures, chi, (a, 6))
+    with pytest.raises(NotWeakEquivalence):
+        factor_via_centers(two_structures, chi, (lat.bottom, a))
 
 
 def test_generating_sets(two_structures):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -44,6 +45,27 @@ from helpers import (
 from test_grid import _chain, _wide
 from test_lattice import _grid
 from test_models import LEFT_SIG, RIGHT_SIG, identity_rel, non_subcategory_rel
+
+
+def test_instance_gen_checks_its_fields_at_construction():
+    # a cap below 2 or a density outside [0, 1] once failed at the first
+    # draw, or never; the bounds themselves draw 2-element lattices, and no
+    # or every pair
+    density = r"weq_density must be a real in \[0, 1\], got "
+    for fields, message in [
+        ({"max_elements": 1}, "max_elements must be at least 2, got 1"),
+        ({"max_elements": True}, "max_elements must be an int, got True"),
+        ({"max_elements": 7.0}, "max_elements must be an int, got 7.0"),
+        ({"weq_density": 2.0}, density + "2.0"), ({"weq_density": -0.1}, density + "-0.1"),
+        ({"weq_density": "x"}, density + "'x'"), ({"weq_density": True}, density + "True"),
+        ({"weq_density": float("nan")}, density + "nan"),
+    ]:
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            InstanceGen(**fields)
+    for rel in itertools.islice(random_instances(InstanceGen(seed=1, max_elements=2, weq_density=1)), 5):
+        assert rel.lattice.n == 2 and len(rel.weq) == 3
+    for rel in itertools.islice(random_instances(InstanceGen(seed=1, weq_density=0)), 5):
+        assert rel.weq.mask == rel.lattice.identity_mask
 
 
 def test_identities_only_gives_trivial():
@@ -317,6 +339,48 @@ def test_chain_structure_counts_are_catalan(blocks, count):
     # system; on the n-chain these are counted by the Catalan number C_n
     # (Balchin, Barnes, Roitzheim, "N-infinity operads and associahedra")
     assert len(enumerate_model_structures(_block_chain(blocks))) == count
+
+
+def _compositions(n):
+    """The 2^(n-1) ways to cut n into consecutive positive block sizes."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        sizes, size = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(size)
+                size = 0
+            size += 1
+        yield (*sizes, size)
+
+
+def _catalan(k):
+    return math.comb(2 * k, k) // (k + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_admitting_w_on_a_chain_has_the_product_of_catalan_numbers(n):
+    # on the n-chain the W that admit a model structure are the 2^(n-1)
+    # interval partitions (test_small_world's closed-form test proves it);
+    # each has prod C_|K| structures over its components K, and they sum to
+    # C(2n - 1, n).  W every pair of the 6-chain has 15 generators, one over
+    # the default cap
+    total = 0
+    for blocks in _compositions(n):
+        rel = _block_chain(blocks)
+        assert sorted(map(len, rel.components)) == sorted(blocks)
+        found = len(enumerate_model_structures(rel, max_generators=15))
+        assert found == math.prod(_catalan(len(k)) for k in rel.components)
+        total += found
+    assert total == math.comb(2 * n - 1, n)
+
+
+def test_the_product_of_catalan_numbers_fails_off_chains():
+    # the square 0 < 1, 2 < 3 with 1 and 2 incomparable, W = {0 -> 1}: the
+    # components {0, 1}, {2}, {3} give C_2 = 2, but one structure exists
+    lat = build_lattice(["0", "1", "2", "3"], [("0", "1"), ("0", "2"), ("1", "3"), ("2", "3")])
+    rel = validate_relative(lat, [("0", "1")], add_identities=True)
+    assert math.prod(_catalan(len(k)) for k in rel.components) == 2
+    assert len(enumerate_model_structures(rel)) == 1
 
 
 def test_square_has_ten_structures():

@@ -28,6 +28,7 @@ from helpers import (
     reference_cover_pairs,
     reference_from_pairs,
     reference_grid_kit,
+    reference_grids,
     reference_identity_mask,
     reference_name_pairs,
     reference_pair_list,
@@ -69,9 +70,10 @@ def test_row_passes_match_the_per_pair_references():
             assert side.identity_mask == reference_identity_mask(side)
             assert tuple(side._label_index) == reference_name_pairs(side)
             assert list(side._label_index.values()) == list(range(len(ps)))
+            assert (side._grid, side._grid_t) == reference_grids(side._up, side._down)
             sides += 1
         assert lat.op().pairs == tuple(p.op() for p in lat.pairs)
-        kit, ref = _GridKit(lat._up, lat._down), reference_grid_kit(lat._up, lat._down)
+        kit, ref = _GridKit(lat), reference_grid_kit(lat)
         p, nn = len(lat.pairs), lat.n * lat.n
         for _ in range(3):
             mask, grid = rng.getrandbits(p), rng.getrandbits(nn)
@@ -80,6 +82,25 @@ def test_row_passes_match_the_per_pair_references():
             assert kit.transpose(grid) == ref.transpose(grid)
     assert sides > 2 * 400
     assert not on_grid_path(_wide(36)) and on_grid_path(_chain(178))
+
+
+def test_a_dense_kit_reads_the_grids_its_lattice_kept():
+    # build_lattice's closed grid and its transpose are the kit's order and
+    # order_t, not sums of the rows again; L.op() holds them swapped
+    for lat in (_chain(20), build_lattice(*_grid(6, 5)), small_lattices(5)[2]):
+        assert on_grid_path(lat)
+        kit = lat._kit
+        assert kit.order is lat._grid and kit.order_t is lat._grid_t
+        assert lat.op()._grid is lat._grid_t and lat.op()._grid_t is lat._grid
+        assert lat.op()._kit.order is lat._grid and lat._grid_route()[0] is kit
+        route = lat.op()._grid_route()[0]
+        assert route.order is lat._grid and route.opposite
+    sparse = _wide(36)  # pair-mask kernels: the oracle's grid kit, built for the call, reads the same grids
+    assert not on_grid_path(sparse)
+    for side in (sparse, sparse.op()):
+        route = side._grid_route()[0]
+        assert (route.order, route.order_t, route.opposite) == (sparse._grid, sparse._grid_t, side.opposite)
+        assert route.order is sparse._grid
 
 
 def test_from_pairs_matches_the_reference():
@@ -152,6 +173,8 @@ def test_the_grid_closure_builds_what_the_reference_does_beyond_seven_elements()
                 lat, ref = got[1], want[1]
                 assert (lat.names, lat._up, lat._down, lat._join, lat._meet, lat.bottom, lat.top) == \
                     (ref.names, ref._up, ref._down, ref._join, ref._meet, ref.bottom, ref.top)
+                for side in (lat, lat.op()):
+                    assert (side._grid, side._grid_t) == reference_grids(side._up, side._down)
             else:
                 assert got == want
             kinds.add(got[0] if got[0] == "ok" else got[0].__name__)
