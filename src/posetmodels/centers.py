@@ -10,6 +10,7 @@ route to the same answer.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from .classes import MorphClass
@@ -178,9 +179,7 @@ def _require_s2of3(rel: RelStruct) -> None:
 def find_centers(rel: RelStruct) -> CenterMap | None:
     """The lexicographically least valid center map, or None."""
     _require_s2of3(rel)
-    for chi in _search(rel):
-        return chi
-    return None
+    return next(_search(rel), None)
 
 
 class CenterEnumeration(FrozenRecord):
@@ -192,18 +191,13 @@ class CenterEnumeration(FrozenRecord):
 
 
 def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:
-    """Up to `limit` valid center maps, lexicographically ordered; a
-    limit that is no int, a bool or negative is an input error."""
+    """Up to `limit` valid center maps, lexicographically ordered, and
+    whether the search had more: it runs one map past `limit`.  A limit
+    that is no int, a bool or negative is an input error."""
     require_count("limit", limit)
     _require_s2of3(rel)
-    maps = []
-    truncated = False
-    for chi in _search(rel):
-        if len(maps) == limit:
-            truncated = True
-            break
-        maps.append(chi)
-    return CenterEnumeration(tuple(maps), truncated)
+    maps = tuple(itertools.islice(_search(rel), limit + 1))
+    return CenterEnumeration(maps[:limit], len(maps) > limit)
 
 
 def compute_Jchi(rel: RelStruct, chi: CenterMap) -> MorphClass:

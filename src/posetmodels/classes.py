@@ -15,7 +15,8 @@ in its side's terms, so no code here asks for the side or the encoding,
 and no kernel converts its result.  The ten conditions of
 ``verify_model`` that read cof or fib have one implementation,
 :func:`_model_fails`, which the oracle also runs on stacks of grids, and
-one reader, :func:`_wfs_read`, takes the lifting-system witnesses.  A pair
+one reader, :func:`_wfs_read`, takes the lifting-system witnesses of
+``verify_model``, :func:`is_wfs` and :func:`is_mls`.  A pair
 witness is the lowest set bit of a difference, the least pair in pair
 order on both sides.  Three witnesses take a short second scan: the
 composition triple (run only once the product has found a failure), the
@@ -103,15 +104,16 @@ class MorphClass(Dualizable):
         return cls._of(lattice, lattice._kit.order)
 
     def __contains__(self, pair) -> bool:
-        """Whether the pair, of indices or labels, is a member: one bit of a
-        row.  An unknown label is an input error; a bool is no index, and
-        a tuple of another length no pair."""
-        if len(pair) != 2:
+        """Whether the pair, a tuple or list of two indices or labels, is a
+        member: one bit of a row.  An unknown label is an input error; any
+        other value that is no pair of element indices, such as a string,
+        a bool, a float or a tuple of another length, is no member."""
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             return False
-        a, b = self.lattice._pair_of(*pair)
-        if isinstance(a, bool) or isinstance(b, bool):
+        (a, b), n = self.lattice._pair_of(*pair), self.lattice.n
+        if not all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n for x in (a, b)):
             return False
-        return a in range(self.lattice.n) and b >= 0 and self.rows[a] >> b & 1 == 1
+        return self.rows[a] >> b & 1 == 1
 
     def __iter__(self):
         return self.lattice._select(self.lattice.pairs, self.mask)
@@ -316,19 +318,16 @@ _MODEL_CHECKS = ("cof_subcategory", "fib_subcategory",
                  *("cof_afib." + name for name in _WFS_CHECKS), *("acof_fib." + name for name in _WFS_CHECKS))
 
 
-def _wfs_fails(kit, lg: int, rg: int, factorization: bool = True) -> list[int]:
+def _wfs_fails(kit, lg: int, rg: int) -> list[int]:
     """The differences of the lifting-system checks of (lc, rc), whose bits
     in `kit`'s encoding are `lg` and `rg`: with allowed = lc(rc), lifting
     fails on lc & ~allowed, left maximality on allowed & ~lc, right
-    maximality on rc(lc) & ~rc and, with `factorization`, factorization on
-    O & ~(lc∘rc), the pairs that are no composite of an lc member followed
-    by an rc member.  `kit` reads the lattice's side, and may be a stack
-    kit: then each argument and result is a stack, checked block by block."""
+    maximality on rc(lc) & ~rc and factorization on O & ~(lc∘rc), the
+    pairs that are no composite of an lc member followed by an rc member.
+    `kit` reads the lattice's side, and may be a stack kit: then each
+    argument and result is a stack, checked block by block."""
     allowed = kit.lc(rg)
-    fails = [lg & ~allowed, allowed & ~lg, kit.rc(lg) & ~rg]
-    if factorization:
-        fails.append(kit.order & ~kit.composite(lg, rg))
-    return fails
+    return [lg & ~allowed, allowed & ~lg, kit.rc(lg) & ~rg, kit.order & ~kit.composite(lg, rg)]
 
 
 def _model_fails(kit, cof: int, fib: int, weq: int) -> list[int]:
@@ -345,10 +344,11 @@ def _model_fails(kit, cof: int, fib: int, weq: int) -> list[int]:
 
 def _wfs_read(lat: FiniteLattice, rc: int, fails: list[int], prefix: str) -> list[Check]:
     """The lifting-system checks whose differences are `fails`
-    (:func:`_wfs_fails`), rc being `rc`.  A witness is the lowest bit of
-    its difference, the least pair f in pair order on both op() sides; for
-    lifting, with the least g in rc that f fails to lift against: f = (a, b)
-    fails against the g = (c, d) with c in up(a) & ~up(b) and d in up(b)."""
+    (:func:`_wfs_fails`), rc being `rc`, each named `prefix` + its name.  A
+    witness is the lowest bit of its difference, the least pair f in pair
+    order on both op() sides; for lifting, with the least g in rc that f
+    fails to lift against: f = (a, b) fails against the g = (c, d) with c
+    in up(a) & ~up(b) and d in up(b)."""
     kit, up = lat._kit, lat._up
     checks = []
     for name, extra in zip(_WFS_CHECKS, fails):
@@ -363,19 +363,10 @@ def _wfs_read(lat: FiniteLattice, rc: int, fails: list[int], prefix: str) -> lis
     return checks
 
 
-def _wfs_checks(lc: MorphClass, rc: MorphClass, prefix: str = "", factorization: bool = True) -> list[Check]:
-    """The lifting-system checks of (lc, rc), each named `prefix` + its name:
-    lifting, left_maximal, right_maximal and, with `factorization`, the
-    factorization check (see :func:`is_mls` and :func:`is_wfs`), read off
-    the differences of :func:`_wfs_fails`: no class is built.
-    """
-    return _wfs_read(lc.lattice, rc.bits, _wfs_fails(lc.lattice._kit, lc.bits, rc.bits, factorization), prefix)
-
-
 def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Check]:
     """The ten checks :data:`_MODEL_CHECKS` of ``verify_model``, read off the
     differences of :func:`_model_fails`, with each witness as
-    :func:`subcategory_check` and :func:`_wfs_checks` give it; a
+    :func:`subcategory_check` and :func:`_wfs_read` give it; a
     subcategory witness is searched only once its difference is nonzero."""
     lat = cof.lattice
     fg, wg = fib.bits, weq.bits
@@ -386,19 +377,23 @@ def _model_checks(cof: MorphClass, fib: MorphClass, weq: MorphClass) -> list[Che
 
 
 def is_mls(lc: MorphClass, rc: MorphClass) -> Report:
-    """Check the three maximal-lifting-system conditions for (lc, rc).
+    """The three maximal-lifting-system checks of (lc, rc): the first three
+    of :func:`is_wfs`.
 
-    Each witness is least in pair order.  Lifting fails exactly at the
-    members of lc outside the left complement of rc; its witness pairs the
-    least such f with the least g in rc that f does not lift against
-    (:func:`_wfs_read`).
+    Lifting fails exactly at the members of lc outside the left complement
+    of rc; its witness pairs the least such f with the least g in rc that f
+    does not lift against.
     """
-    return Report(tuple(_wfs_checks(lc, rc, factorization=False)))
+    return Report(is_wfs(lc, rc).checks[:3])
 
 
 def is_wfs(lc: MorphClass, rc: MorphClass) -> Report:
-    """MLS conditions plus existence of a (lc, rc) factorization of every morphism."""
-    return Report(tuple(_wfs_checks(lc, rc)))
+    """The weak-factorization-system checks of (lc, rc): lifting,
+    left_maximal and right_maximal (see :func:`is_mls`), then factorization,
+    every morphism being an lc member followed by an rc member.  Each
+    witness is least in pair order (:func:`_wfs_read`); no class is built."""
+    lat = lc.lattice
+    return Report(tuple(_wfs_read(lat, rc.bits, _wfs_fails(lat._kit, lc.bits, rc.bits), "")))
 
 
 def factorize(lc: MorphClass, rc: MorphClass, f: Pair, require: bool = False) -> list[int]:

@@ -118,15 +118,14 @@ def _two_of_three_check(rel: RelStruct) -> Check:
     """
     kit, w = rel.lattice._kit, rel.weq.bits
     outside = kit.order & ~w  # N
-    bad = kit.composite(w, w) & outside | w & (kit.composite(w, outside) | kit.composite(outside, w))
-    if not bad:
-        return Check("two_of_three", True)
     rows, up = rel.weq.rows, rel.lattice.up_mask
 
     def third(a, b):  # the c >= b with two of (a, b), (b, c), (a, c) in W
         g, h = rows[b] & up(b), rows[a] & up(b)
         return g ^ h if rows[a] >> b & 1 else g & h
-    return Check("two_of_three", False, _least_triple(rel, bad, third))
+    bad = kit.composite(w, w) & outside | w & (kit.composite(w, outside) | kit.composite(outside, w))
+    witness = _least_triple(rel, bad, third)
+    return Check("two_of_three", witness is None, witness)
 
 
 @_memoised

@@ -99,21 +99,22 @@ def check_s2of3(rel: RelStruct) -> Report:
     """
     kit, w = rel.lattice._kit, rel.weq.bits
     outside = kit.order & ~w  # N
-    bad = w & (kit.composite(outside, kit.order) | kit.composite(kit.order, outside))
-    if not bad:
-        return Report((Check("s2of3", True),))
     rows, up = rel.weq.rows, rel.lattice.up_mask
 
     def third(a, b):  # the c >= b with (a, c) in W and (a, b), else (b, c), outside W
         return up(b) & rows[a] & ~(rows[b] if rows[a] >> b & 1 else 0)
-    return Report((Check("s2of3", False, _least_triple(rel, bad, third)),))
+    witness = _least_triple(rel, w & (kit.composite(outside, kit.order) | kit.composite(kit.order, outside)), third)
+    return Report((Check("s2of3", witness is None, witness),))
 
 
-def _least_triple(rel: RelStruct, bad: int, third) -> tuple[int, int, int]:
+def _least_triple(rel: RelStruct, bad: int, third) -> tuple[int, int, int] | None:
     """The least (a, b, c) with c in ``third(a, b)``, the failing c for
-    a <= b, given the failing pairs (a, c), `bad`, in rel's encoding: a is
-    the least source in `bad` (the kit's rows, either op() side), and
-    only row a is scanned, b ascending, c the lowest bit."""
+    a <= b, given the failing pairs (a, c), `bad`, in rel's encoding, or
+    None if `bad` is empty: a is the least source in `bad` (the kit's rows,
+    either op() side), and only row a is scanned, b ascending, c the lowest
+    bit."""
+    if not bad:
+        return None
     a = next(a for a, row in enumerate(rel.lattice._kit.rows(bad)) if row)
     return next((a, b, low_bit(cs)) for b in iter_bits(rel.lattice.up_mask(a)) if (cs := third(a, b)))
 

@@ -35,6 +35,7 @@ from posetmodels import (
     generating_sets,
     is_binary_coproduct_closed,
     is_binary_product_closed,
+    is_identity_left_quillen,
     is_pullback_closed,
     is_pushout_closed,
     left_complement,
@@ -50,7 +51,6 @@ from posetmodels import (
 from posetmodels import lattice as lattice_module
 from posetmodels import oracle
 from posetmodels.centers import center_square
-from posetmodels.equivalence import _contract
 from posetmodels.errors import CapExceeded, CycleDetected, InvalidInput, NotALattice, Unbounded
 from posetmodels.lattice import DEFAULT_MAX_ELEMENTS, FiniteLattice, _from_flags, _GridKit, iter_bits, low_bit
 from posetmodels.models import _generated_by
@@ -330,8 +330,38 @@ def reference_zigzag(m1: ModelStruct, m2: ModelStruct, contract: bool = False):
     z = Zigzag(nodes, ["lr", "rl", "rl", "lr", "lr", "rl"])
     assert z.all_edges_ok()
     if contract:
-        _contract(z)
+        reference_contract(z)
     return [(m.cof.mask, m.fib.mask) for m in z.nodes], z.directions
+
+
+def reference_contract(z: Zigzag) -> None:
+    """The contraction ``build_zigzag(contract=True)`` once ran, in place:
+    a pass that drops the node after the first repeated one, and only when
+    no node repeats, a pass that drops the first interior node whose
+    neighbours have a direct identity left Quillen functor, lr tried before
+    rl; both restart after each drop."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(z.nodes) - 1):
+            if z.nodes[i] == z.nodes[i + 1]:
+                del z.nodes[i + 1]
+                del z.directions[i]
+                changed = True
+                break
+        else:
+            for i in range(1, len(z.nodes) - 1):
+                left, right = z.nodes[i - 1], z.nodes[i + 1]
+                if is_identity_left_quillen(left, right):
+                    del z.nodes[i]
+                    z.directions[i - 1 : i + 1] = ["lr"]
+                    changed = True
+                    break
+                if is_identity_left_quillen(right, left):
+                    del z.nodes[i]
+                    z.directions[i - 1 : i + 1] = ["rl"]
+                    changed = True
+                    break
 
 
 def reference_replacement(m: ModelStruct, a: int, side: str) -> int:

@@ -128,6 +128,22 @@ def test_membership_masks_check_their_inputs(two_structures):
         assert MorphClass(side, 1).pairs() == [side.pairs[0]]
 
 
+def test_membership_is_false_for_anything_but_a_pair_of_elements(two_structures):
+    # only a tuple or list of two element indices or labels can be a member:
+    # a non-sequence, a string (even of two labels), a float, None, a bool
+    # or an index outside range(n) is no member; an unknown label is an input error
+    lat, weq = two_structures.lattice, two_structures.weq
+    a, b = lat.index("A"), lat.index("B")
+    for side, s, (x, y) in ((lat, weq, (a, b)), (lat.op(), weq.op(), (b, a))):
+        for bad in (5, None, 1.5, "AB", "BA", "AA", (0, 1.5), (1.0, 2), (0, None), (None, 0), (True, True), (a, True),
+                    (False, False), (-1, 0), (0, lat.n), [a, lat.n], {a: 0, b: 0}, (a, b, b)):
+            assert bad not in s
+        assert (a, a) in s and [a, a] in s and ("A", "A") in s and Pair(a, a) in s
+        assert (x, y) in s and (side.name(x), side.name(y)) in s and [side.name(x), y] in s and Pair(x, y) in set(s)
+        with pytest.raises(InvalidInput, match="unknown element label 'Z'"):
+            ("A", "Z") in s
+
+
 def test_lifts_examples(two_structures):
     lat = two_structures.lattice
     a, b, c, top = (lat.index(x) for x in ("A", "B", "C", "top"))

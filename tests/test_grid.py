@@ -295,6 +295,28 @@ def test_classes_with_the_same_pairs_are_equal_however_built(gate, monkeypatch):
             assert [built[i][1] for i in order] == sorted(m for _, m in built)
 
 
+@pytest.mark.parametrize("gate", [ALWAYS, NEVER])
+def test_mls_checks_are_the_first_three_wfs_checks(gate, monkeypatch):
+    # is_mls reports is_wfs's lifting, left_maximal and right_maximal checks,
+    # witnesses included, on both op() sides and both paths: for random
+    # classes and for each maximal lifting system (lc(rc(x)), rc(x))
+    monkeypatch.setattr(lattice_module, "_GRID_DENSITY", gate)
+    rng = random.Random(12)
+    failed, passed = set(), set()
+    for rel in (r for _, r in zip(range(60), random_instances(InstanceGen(seed=31)))):
+        for side in (rel, rel.op()):
+            lat = side.lattice
+            assert on_grid_path(lat) == (gate == ALWAYS)
+            x, y = MorphClass(lat, _random_class(lat, rng)), MorphClass(lat, _random_class(lat, rng))
+            rc = right_complement(x)
+            for left, right in ((x, y), (y, x), (left_complement(rc), rc)):
+                wfs = is_wfs(left, right)
+                assert is_mls(left, right).checks == wfs.checks[:3] and len(wfs.checks) == 4
+                failed.update(c.name for c in wfs.checks if not c.ok)
+                passed.update(c.name for c in wfs.checks if c.ok)
+    assert failed == passed == {"lifting", "left_maximal", "right_maximal", "factorization"}
+
+
 def _results(rel, masks, pairings, failed):
     """Every class-algebra result on both sides of `rel`, witnesses included."""
     out = []
