@@ -88,8 +88,7 @@ def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
 
 def _require_valid_centers(rel: RelStruct, chi: CenterMap) -> None:
     report = validate_centers(rel, chi)
-    if not report.ok:
-        raise InvalidCenters(report)
+    report.require(lambda _: InvalidCenters(report))
 
 
 def _check_centers(rel: RelStruct, chi: CenterMap) -> Report:
@@ -171,9 +170,7 @@ def _search(rel: RelStruct):
 
 
 def _require_s2of3(rel: RelStruct) -> None:
-    rep = check_s2of3(rel)
-    if not rep.ok:
-        raise S2OF3Failed(rep.witness)
+    check_s2of3(rel).require(lambda c: S2OF3Failed(c.witness))
 
 
 def find_centers(rel: RelStruct) -> CenterMap | None:
@@ -234,8 +231,6 @@ def product_centers(rel: RelStruct, chi1: CenterMap, chi2: CenterMap) -> CenterM
     _require_valid_centers(rel, chi2)
     lat = rel.lattice
     chi = CenterMap(tuple(lat.meet(chi1.chi[a], chi2.chi[a]) for a in range(lat.n)))
-    rep = validate_centers(rel, chi)
-    if not rep.ok:
-        bad = rep.witness_check()
-        raise InternalCheckFailed(f"product of centers invalid at {bad.name}, witness {bad.witness}")
+    validate_centers(rel, chi).require(
+        lambda c: InternalCheckFailed(f"product of centers invalid at {c.name}, witness {c.witness}"))
     return chi

@@ -31,7 +31,7 @@ import itertools
 import operator
 
 from .errors import InvalidInput, NoFactorization, NotPushoutClosed
-from .lattice import Dualizable, FiniteLattice, Pair, _from_flags, iter_bits, low_bit
+from .lattice import Dualizable, FiniteLattice, Pair, _ends, _from_flags, iter_bits, low_bit
 from .report import Check, Report
 
 
@@ -83,15 +83,16 @@ class MorphClass(Dualizable):
     @classmethod
     def from_pairs(cls, lattice, pairs, add_identities: bool = False) -> "MorphClass":
         """The class of `pairs`: a pair of labels is one lookup in the lattice's
-        name table, any other pair goes through ``lattice.pair``, the checked
-        constructor, in list order, so the first offending pair raises."""
+        name table, any other item goes through the morphism reader
+        :func:`~posetmodels.lattice._ends` and ``lattice.pair``, the checked
+        constructor, in list order, so the first offending item raises."""
         pairs, labels = list(pairs), lattice._label_index
         try:
             found = list(map(labels.get, pairs))
         except TypeError:  # an unhashable pair, such as a list: every pair is checked
             found = [None] * len(pairs)
         others = itertools.compress(pairs, map(operator.is_, found, itertools.repeat(None)))
-        found += [labels[lattice.pair_names(lattice.pair(src, dst))] for src, dst in others]
+        found += [labels[lattice.pair_names(lattice.pair(*_ends(p)))] for p in others]
         mask = _from_flags(map(set(found).__contains__, range(len(labels))))
         return cls(lattice, mask | (lattice.identity_mask if add_identities else 0))
 
@@ -179,7 +180,7 @@ def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
     reduces to: (src f <= src g and dst f <= dst g) implies dst f <= src g.
     f and g are read through ``lattice.pair``: an index that is no element,
     or a pair that is no morphism, is an input error."""
-    (a, b), (c, d) = lattice.pair(*f), lattice.pair(*g)
+    (a, b), (c, d) = lattice.pair(*_ends(f)), lattice.pair(*_ends(g))
     if lattice.leq(a, c) and lattice.leq(b, d):
         return lattice.leq(b, c)
     return True
@@ -226,11 +227,9 @@ def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> li
     pair that is no morphism, is an input error.
     """
     lat = j.lattice
-    a, b = lat.pair(*f)
+    a, b = lat.pair(*_ends(f))
     if certified:
-        closed = is_pushout_closed(j)
-        if not closed:
-            raise NotPushoutClosed(closed.witness)
+        is_pushout_closed(j).require(lambda c: NotPushoutClosed(c.witness))
     return list(iter_bits(j.rows[a] & lat.down_mask(b) & ~(1 << a)))
 
 
@@ -401,7 +400,7 @@ def factorize(lc: MorphClass, rc: MorphClass, f: Pair, require: bool = False) ->
     f is read through ``lattice.pair``, so an index that is no element, or a
     pair that is no morphism, is an input error."""
     lat = lc.lattice
-    a, b = lat.pair(*f)
+    a, b = lat.pair(*_ends(f))
     middles = lc.rows[a] & rc.cols[b] & lat.up_mask(a) & lat.down_mask(b)
     if require and middles == 0:
         raise NoFactorization(f)

@@ -83,8 +83,7 @@ def _verified(m):
     """`m`, once :func:`~posetmodels.models.verify_model` passes it; else the command fails."""
     from .models import verify_model
 
-    if not verify_model(m).ok:
-        raise _Failed(_witnesses(m.lattice, m.report))
+    verify_model(m).require(lambda _: _Failed(_witnesses(m.lattice, m.report)))
     return m
 
 

@@ -50,9 +50,11 @@ label pair to its pair index in pair order, and no other table indexes
 pairs: rendering selects its keys by a mask, ``MorphClass.from_pairs``
 resolves a pair, of labels or of indices through their labels, by one
 lookup, ``identity_mask`` looks up the (x, x) and the pair kit's ``bit``
-the (a, b).  The covers (:meth:`FiniteLattice.cover_pairs`) are one kit
-product: strict & ~(strict∘strict), strict the order less the identities,
-n loop steps on a grid and one pass over the pairs on the pair kit.
+the (a, b).  Labels are str, so no index pair reads as a label pair, and
+every morphism argument and relation has one reader, :func:`_ends`.  The
+covers (:meth:`FiniteLattice.cover_pairs`) are one kit product:
+strict & ~(strict∘strict), strict the order less the identities, n loop
+steps on a grid and one pass over the pairs on the pair kit.
 
 Duals are computed in the opposite lattice ``L.op()`` (joins and meets,
 pushouts and pullbacks swap).  Its pair i is pair i of L reversed, in L's
@@ -79,10 +81,16 @@ takes the grid path iff n^3 <= 4 * P^2 (``_GRID_DENSITY``); sparser ones
 hold pair-mask kernels (:class:`_PairKit`) with the same methods, read
 off the pair tables.  4 is where the two ``verify_model`` paths measured
 even: on wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about
-4.2, on parallel 2-chains between 3.6 and 4.3.  L and L.op() have the same
-n and P, so they take the same path; ``L.op()._kit`` is a view of L's grid
-kit that answers in L.op()'s terms.  Every lattice of at most 33 elements
-takes the grid path, since the wide one has the fewest pairs, 3n - 3.
+4.2, on parallel 2-chains between 3.6 and 4.3.  No lattice of the
+benchmark's workloads is sparse, but the pair kit stays: with W every
+pair, building, validating, ``recognize_finite`` and ``verify_model``
+took 138 ms on it against 1,584 ms on a grid kit on the wide lattice of
+510 atoms, 32 against 96 ms on 30 parallel 8-chains and 8.5 against
+14.1 ms on 60 parallel 2-chains (minima of 5, one process, 2-vCPU VM).
+L and L.op() have the same n and P, so they take the same path;
+``L.op()._kit`` is a view of L's grid kit that answers in L.op()'s terms.
+Every lattice of at most 33 elements takes the grid path, since the wide
+one has the fewest pairs, 3n - 3.
 The grid kernels also run on stacks, many grids side by side in one int,
 bit-parallel across grids ("SIMD within a register": R. J. Fisher and
 H. G. Dietz, "Compiling for SIMD within a register", 1998); the oracle
@@ -217,6 +225,15 @@ class Pair(NamedTuple):
 
     def op(self) -> "Pair":
         return Pair(self.dst, self.src)
+
+
+def _ends(item) -> tuple | list:
+    """The one reader of a morphism or relation argument: a tuple or list of
+    two ends passes; anything else, such as a string of two labels, is an
+    input error naming the item."""
+    if isinstance(item, (tuple, list)) and len(item) == 2:
+        return item
+    raise InvalidInput(f"a pair must be a tuple or list of two elements, got {item!r}")
 
 
 class _GridKit:
@@ -822,15 +839,18 @@ def build_lattice(
         raise Unbounded("an empty element list has no bottom or top")
     if n > max_elements:
         raise CapExceeded("lattice elements", max_elements, n)
+    for x in names:
+        if not isinstance(x, str):
+            raise InvalidInput(f"element labels must be str, got {x!r}")
     index = dict(zip(names, range(n)))
     if len(index) < n:  # name the first label seen twice
         raise InvalidInput(f"duplicate element label {next(x for i, x in enumerate(names) if names.index(x) < i)!r}")
 
     up = [1 << a for a in range(n)]
-    for (x, y) in relations:
-        if x not in index:
+    for x, y in map(_ends, relations):
+        if not isinstance(x, str) or x not in index:
             raise InvalidInput(f"relation references unknown label {x!r}")
-        if y not in index:
+        if not isinstance(y, str) or y not in index:
             raise InvalidInput(f"relation references unknown label {y!r}")
         up[index[x]] |= 1 << index[y]
     # Warshall's transitive closure on the order grid, row a up(a): n steps of _GridKit.closure
@@ -892,7 +912,7 @@ def pushout_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
     """Cobase change of f=(a,b) along a <= c, namely (c, b v c); f and
     (a, c) are read through :meth:`FiniteLattice.pair`, so an index that
     is no element, or a pair that is no morphism, is an input error."""
-    a, b = lattice.pair(*f)
+    a, b = lattice.pair(*_ends(f))
     c = lattice.pair(a, c).dst
     return Pair(c, lattice.join(b, c))
 
@@ -901,6 +921,6 @@ def pullback_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
     """Base change of f=(a,b) along c <= b, namely (a ^ c, c); f and
     (c, b) are read through :meth:`FiniteLattice.pair`, so an index that
     is no element, or a pair that is no morphism, is an input error."""
-    a, b = lattice.pair(*f)
+    a, b = lattice.pair(*_ends(f))
     c = lattice.pair(c, b).src
     return Pair(lattice.meet(a, c), c)

@@ -38,7 +38,7 @@ from .errors import (
     RecognitionFailed,
     S2OF3Failed,
 )
-from .lattice import Dualizable, Pair, _memoised, iter_bits, low_bit
+from .lattice import Dualizable, Pair, _ends, _memoised, iter_bits, low_bit
 from .relative import RelStruct, _least_triple, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
@@ -151,19 +151,18 @@ def verify_model(m: ModelStruct) -> Report:
     return m.report
 
 
+def _unverified(c: Check) -> InvalidInput:
+    return InvalidInput(f"structure fails verification at {c.name}, witness {c.witness}")
+
+
 def _require_verified(m: ModelStruct) -> None:
-    if m.report is None:
-        verify_model(m)
-    if not m.report.ok:
-        bad = m.report.witness_check()
-        raise InvalidInput(f"structure fails verification at {bad.name}, witness {bad.witness}")
+    # a named error, as a lambda would be built again on every call of this hot guard
+    (verify_model(m) if m.report is None else m.report).require(_unverified)
 
 
 def _verified(rel: RelStruct, cof: MorphClass, fib: MorphClass, context: str) -> ModelStruct:
     m = ModelStruct(rel, cof, fib)
-    if not verify_model(m).ok:
-        bad = m.report.witness_check()
-        raise InternalCheckFailed(f"{context} failed {bad.name}, witness {bad.witness}")
+    verify_model(m).require(lambda c: InternalCheckFailed(f"{context} failed {c.name}, witness {c.witness}"))
     return m
 
 
@@ -191,10 +190,8 @@ def _generated_by(rel: RelStruct, j: MorphClass) -> tuple[MorphClass, MorphClass
 
 def construct_terminal(rel: RelStruct) -> ModelStruct:
     """The terminal structure: fibrations are the right complement of W_c."""
-    report = recognition_report(rel)  # memoised on rel: recognize_finite built it already
-    if not report.ok:
-        bad = report.witness_check()
-        raise RecognitionFailed(bad.name, bad.witness)
+    # memoised on rel: recognize_finite built it already
+    recognition_report(rel).require(lambda c: RecognitionFailed(c.name, c.witness))
     cof, fib = _generated_by(rel, compute_Wc(rel))
     return _verified(rel, cof, fib, "terminal construction")
 
@@ -353,10 +350,8 @@ def extract_centers(m: ModelStruct) -> CenterMap:
             raise InternalCheckFailed(f"component {comp} has {c.bit_count()} cofibrant-fibrant objects")
         centers.append(low_bit(c))
     out = CenterMap(tuple(map(centers.__getitem__, m.rel.component_of)))
-    report = validate_centers(m.rel, out)
-    if not report.ok:
-        bad = report.witness_check()
-        raise InternalCheckFailed(f"extracted centers invalid at {bad.name}, witness {bad.witness}")
+    validate_centers(m.rel, out).require(
+        lambda c: InternalCheckFailed(f"extracted centers invalid at {c.name}, witness {c.witness}"))
     return out
 
 
@@ -407,7 +402,7 @@ def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:
     weak equivalence: dst ^ (src v chi(src)).  `f` is read through
     ``lattice.pair``: a bad index or an incomparable pair is an input error."""
     lat = rel.lattice
-    f = lat.pair(*f)
+    f = lat.pair(*_ends(f))
     if f not in rel.weq:
         raise NotWeakEquivalence(f)
     _require_valid_centers(rel, chi)

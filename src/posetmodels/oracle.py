@@ -71,7 +71,13 @@ a candidate passes iff its block of the OR of the ten differences is
 zero.  The W-only checks of ``verify_model``, memoised on the relative
 structure, gate every candidate, so the check is as exhaustive as
 ``verify_model``'s, and an accepted structure carries the passing report
-``verify_model`` gives it.  Pair index -> grid bit is increasing on both
+``verify_model`` gives it.  At the default cap no benchmark op and no test
+splits a stack: the largest of the seed-1 ``oracle-small`` ops held 5,096
+bytes, of the oracle, small-world and acceptance tests 25,324.  The cap
+stays for larger growth: one stack per level, with every generator
+allowed, took chain-11 from 1.09 to 1.27 s and from 50 to 70 MB of peak
+RSS, and chain-12 from 5.5 to 7.0 s and from 138 to 235 MB (2-vCPU VM).
+Pair index -> grid bit is increasing on both
 op() sides, so grids sort as their pair masks do.  Candidates are
 filtered through this exhaustive check, which is what makes the result an
 oracle rather than a construction: the recognition theorem is never used.

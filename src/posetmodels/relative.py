@@ -79,11 +79,9 @@ def validate_relative(lattice: FiniteLattice, pairs, add_identities: bool = Fals
     identity is an error.  Composition closure is verified, never repaired.
     """
     weq = MorphClass.from_pairs(lattice, pairs, add_identities=add_identities)
-    sub = subcategory_check(weq, "weq")
-    if not sub:
-        if len(sub.witness) == 1:  # (Pair(x, x),): a missing identity
-            raise MissingIdentities(lattice.name(sub.witness[0].src))
-        raise NotCompositionClosed(tuple(lattice.name(x) for x in sub.witness))
+    subcategory_check(weq, "weq").require(  # the witness (Pair(x, x),) is a missing identity
+        lambda c: MissingIdentities(lattice.name(c.witness[0].src)) if len(c.witness) == 1
+        else NotCompositionClosed(tuple(lattice.name(x) for x in c.witness)))
     return RelStruct(lattice, weq)
 
 
@@ -127,9 +125,8 @@ def _pushout_stable_part(rel: RelStruct, allowed: MorphClass, label: str) -> Mor
     """
     lat = rel.lattice
     out = MorphClass._of(lat, rel.weq.bits & ~lat._pushout_escapes(allowed.rows))
-    sub = subcategory_check(out, label)
-    if not sub:
-        raise InternalCheckFailed(f"{label} is not a subcategory, witness {sub.witness}")
+    subcategory_check(out, label).require(
+        lambda c: InternalCheckFailed(f"{label} is not a subcategory, witness {c.witness}"))
     return out
 
 
@@ -170,9 +167,8 @@ def recognition_report(rel: RelStruct) -> Report:
     composition closure give binary-coproduct closure.
     """
     checks = check_s2of3(rel).checks + check_cw_factorization(rel).checks
-    closed = is_pushout_closed(compute_Wc(rel))
-    if not closed:
-        raise InternalCheckFailed(f"W_c fails the {closed.name} guard, witness (f, pushout) = {closed.witness}")
+    is_pushout_closed(compute_Wc(rel)).require(
+        lambda c: InternalCheckFailed(f"W_c fails the {c.name} guard, witness (f, pushout) = {c.witness}"))
     return Report(checks)
 
 

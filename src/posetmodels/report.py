@@ -73,6 +73,13 @@ class Check(FrozenRecord):
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self, error) -> "Check":
+        """This check if it holds, else raise ``error(self)``: the one way a
+        failed check or report becomes an exception."""
+        if self.ok:
+            return self
+        raise error(self)
+
 
 class Report(FrozenRecord):
     __slots__ = ("checks", "_ok")
@@ -88,6 +95,13 @@ class Report(FrozenRecord):
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def require(self, error) -> "Report":
+        """This report if every check holds, else raise ``error(c)`` for its
+        first failing check c (:meth:`Check.require`)."""
+        if not self._ok:
+            self.witness_check().require(error)
+        return self
 
     def failures(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.ok)

@@ -382,6 +382,23 @@ def reference_replacement(m: ModelStruct, a: int, side: str) -> int:
     return g
 
 
+def reference_quotient_order(rel) -> tuple[list[int], set]:
+    """L modulo W's components, naively: comp[x] is the least element
+    joined to x by a path of W-morphisms, either way round, and (i, j) is
+    in the order when comparisons a_1 <= b_1, ..., a_k <= b_k lead from
+    component i to j: a_1 in i, b_k in j, and each b_t in the component
+    of a_(t+1)."""
+    lat, n = rel.lattice, rel.lattice.n
+    comp = list(range(n))
+    for _ in range(n):  # the least label spreads one W-morphism a round
+        for a, b in rel.weq.pairs():
+            comp[a] = comp[b] = min(comp[a], comp[b])
+    order = {(comp[a], comp[b]) for a in range(n) for b in range(n) if lat.leq(a, b)}
+    for k in set(comp):  # Warshall's transitive closure
+        order |= {(i, j) for i, k1 in order if k1 == k for k2, j in order if k2 == k}
+    return comp, order
+
+
 def small_lattices(n: int) -> list:
     """Every n-element lattice up to isomorphism.  Each is a bottom, a top
     and a naturally labelled poset on the n - 2 elements between them (its

@@ -9,7 +9,9 @@ from posetmodels import (
     Pair,
     build_lattice,
     enumerate_model_structures,
+    factor_via_centers,
     factorize,
+    find_centers,
     is_binary_coproduct_closed,
     is_binary_product_closed,
     is_composition_closed,
@@ -113,6 +115,25 @@ def test_morphism_arguments_are_read_as_morphisms(two_structures):
     assert proper_factorizations(weq, (a, c)) == proper_factorizations(weq, Pair(a, c)) == [b, lat.index("Bp"), c]
     assert pushout_of(lat, (a, b), lat.index("Bp")) == Pair(lat.index("Bp"), c)
     assert pullback_of(lat, (a, c), b) == Pair(a, b)
+
+
+@pytest.mark.parametrize("bad", ["AC", "AB", (0, 1, 2), [0, 1, 2], (0,), 5, None, {0: 1}])
+def test_a_morphism_argument_is_a_tuple_or_list_of_two(two_structures, bad):
+    # a string of two labels is no morphism, nor a sequence of another
+    # length or a non-sequence: each reader, and build_lattice for such a
+    # relation, raises the input error that names the item, while
+    # membership answers False
+    rel, lat, weq = two_structures, two_structures.lattice, two_structures.weq
+    every, top, chi = MorphClass.all_morphisms(lat), lat.top, find_centers(two_structures)
+    calls = [lambda: lifts(lat, bad, (0, 1)), lambda: lifts(lat, (0, 1), bad), lambda: factorize(every, every, bad),
+             lambda: proper_factorizations(weq, bad), lambda: proper_factorizations(weq, bad, certified=True),
+             lambda: pushout_of(lat, bad, 0), lambda: pullback_of(lat, bad, top),
+             lambda: factor_via_centers(rel, chi, bad), lambda: MorphClass.from_pairs(lat, [(0, 1), bad]),
+             lambda: MorphClass.from_pairs(lat, [bad, ("A", "A")]), lambda: build_lattice(["A", "B"], [bad])]
+    for call in calls:
+        with pytest.raises(InvalidInput, match=f"^a pair must be a tuple or list of two elements, got {re.escape(repr(bad))}$"):
+            call()
+    assert bad not in weq and bad not in every
 
 
 def test_membership_masks_check_their_inputs(two_structures):

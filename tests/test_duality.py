@@ -513,6 +513,19 @@ def test_only_the_class_boundary_converts_encodings():
     assert set(readers) - {"lattice.py"} == {"classes.py"}
 
 
+def test_only_the_report_and_error_modules_pick_the_failing_check():
+    # a guard turns a failed check or report into an exception through
+    # Check.require or Report.require alone: no other module calls
+    # witness_check to pick the failing check and raise by hand
+    src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    readers = sorted(path.name for path in modules
+                     if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "witness_check"
+                            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert readers == ["errors.py", "report.py"]
+
+
 def test_only_the_lattice_module_reads_or_builds_mask_bits():
     # the reader and the writer of pair masks, and every other string
     # gather, live in the lattice module: no other module calls bin,

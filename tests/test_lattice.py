@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -85,6 +87,20 @@ def test_duplicate_and_unknown_labels():
         build_lattice(["x", "x"], [])
     with pytest.raises(InvalidInput):
         build_lattice(["x"], [("x", "zzz")])
+
+
+def test_labels_are_str():
+    # an int label could be read as an index: with labels [1, 0], the
+    # index pair (1, 1) would be looked up as the label pair of element 0
+    for names in ([1, 0], ["a", 0], ["a", None], ["a", ("b",)]):
+        bad = next(x for x in names if not isinstance(x, str))
+        with pytest.raises(InvalidInput, match=f"^element labels must be str, got {re.escape(repr(bad))}$"):
+            build_lattice(names, [])
+    with pytest.raises(InvalidInput, match=r"^element labels must be str, got 1$"):
+        build_lattice([1, 0], [(1, 0)])
+    for relation, bad in (((["a"], "b"), ["a"]), (("a", {"b"}), {"b"}), ((0, "b"), 0)):
+        with pytest.raises(InvalidInput, match=f"^relation references unknown label {re.escape(repr(bad))}$"):
+            build_lattice(["a", "b"], [relation])
 
 
 def test_size_cap():

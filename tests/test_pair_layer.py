@@ -225,7 +225,7 @@ def test_the_first_offending_pair_raises():
                 if not any(isinstance(x, bool) for p in pairs for x in p):
                     want = outcome(reference_from_pairs, side, pairs)
                     assert got[0] == want[0] and (got[0] == "ok" or got == want)
-    with pytest.raises(ValueError, match="too many values to unpack"):
+    with pytest.raises(InvalidInput, match=r"^a pair must be a tuple or list of two elements, got \('c0', 'c1', 'c2'\)$"):
         MorphClass.from_pairs(_chain(3), [("c0", "c1", "c2")])
 
 

@@ -1,5 +1,6 @@
 """The test configuration itself: a failing property test reports its
-falsifying example, and a mistyped marker fails collection."""
+falsifying example, a mistyped marker fails collection, and a plain test
+passes with no configuration warning."""
 
 import subprocess
 import sys
@@ -26,12 +27,18 @@ def test_marked():
 """
 
 
-def _pytest(tmp_path, name, text):
+PLAIN = """
+def test_plain():
+    pass
+"""
+
+
+def _pytest(tmp_path, name, text, *options):
     """Exit code and output of pytest run with the project's configuration
-    on one test file, `text` written as `name` in tmp_path."""
+    and `options` on one test file, `text` written as `name` in tmp_path."""
     (tmp_path / name).write_text(text, encoding="utf-8")
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-c", str(PYPROJECT), "--rootdir", str(tmp_path), name],
+        [sys.executable, "-m", "pytest", "-q", "-c", str(PYPROJECT), "--rootdir", str(tmp_path), *options, name],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     return done.returncode, done.stdout + done.stderr
@@ -49,9 +56,23 @@ def test_a_failing_property_test_shows_its_falsifying_example(tmp_path):
 
 def test_a_mistyped_marker_fails_collection(tmp_path):
     # a marker that is not registered is an error, so a typo cannot put a
-    # slow sweep into the default run: --strict-markers in addopts fails it
-    # where pytest applies that flag from addopts, and the warning filter's
-    # "error" where it does not (pytest 9.0.3)
+    # slow sweep into the default run: strict markers fail its collection,
+    # and so does the warning filter's "error"
     code, out = _pytest(tmp_path, "test_marked.py", MISTYPED)
     assert code == 2, out
     assert "1 error during collection" in out and "slwo" in out
+
+
+def test_a_mistyped_marker_fails_collection_with_warnings_relaxed(tmp_path):
+    # with the unknown-marker warning ignored, only strict markers stop the
+    # typo: pytest 9.0.3 applies strict_markers from the ini options, and
+    # not --strict-markers from addopts
+    code, out = _pytest(tmp_path, "test_marked.py", MISTYPED, "-W", "ignore::pytest.PytestUnknownMarkWarning")
+    assert code == 2, out
+    assert "'slwo' not found in `markers` configuration option" in out
+
+
+def test_a_plain_test_passes_with_no_configuration_warning(tmp_path):
+    code, out = _pytest(tmp_path, "test_plain.py", PLAIN)
+    assert code == 0, out
+    assert "1 passed" in out and "warning" not in out.lower()

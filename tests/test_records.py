@@ -122,3 +122,14 @@ def test_repr_text(name):
 def test_repr_of_a_decision_and_a_structure():
     assert repr(recognize_finite(REL)) == f"Decision(yes=True, report={YES})"
     assert repr(M) == TERMINAL
+
+
+def test_require_returns_what_holds_and_raises_the_error_of_the_first_failing_check():
+    passing, failing = Check("a", True), Check("b", False, ((0, 1),))
+    assert passing.require(KeyError) is passing
+    report = Report((passing, passing))
+    assert report.require(KeyError) is report
+    for holder in (failing, Report((passing, failing, Check("c", False, (2,))))):
+        with pytest.raises(KeyError) as raised:
+            holder.require(KeyError)
+        assert raised.value.args == (failing,)

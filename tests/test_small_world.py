@@ -36,6 +36,7 @@ from posetmodels.errors import S2OF3Failed
 from helpers import (
     all_weak,
     composition_closed_weqs,
+    reference_quotient_order,
     reference_replacement,
     reference_zigzag,
     small_lattices,
@@ -59,13 +60,20 @@ def _reduce_and_connect(rel, structures, contracts, reference=False):
     argument objects and whose equal nodes must be one object.  When
     `contracts` has more than one entry, each pair is built again, in the
     reverse order, from a copy of m1 with an empty memo, so that every kind
-    of zigzag is also read back from the memo.  With `reference`, each
+    of zigzag is also read back from the memo.  The homotopy category
+    depends only on W, so the reduced lattice, read through ``iota``, is L
+    modulo W's components (:func:`reference_quotient_order`), one element
+    per component.  With `reference`, each
     zigzag must have the nodes and directions of :func:`reference_zigzag`,
     and every replacement, on both sides, must be
     :func:`reference_replacement`.  Returns the pair count."""
+    comp, order = reference_quotient_order(rel)
     for m in structures:
         d_lat, d_model, maps = homotopy_reduce(m)
         assert d_model.verified and d_lat.n == len(rel.components)
+        assert sorted(comp[x] for x in maps.iota) == sorted(set(comp))
+        assert all(d_lat.leq(i, j) == ((comp[x], comp[y]) in order)
+                   for i, x in enumerate(maps.iota) for j, y in enumerate(maps.iota))
         if reference:
             for side, got in (("cofibrant", maps.cofibrant), ("fibrant", maps.fibrant)):
                 expected = tuple(reference_replacement(m, a, side) for a in range(rel.lattice.n))
