@@ -31,7 +31,7 @@ import itertools
 import operator
 
 from .errors import InvalidInput, NoFactorization, NotPushoutClosed
-from .lattice import Dualizable, FiniteLattice, Pair, _ends, _from_flags, iter_bits, low_bit
+from .lattice import Dualizable, FiniteLattice, Pair, _from_flags, _two_ends, iter_bits, low_bit
 from .report import Check, Report
 
 
@@ -83,16 +83,16 @@ class MorphClass(Dualizable):
     @classmethod
     def from_pairs(cls, lattice, pairs, add_identities: bool = False) -> "MorphClass":
         """The class of `pairs`: a pair of labels is one lookup in the lattice's
-        name table, any other item goes through the morphism reader
-        :func:`~posetmodels.lattice._ends` and ``lattice.pair``, the checked
-        constructor, in list order, so the first offending item raises."""
+        name table, any other item goes through ``lattice.morphism``, the
+        checked reader of a morphism argument, in list order, so the first
+        offending item raises."""
         pairs, labels = list(pairs), lattice._label_index
         try:
             found = list(map(labels.get, pairs))
         except TypeError:  # an unhashable pair, such as a list: every pair is checked
             found = [None] * len(pairs)
         others = itertools.compress(pairs, map(operator.is_, found, itertools.repeat(None)))
-        found += [labels[lattice.pair_names(lattice.pair(*_ends(p)))] for p in others]
+        found += [labels[lattice.pair_names(lattice.morphism(p))] for p in others]
         mask = _from_flags(map(set(found).__contains__, range(len(labels))))
         return cls(lattice, mask | (lattice.identity_mask if add_identities else 0))
 
@@ -109,7 +109,7 @@ class MorphClass(Dualizable):
         member: one bit of a row.  An unknown label is an input error; any
         other value that is no pair of element indices, such as a string,
         a bool, a float or a tuple of another length, is no member."""
-        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        if not _two_ends(pair):
             return False
         (a, b), n = self.lattice._pair_of(*pair), self.lattice.n
         if not all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n for x in (a, b)):
@@ -180,7 +180,7 @@ def lifts(lattice: FiniteLattice, f: Pair, g: Pair) -> bool:
     reduces to: (src f <= src g and dst f <= dst g) implies dst f <= src g.
     f and g are read through ``lattice.pair``: an index that is no element,
     or a pair that is no morphism, is an input error."""
-    (a, b), (c, d) = lattice.pair(*_ends(f)), lattice.pair(*_ends(g))
+    (a, b), (c, d) = lattice.morphism(f), lattice.morphism(g)
     if lattice.leq(a, c) and lattice.leq(b, d):
         return lattice.leq(b, c)
     return True
@@ -227,7 +227,7 @@ def proper_factorizations(j: MorphClass, f: Pair, certified: bool = False) -> li
     pair that is no morphism, is an input error.
     """
     lat = j.lattice
-    a, b = lat.pair(*_ends(f))
+    a, b = lat.morphism(f)
     if certified:
         is_pushout_closed(j).require(lambda c: NotPushoutClosed(c.witness))
     return list(iter_bits(j.rows[a] & lat.down_mask(b) & ~(1 << a)))
@@ -400,7 +400,7 @@ def factorize(lc: MorphClass, rc: MorphClass, f: Pair, require: bool = False) ->
     f is read through ``lattice.pair``, so an index that is no element, or a
     pair that is no morphism, is an input error."""
     lat = lc.lattice
-    a, b = lat.pair(*_ends(f))
+    a, b = lat.morphism(f)
     middles = lc.rows[a] & rc.cols[b] & lat.up_mask(a) & lat.down_mask(b)
     if require and middles == 0:
         raise NoFactorization(f)

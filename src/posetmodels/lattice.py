@@ -51,7 +51,8 @@ pairs: rendering selects its keys by a mask, ``MorphClass.from_pairs``
 resolves a pair, of labels or of indices through their labels, by one
 lookup, ``identity_mask`` looks up the (x, x) and the pair kit's ``bit``
 the (a, b).  Labels are str, so no index pair reads as a label pair, and
-every morphism argument and relation has one reader, :func:`_ends`.  The
+every morphism argument and relation has one reader, :func:`_ends`;
+:meth:`FiniteLattice.morphism` checks what it passes as a pair.  The
 covers (:meth:`FiniteLattice.cover_pairs`) are one kit product:
 strict & ~(strict∘strict), strict the order less the identities, n loop
 steps on a grid and one pass over the pairs on the pair kit.
@@ -227,11 +228,16 @@ class Pair(NamedTuple):
         return Pair(self.dst, self.src)
 
 
+def _two_ends(item) -> bool:
+    """Whether `item` has the shape of a morphism or relation: a tuple or list of two."""
+    return isinstance(item, (tuple, list)) and len(item) == 2
+
+
 def _ends(item) -> tuple | list:
     """The one reader of a morphism or relation argument: a tuple or list of
     two ends passes; anything else, such as a string of two labels, is an
     input error naming the item."""
-    if isinstance(item, (tuple, list)) and len(item) == 2:
+    if _two_ends(item):
         return item
     raise InvalidInput(f"a pair must be a tuple or list of two elements, got {item!r}")
 
@@ -636,6 +642,11 @@ class FiniteLattice(Dualizable):
             raise NotComparable(self.names[a], self.names[b])
         return Pair(a, b)
 
+    def morphism(self, f) -> Pair:
+        """The morphism argument `f`, a tuple or list of two indices or
+        labels (:func:`_ends`), as a checked :meth:`pair`."""
+        return self.pair(*_ends(f))
+
     def pair_names(self, p: Pair) -> tuple[str, str]:
         return (self.names[p.src], self.names[p.dst])
 
@@ -912,7 +923,7 @@ def pushout_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
     """Cobase change of f=(a,b) along a <= c, namely (c, b v c); f and
     (a, c) are read through :meth:`FiniteLattice.pair`, so an index that
     is no element, or a pair that is no morphism, is an input error."""
-    a, b = lattice.pair(*_ends(f))
+    a, b = lattice.morphism(f)
     c = lattice.pair(a, c).dst
     return Pair(c, lattice.join(b, c))
 
@@ -921,6 +932,6 @@ def pullback_of(lattice: FiniteLattice, f: Pair, c: int) -> Pair:
     """Base change of f=(a,b) along c <= b, namely (a ^ c, c); f and
     (c, b) are read through :meth:`FiniteLattice.pair`, so an index that
     is no element, or a pair that is no morphism, is an input error."""
-    a, b = lattice.pair(*_ends(f))
+    a, b = lattice.morphism(f)
     c = lattice.pair(c, b).src
     return Pair(lattice.meet(a, c), c)

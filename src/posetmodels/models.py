@@ -38,7 +38,7 @@ from .errors import (
     RecognitionFailed,
     S2OF3Failed,
 )
-from .lattice import Dualizable, Pair, _ends, _memoised, iter_bits, low_bit
+from .lattice import Dualizable, Pair, _memoised, iter_bits, low_bit
 from .relative import RelStruct, _least_triple, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
@@ -402,7 +402,7 @@ def factor_via_centers(rel: RelStruct, chi: CenterMap, f: Pair) -> int:
     weak equivalence: dst ^ (src v chi(src)).  `f` is read through
     ``lattice.pair``: a bad index or an incomparable pair is an input error."""
     lat = rel.lattice
-    f = lat.pair(*_ends(f))
+    f = lat.morphism(f)
     if f not in rel.weq:
         raise NotWeakEquivalence(f)
     _require_valid_centers(rel, chi)

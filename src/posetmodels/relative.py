@@ -79,10 +79,15 @@ def validate_relative(lattice: FiniteLattice, pairs, add_identities: bool = Fals
     identity is an error.  Composition closure is verified, never repaired.
     """
     weq = MorphClass.from_pairs(lattice, pairs, add_identities=add_identities)
-    subcategory_check(weq, "weq").require(  # the witness (Pair(x, x),) is a missing identity
-        lambda c: MissingIdentities(lattice.name(c.witness[0].src)) if len(c.witness) == 1
-        else NotCompositionClosed(tuple(lattice.name(x) for x in c.witness)))
+    subcategory_check(weq, "weq").require(lambda c: _not_a_subcategory(lattice, c))
     return RelStruct(lattice, weq)
+
+
+def _not_a_subcategory(lattice: FiniteLattice, c: Check) -> MissingIdentities | NotCompositionClosed:
+    """The error of W's failed subcategory check `c`, named in `lattice`."""
+    if len(c.witness) == 1:  # (Pair(x, x),): a missing identity
+        return MissingIdentities(lattice.name(c.witness[0].src))
+    return NotCompositionClosed(tuple(lattice.name(x) for x in c.witness))
 
 
 @_memoised

@@ -129,11 +129,13 @@ def test_a_morphism_argument_is_a_tuple_or_list_of_two(two_structures, bad):
              lambda: proper_factorizations(weq, bad), lambda: proper_factorizations(weq, bad, certified=True),
              lambda: pushout_of(lat, bad, 0), lambda: pullback_of(lat, bad, top),
              lambda: factor_via_centers(rel, chi, bad), lambda: MorphClass.from_pairs(lat, [(0, 1), bad]),
-             lambda: MorphClass.from_pairs(lat, [bad, ("A", "A")]), lambda: build_lattice(["A", "B"], [bad])]
+             lambda: MorphClass.from_pairs(lat, [bad, ("A", "A")]), lambda: build_lattice(["A", "B"], [bad]),
+             lambda: lat.morphism(bad), lambda: lat.op().morphism(bad)]
     for call in calls:
         with pytest.raises(InvalidInput, match=f"^a pair must be a tuple or list of two elements, got {re.escape(repr(bad))}$"):
             call()
     assert bad not in weq and bad not in every
+    assert lat.morphism([0, 1]) == lat.morphism((0, 1)) == lat.pair(0, 1)
 
 
 def test_membership_masks_check_their_inputs(two_structures):

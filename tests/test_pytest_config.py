@@ -65,8 +65,8 @@ def test_a_mistyped_marker_fails_collection(tmp_path):
 
 def test_a_mistyped_marker_fails_collection_with_warnings_relaxed(tmp_path):
     # with the unknown-marker warning ignored, only strict markers stop the
-    # typo: pytest 9.0.3 applies strict_markers from the ini options, and
-    # not --strict-markers from addopts
+    # typo: the ini key strict_markers, which pytest 9 applies (pytest 9.0.3
+    # does not apply --strict-markers from addopts)
     code, out = _pytest(tmp_path, "test_marked.py", MISTYPED, "-W", "ignore::pytest.PytestUnknownMarkWarning")
     assert code == 2, out
     assert "'slwo' not found in `markers` configuration option" in out
