@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 
 from .classes import MorphClass
 from .errors import InternalCheckFailed, InvalidCenters, S2OF3Failed, require_count
@@ -190,10 +191,12 @@ class CenterEnumeration(FrozenRecord):
 def enumerate_centers(rel: RelStruct, limit: int = 1024) -> CenterEnumeration:
     """Up to `limit` valid center maps, lexicographically ordered, and
     whether the search had more: it runs one map past `limit`.  A limit
-    that is no int, a bool or negative is an input error."""
+    that is no int, a bool or negative is an input error.  islice takes no
+    stop above sys.maxsize, and no search yields that many maps, so a
+    larger limit runs the search to its end."""
     require_count("limit", limit)
     _require_s2of3(rel)
-    maps = tuple(itertools.islice(_search(rel), limit + 1))
+    maps = tuple(itertools.islice(_search(rel), min(limit + 1, sys.maxsize)))
     return CenterEnumeration(maps[:limit], len(maps) > limit)
 
 

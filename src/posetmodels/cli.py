@@ -5,6 +5,11 @@ the report), 2 input error (diagnostic on stderr).  Reports are
 byte-deterministic for identical inputs and flags; timings are attached
 only when --timings is passed, since they would break that guarantee.
 
+An argument that argparse rejects, such as an unknown flag, a missing
+positional or a flag value of the wrong type, is an input error like any
+other: one line on stderr and exit 2, with no usage block.  ``-h`` and
+``--help`` print the full help and exit 0.
+
 Each subcommand imports the library modules it runs when it runs; the
 module itself loads only the file formats and the layers they build on.
 """
@@ -217,6 +222,15 @@ def cmd_fixture(ns) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise :class:`InvalidInput`, naming the
+    (sub)command, where argparse prints its usage block and exits; every
+    subparser is one too, as argparse makes them of the parser's class."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
 def _common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # registered on the main parser with real defaults and on every
     # subparser with suppressed defaults, so the flags work in either
@@ -233,7 +247,7 @@ def _common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posetmodels",
         description="Decide, construct, verify, and compare model structures on finite bounded lattices.",
     )
@@ -271,20 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
-    ns.echo = list(argv) if argv is not None else list(sys.argv[1:])
-    ns.started = time.perf_counter()
-    try:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as e:  # -h or --help, after printing the help
+            return e.code if isinstance(e.code, int) else 2
+        ns.echo = list(argv) if argv is not None else list(sys.argv[1:])
+        ns.started = time.perf_counter()
         try:
             return ns.func(ns)
         except _Failed as e:
             return _report(ns, "failed", 1, witnesses=e.witnesses)
     except PosetModelError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        # one line, whatever the message holds: an argument or a path may hold a line break
+        line = f"error: {type(e).__name__}: {e}".replace("\r", "\\r").replace("\n", "\\n")
+        print(line, file=sys.stderr)
         return 2
 
 

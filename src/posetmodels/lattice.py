@@ -15,16 +15,20 @@ kit.  Two such gathers, through the meet and join rows, give the square
 rows of :meth:`FiniteLattice._square_rows`, which decide whether a
 comparison square lies in W.  The P-indexed pair tables remain for the
 pair-mask kit's lift scans and for outside callers.  Each is built from
-per-element pair masks that :meth:`FiniteLattice._pair_masks` reads off
-the primal side at every build and never memoises: by_src[x], the pairs
-with source x, is one run of bits, as pairs are sorted by source, and
-by_dst[y] sums the bits of one run of the pair indices sorted by target.
-L.op() reads the same masks swapped and L's pair ends as (dsts, srcs), so
-its tables build no pairs of their own.  src_up[a] and dst_up[b], the
-pairs with source >= a and target >= b, are C-level sums of the masks over
-up(a): work that grows with |up(a)|, never with n.  Each table is then one
-map over the pair ends, only the tables are memoised, and no pair is
-looked up.
+per-element pair masks, built once per lattice on the primal side and
+memoised there (``_primal_masks``): by_src[x], the pairs with source x, is
+one run of bits, as pairs are sorted by source, and by_dst[y] sums the
+bits of one run of the pair indices sorted by target.  Every table of
+either side reads them through :meth:`FiniteLattice._pair_masks`; L.op()
+reads them swapped and L's pair ends as (dsts, srcs), so it builds no
+pairs or masks of its own.  src_up[a] and dst_up[b], the pairs with
+source >= a and target >= b, are C-level sums of the masks over up(a):
+work that grows with |up(a)|, never with n.  src_up, which the pushout
+targets and the left lift table of a side both read, is memoised per
+side.  Each table is then one map over the pair ends, and no pair is
+looked up.  With both sides' src_up the masks take about 4·n·P bits
+against 3·P² for the tables: 1.6 against 97 MiB on a 180-element chain
+(P = 16,290).
 
 Pair masks have one reader, :func:`_flags`, a byte per pair, and one
 writer, :func:`_from_flags`, from a flag per pair: each one C-level pass
@@ -85,9 +89,12 @@ even: on wide lattices (a bottom, k atoms, a top) at n^3/P^2 of about
 4.2, on parallel 2-chains between 3.6 and 4.3.  No lattice of the
 benchmark's workloads is sparse, but the pair kit stays: with W every
 pair, building, validating, ``recognize_finite`` and ``verify_model``
-took 138 ms on it against 1,584 ms on a grid kit on the wide lattice of
-510 atoms, 32 against 96 ms on 30 parallel 8-chains and 8.5 against
-14.1 ms on 60 parallel 2-chains (minima of 5, one process, 2-vCPU VM).
+took 134 ms on it against 1,521 ms on a grid kit on the wide lattice of
+510 atoms, 31 against 113 ms on 30 parallel 8-chains and 8.5 against
+15.8 ms on 60 parallel 2-chains (minima of 5 in each of two processes,
+2-vCPU VM).  The narrowest sparse lattices go the other way: on 40 atoms
+(n = 42, P = 123) the same path took 1.8 ms on the pair kit against 1.5
+ms on a grid kit.
 L and L.op() have the same n and P, so they take the same path;
 ``L.op()._kit`` is a view of L's grid kit that answers in L.op()'s terms.
 Every lattice of at most 33 elements takes the grid path, since the wide
@@ -508,7 +515,8 @@ class _GridStack(_GridKit):
 class _PairKit:
     """The methods of :class:`_GridKit` that the class algebra calls, on the
     pair masks of one sparse lattice side, in its terms: lc reads this
-    side's left lift table and rc that of L.op(), composite tests the first
+    side's left lift table and rc that of L.op(), both built from the
+    lattice's one set of per-element masks, composite tests the first
     class's row against the second's column, each reading and building its
     masks through :func:`_flags` and :func:`_from_flags`.  The kit holds its
     lattice weakly: no reference cycle (:class:`Dualizable`)."""
@@ -774,22 +782,39 @@ class FiniteLattice(Dualizable):
         """This side's pair ends (srcs, dsts), per-element pair masks (by_src,
         by_dst), and up-sets: `ups` lays the elements of each up(a), a
         ascending, end to end, and `cuts` flags where each run starts
-        (:func:`_run_sums`).  Read off the primal side and never memoised
-        (module docstring)."""
-        primal = self.op() if self.opposite else self
-        srcs, dsts = zip(*primal.pairs)
+        (:func:`_run_sums`).  Read from the primal side's memo, swapped on
+        L.op() (module docstring)."""
+        if self.opposite:  # L.op()'s pair i is L's reversed: sources and targets swap, up-sets are down-sets
+            srcs, dsts, by_src, by_dst, _, by_target, target_cuts = self.op()._primal_masks
+            return dsts, srcs, by_dst, by_src, by_target, target_cuts
+        srcs, dsts, by_src, by_dst, cuts, _, _ = self._primal_masks
+        return srcs, dsts, by_src, by_dst, dsts, cuts
+
+    @property
+    @_memoised
+    def _primal_masks(self) -> tuple[tuple, tuple, list[int], list[int], bytes, tuple, bytes]:
+        """The primal side's pair ends, per-element pair masks and run cuts,
+        built once per lattice for both op() sides: srcs, dsts, by_src,
+        by_dst, the cuts of the runs of pairs by source, the sources in
+        target order (L.op()'s `ups`: the down-sets end to end) and the cuts
+        of the runs of pairs by target."""
+        srcs, dsts = zip(*self.pairs)
         ends = len(dsts) + 1
         # pairs are sorted by source: those with source x are one run, and their targets are up(x)
-        bounds = list(map((1).__lshift__, itertools.accumulate(map(int.bit_count, primal._up), initial=0)))
+        bounds = list(map((1).__lshift__, itertools.accumulate(map(int.bit_count, self._up), initial=0)))
         by_src = list(map(operator.sub, bounds[1:], bounds))
         # sorted by target, those with target y are one run, and their sources are down(y)
         order = sorted(range(len(dsts)), key=dsts.__getitem__)
-        starts = itertools.accumulate(map(int.bit_count, primal._down), initial=0)
-        cuts = _flags(sum(map((1).__lshift__, starts)), ends)
-        by_dst = _run_sums(map((1).__lshift__, order), cuts)
-        if self.opposite:  # L.op()'s pair i is L's reversed: sources and targets swap, up-sets are down-sets
-            return dsts, srcs, by_dst, by_src, tuple(map(srcs.__getitem__, order)), cuts
-        return srcs, dsts, by_src, by_dst, dsts, _flags(sum(bounds), ends)
+        starts = itertools.accumulate(map(int.bit_count, self._down), initial=0)
+        target_cuts = _flags(sum(map((1).__lshift__, starts)), ends)
+        by_dst = _run_sums(map((1).__lshift__, order), target_cuts)
+        return srcs, dsts, by_src, by_dst, _flags(sum(bounds), ends), tuple(map(srcs.__getitem__, order)), target_cuts
+
+    @_memoised
+    def _src_up(self) -> list[int]:
+        """src_up[a], the pairs with source >= a: the masks by_src summed over up(a)."""
+        _, _, by_src, _, ups, cuts = self._pair_masks()
+        return _run_sums(map(by_src.__getitem__, ups), cuts)
 
     @property
     @_memoised
@@ -797,9 +822,10 @@ class FiniteLattice(Dualizable):
         """nonlift_left[i] = mask of j such that pairs[i] does NOT lift left of
         pairs[j]: for i = (a, b), the j = (x, y) with x in up[a] & ~up[b] and
         y in up[b], src_up[a] & only[b] with only[b] = dst_up[b] ^ src_up[b],
-        the pairs with target >= b and source not, as src_up[b] <= dst_up[b]."""
+        the pairs with target >= b and source not, as src_up[b] <= dst_up[b].
+        It reads this side's masks and src_up, which pushout_targets shares."""
         srcs, dsts, by_src, by_dst, ups, cuts = self._pair_masks()
-        src_up = _run_sums(map(by_src.__getitem__, ups), cuts)
+        src_up = self._src_up()
         only = list(map(operator.xor, _run_sums(map(by_dst.__getitem__, ups), cuts), src_up))
         return list(map(operator.and_, map(src_up.__getitem__, srcs), map(only.__getitem__, dsts)))
 
@@ -810,11 +836,12 @@ class FiniteLattice(Dualizable):
 
         This is po[b] & src_up[a], where po[b], the OR over all c of
         by_src[c] & by_dst[b v c] (each term the single bit of one pair),
-        holds every pushout of a pair ending in b.
+        holds every pushout of a pair ending in b; the masks and src_up are
+        those nonlift_left reads.
         """
-        srcs, dsts, by_src, by_dst, ups, cuts = self._pair_masks()
+        srcs, dsts, by_src, by_dst, _, _ = self._pair_masks()
         po = [sum(map(operator.and_, by_src, map(by_dst.__getitem__, row))) for row in self._join]
-        src_up = _run_sums(map(by_src.__getitem__, ups), cuts)
+        src_up = self._src_up()
         return list(map(operator.and_, map(po.__getitem__, dsts), map(src_up.__getitem__, srcs)))
 
     @property

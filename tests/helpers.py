@@ -52,7 +52,16 @@ from posetmodels import lattice as lattice_module
 from posetmodels import oracle
 from posetmodels.centers import center_square
 from posetmodels.errors import CapExceeded, CycleDetected, InvalidInput, NotALattice, Unbounded
-from posetmodels.lattice import DEFAULT_MAX_ELEMENTS, FiniteLattice, _from_flags, _GridKit, iter_bits, low_bit
+from posetmodels.lattice import (
+    DEFAULT_MAX_ELEMENTS,
+    FiniteLattice,
+    _flags,
+    _from_flags,
+    _GridKit,
+    _run_sums,
+    iter_bits,
+    low_bit,
+)
 from posetmodels.models import _generated_by
 
 
@@ -692,6 +701,44 @@ def reference_cover_pairs(lat) -> list:
             if between == 0:
                 out.append(Pair(a, b))
     return out
+
+
+def _reference_side_tables(side) -> tuple[list[int], list[int]]:
+    """`side`'s pushout targets and left lift table, each built as it was
+    before the masks were shared: the per-element pair masks read off the
+    primal side afresh, and src_up summed afresh, for each table."""
+    def masks():
+        primal = side.op() if side.opposite else side
+        srcs, dsts = zip(*primal.pairs)
+        ends = len(dsts) + 1
+        bounds = list(map((1).__lshift__, itertools.accumulate(map(int.bit_count, primal._up), initial=0)))
+        by_src = list(map(operator.sub, bounds[1:], bounds))
+        order = sorted(range(len(dsts)), key=dsts.__getitem__)
+        starts = itertools.accumulate(map(int.bit_count, primal._down), initial=0)
+        cuts = _flags(sum(map((1).__lshift__, starts)), ends)
+        by_dst = _run_sums(map((1).__lshift__, order), cuts)
+        if side.opposite:
+            return dsts, srcs, by_dst, by_src, tuple(map(srcs.__getitem__, order)), cuts
+        return srcs, dsts, by_src, by_dst, dsts, _flags(sum(bounds), ends)
+
+    srcs, dsts, by_src, by_dst, ups, cuts = masks()
+    src_up = _run_sums(map(by_src.__getitem__, ups), cuts)
+    only = list(map(operator.xor, _run_sums(map(by_dst.__getitem__, ups), cuts), src_up))
+    nonlift_left = list(map(operator.and_, map(src_up.__getitem__, srcs), map(only.__getitem__, dsts)))
+    srcs, dsts, by_src, by_dst, ups, cuts = masks()
+    po = [sum(map(operator.and_, by_src, map(by_dst.__getitem__, row))) for row in side._join]
+    src_up = _run_sums(map(by_src.__getitem__, ups), cuts)
+    pushout_targets = list(map(operator.and_, map(po.__getitem__, dsts), map(src_up.__getitem__, srcs)))
+    return pushout_targets, nonlift_left
+
+
+def reference_pair_tables(side) -> tuple[list[int], list[int], list[int], list[int]]:
+    """`side`'s pushout_targets, pullback_targets and nonlift_left, and
+    ``side.op().nonlift_left``, each from masks of its own (see
+    :func:`_reference_side_tables`)."""
+    pushouts, left = _reference_side_tables(side)
+    pullbacks, right = _reference_side_tables(side.op())
+    return pushouts, pullbacks, left, right
 
 
 def reference_identity_mask(lat) -> int:

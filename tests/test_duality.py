@@ -384,6 +384,10 @@ def test_memo_race_publishes_one_value():
         "extract_centers": lambda rel, m, lat: extract_centers(m),
         "pushout_targets": lambda rel, m, lat: lat.pushout_targets,
         "nonlift_left": lambda rel, m, lat: lat.nonlift_left,
+        # the tables of L.op() and the per-element masks both sides share
+        "pullback_targets": lambda rel, m, lat: lat.pullback_targets,
+        "op().nonlift_left": lambda rel, m, lat: lat.op().nonlift_left,
+        "_primal_masks": lambda rel, m, lat: lat._primal_masks,
     }
     names = list(probes)
     interval = sys.getswitchinterval()
@@ -489,7 +493,8 @@ def test_only_the_lattice_module_reads_opposite():
 def test_only_the_lattice_module_reads_the_pair_tables():
     # pushout stability and lifting are decided behind the lattice's kits:
     # no other module names a P-indexed table
-    tables = {"pushout_targets", "pullback_targets", "nonlift_left", "nonlift_right", "_pair_masks"}
+    tables = {"pushout_targets", "pullback_targets", "nonlift_left", "nonlift_right", "_pair_masks",
+              "_primal_masks", "_src_up"}
     src = Path(__file__).resolve().parent.parent / "src" / "posetmodels"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 10

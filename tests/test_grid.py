@@ -591,4 +591,5 @@ def test_dense_lattices_build_no_pair_table():
         assert build_zigzag(found[0], found[-1]).all_edges_ok()
         homotopy_reduce(m1)
         for side in (lat, lat.op()):
-            assert [key for key in ("pushout_targets", "nonlift_left", "_pair_masks") if memo_entry(side, key)] == []
+            keys = ("pushout_targets", "nonlift_left", "_primal_masks", "_src_up")
+            assert [key for key in keys if memo_entry(side, key)] == []

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -22,12 +23,15 @@ from posetmodels.lattice import FiniteLattice
 
 from helpers import (
     line_events,
+    memo_entry,
     naive_join,
     naive_lifts,
     naive_meet,
     permuted_instances,
+    record_calls,
     reference_cover_pairs,
     reference_pair_index,
+    reference_pair_tables,
 )
 
 
@@ -288,24 +292,70 @@ def _naive_tables(lat):
     return pushouts, pullbacks, left, right
 
 
+def _four_tables(lat):
+    return lat.pushout_targets, lat.pullback_targets, lat.nonlift_left, lat.op().nonlift_left
+
+
 @pytest.mark.parametrize("name", sorted(LARGE_LATTICES))
 def test_tables_on_large_lattices(name, monkeypatch):
     # lattices with hundreds of pairs, beyond what `lattices()` draws: every
-    # bit of both target lists and both lift tables, on L and on L.op()
+    # bit of both target lists and both lift tables, on L and on L.op(),
+    # against the naive scans and against the same formulas on masks built
+    # afresh for each table
     def no_lookup(self):
         raise AssertionError("a table build looked up the name table")
 
     monkeypatch.setattr(FiniteLattice, "_label_index", property(no_lookup))
     lat = build_lattice(*LARGE_LATTICES[name])
     lat.pairs
-    tables = [(side.pushout_targets, side.pullback_targets, side.nonlift_left, side.op().nonlift_left)
-              for side in (lat, lat.op())]
-    # each side memoises its two tables and no per-element mask list, and
-    # L.op()'s tables read L's pairs: L.op() builds none of its own
-    assert set(lat._memo) == {"pairs", "pushout_targets", "nonlift_left"}
-    assert set(lat.op()._memo) == {"pushout_targets", "nonlift_left"}
-    assert not any(isinstance(v, list) and len(v) == lat.n for side in (lat, lat.op()) for v in side._memo.values())
+    tables = [_four_tables(side) for side in (lat, lat.op())]
+    # each side memoises its two tables and its src_up; L alone memoises the
+    # per-element masks, which L.op() reads swapped, and L.op()'s tables read
+    # L's pairs: L.op() builds no pairs or masks of its own
+    assert set(lat._memo) == {"pairs", "_primal_masks", "_src_up", "pushout_targets", "nonlift_left"}
+    assert set(lat.op()._memo) == {"_src_up", "pushout_targets", "nonlift_left"}
+    srcs, dsts, by_src, by_dst, *_ = lat._primal_masks
+    assert all(x is y for x, y in zip(lat.op()._pair_masks()[:4], (dsts, srcs, by_dst, by_src)))
     assert tables == [_naive_tables(side) for side in (lat, lat.op())]
+    assert tables == [reference_pair_tables(side) for side in (lat, lat.op())]
+
+
+@given(lattices())
+@settings(max_examples=60, deadline=None)
+def test_shared_masks_give_the_per_table_values(lat):
+    # the four tables of each side, built from the masks of the lattice,
+    # against the same formulas each on masks of its own
+    for side in (lat, lat.op()):
+        assert _four_tables(side) == reference_pair_tables(side)
+
+
+@pytest.mark.parametrize("name", ["chain-32", "wide-42"])
+def test_the_tables_of_both_sides_build_the_masks_once(name, monkeypatch):
+    # every miss goes through _cached: one mask build per lattice and one
+    # src_up per side, whether the pair kit's lc and rc (on the sparse
+    # lattice they read the left lift tables of both sides) come first
+    misses = record_calls(monkeypatch, FiniteLattice, "_cached")
+    lat = build_lattice(*LARGE_LATTICES[name])
+    kit = lat._kit
+    kit.lc(lat.identity_mask), kit.rc(lat.identity_mask)
+    for side in (lat, lat.op()):
+        _four_tables(side)
+    keys = [key for _, key, _ in misses]
+    assert keys.count("_primal_masks") == 1 and keys.count("_src_up") == 2
+    assert memo_entry(lat.op(), "_primal_masks") is None
+
+
+@pytest.mark.parametrize("name", ["chain-32", "cw-gadget", "wide-42"])
+def test_the_tables_read_in_any_order_are_equal(name):
+    reads = [lambda lat: lat.pushout_targets, lambda lat: lat.pullback_targets,
+             lambda lat: lat.nonlift_left, lambda lat: lat.op().nonlift_left]
+    expected = _four_tables(build_lattice(*LARGE_LATTICES[name]))
+    for order in itertools.permutations(range(4)):
+        lat = build_lattice(*LARGE_LATTICES[name])
+        values = {}
+        for k in order:
+            values[k] = reads[k](lat)
+        assert tuple(values[k] for k in range(4)) == expected, order
 
 
 @given(lattices())
@@ -325,13 +375,15 @@ def test_cover_pairs_match_the_reference_on_large_lattices(name):
 
 
 def test_the_forced_tables_take_under_one_python_step_per_two_pairs():
-    # chain-64, P = 2,080: the three tables a benchmark op reads, built from
-    # per-element masks in C-level passes, with no Python step per pair
+    # chain-64, P = 2,080: the three tables a benchmark op reads and the left
+    # lift table of L.op(), built from per-element masks in C-level passes,
+    # with no Python step per pair
     names = [f"c{i}" for i in range(64)]
     lat = build_lattice(names, zip(names, names[1:]))
     npairs = len(lat.pairs)
     assert npairs == 2080
-    assert line_events(lambda: (lat.pushout_targets, lat.pullback_targets, lat.nonlift_left)) < npairs / 2
+    reads = lambda: (lat.pushout_targets, lat.pullback_targets, lat.nonlift_left, lat.op().nonlift_left)
+    assert line_events(reads) < npairs / 2
     assert lat.nonlift_left[0] == 0 and lat.pushout_targets[0] == sum(1 << lat.pairs.index((c, c)) for c in range(64))
 
 
