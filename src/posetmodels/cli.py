@@ -110,6 +110,10 @@ def cmd_recognize(ns) -> int:
 def cmd_centers(ns) -> int:
     from .centers import enumerate_centers, find_centers
 
+    # a limit left out takes enumerate_centers' default; find takes none
+    limit = {"limit": ns.limit} if hasattr(ns, "limit") else {}
+    if ns.action == "find" and limit:
+        raise InvalidInput("posetmodels centers: --limit applies to enumerate only")
     rel = build_relative(_read_instance(ns, ns.instance))
     truncated = False
     try:
@@ -117,7 +121,7 @@ def cmd_centers(ns) -> int:
             chi = find_centers(rel)
             found = [] if chi is None else [chi]
         else:
-            result = enumerate_centers(rel, limit=ns.limit)
+            result = enumerate_centers(rel, **limit)
             found, truncated = list(result.maps), result.truncated
     except S2OF3Failed as e:
         return _report(ns, "absent", 1, witnesses=[_witness(rel.lattice, "s2of3", e.witness)])
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("centers", cmd_centers, "search for choices of centers")
     p.add_argument("action", choices=["find", "enumerate"])
     p.add_argument("instance")
-    p.add_argument("--limit", type=int, default=1024)
+    p.add_argument("--limit", type=int, default=argparse.SUPPRESS, help="most maps to list (enumerate only)")
     p = command("synthesize", cmd_synthesize, "construct a model structure", "instance")
     p.add_argument("--method", required=True,
                    choices=["terminal", "centers", "centers-dual", "genmc", "newcofib"])

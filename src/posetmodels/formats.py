@@ -7,11 +7,25 @@ element index, no environment-dependent content.
 Emission contract: a report or instance file is exactly
 ``json.dumps(obj, indent=2) + "\n"`` of its dict, produced by one renderer,
 :func:`_render`.  ``json.dumps`` falls back to a pure-Python encoder,
-one recursive call per value, whenever `indent` is set; most of a report
-is pair lists of two labels, which the renderer emits with one
-``str.join`` each.  Strings go through json's own C escaper and every
-other scalar through ``json.dumps`` of that value alone, so no spelling
-can drift from json's.  Parsing is ``json.loads``.
+one recursive call per value, whenever `indent` is set.  The renderer
+appends pieces to one list and joins them once, so no nested text is
+copied into each enclosing one, and it takes two paths for a list of
+pairs:
+
+- the class path: a class in a report, as :func:`class_name_pairs`
+  builds it, is a :class:`NamePairs`, which keeps its lattice side and
+  pair mask.  Each side renders each of its pairs once per indentation,
+  every name quoted once, and memoises that table
+  (:func:`_pair_texts`); the class is then one select of the table by its
+  mask and one ``str.join``.  Every structure of a report shares the
+  table, so a W that several structures hold costs one join each.
+- the generic path: any other list of two-label lists or tuples (parsed
+  reports, instance files, center maps) is one ``str.join`` over its
+  labels, quoted as it goes.
+
+Strings go through json's own C escaper and every other scalar through
+``json.dumps`` of that value alone, so no spelling can drift from json's.
+Parsing is ``json.loads``.
 
 The lattice, class and relative layers load only inside the functions
 that build or render classes: ``fixture`` loads none of them.
@@ -39,12 +53,26 @@ _SEQUENCES = {list, tuple}
 
 def _render(obj, pad: str = "") -> str:
     """``json.dumps(obj, indent=2)`` for `obj` nested at indentation `pad`."""
+    out = []
+    _write(obj, pad, out)
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append the text of `obj` at indentation `pad` to `out`, in pieces that
+    :func:`_render` joins once: no container's text is copied into the next."""
     if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, (list, tuple)):
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = pad + "  "
+        if type(obj) is NamePairs:  # its lattice's pair texts at this indent, selected by its mask
+            lat = obj.lattice
+            texts = lat._cached(("pair_texts", pad), lambda _: _pair_texts(lat, inner))
+            out += ("[\n", inner, (",\n" + inner).join(lat._select(texts, obj.mask)), "\n", pad, "]")
+            return
         if set(map(type, obj)) <= _SEQUENCES and set(map(len, obj)) == {2}:
             # a list of pairs, in one join over its quoted labels, taken two at a time
             open_leaves, leaf_sep, close_leaves = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
@@ -54,16 +82,27 @@ def _render(obj, pad: str = "") -> str:
             except TypeError:  # _quote takes strings only
                 pass
             else:
-                return "[\n" + inner + open_leaves + pairs + close_leaves + "\n" + pad + "]"
-        items = [_render(item, inner) for item in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+                out += ("[\n", inner, open_leaves, pairs, close_leaves, "\n", pad, "]")
+                return
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out += ("\n", pad, "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = pad + "  "
-        items = [_key(k) + ": " + _render(v, inner) for k, v in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    return json.dumps(obj)
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            out += (sep, _key(k), ": ")
+            _write(v, inner, out)
+            sep = ",\n" + inner
+        out += ("\n", pad, "}")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _key(k) -> str:
@@ -198,11 +237,35 @@ def build_structure(inst: InstanceFile) -> ModelStruct:
     return ModelStruct(rel, cof, fib)
 
 
-def class_name_pairs(s: MorphClass) -> list[list[str]]:
+class NamePairs(tuple):
+    """The (name, name) pairs of a pair mask's bits on a lattice side, in its
+    pair order: the keys of its name table.  A tuple that keeps its `lattice`
+    and `mask`, so :func:`_render` emits it from the lattice's pair texts."""
+
+    def __new__(cls, lattice: FiniteLattice, mask: int):
+        self = super().__new__(cls, lattice._select(lattice._label_index, mask))
+        self.lattice, self.mask = lattice, mask
+        return self
+
+    def __reduce__(self):  # copies and pickles as a plain tuple: a lattice does not pickle
+        return tuple, (tuple(self),)
+
+
+def _pair_texts(lat: FiniteLattice, pad: str) -> tuple[str, ...]:
+    """Each pair of `lat` rendered as a list item at indentation `pad`: its
+    source's head plus its target's tail, each name quoted once."""
+    quoted = list(map(_quote, lat.names))
+    heads = ["[\n" + pad + "  " + name + ",\n" + pad + "  " for name in quoted]
+    tails = [name + "\n" + pad + "]" for name in quoted]
+    srcs, dsts = zip(*lat.pairs)
+    return tuple(map(str.__add__, map(heads.__getitem__, srcs), map(tails.__getitem__, dsts)))
+
+
+def class_name_pairs(s: MorphClass) -> NamePairs:
     """Non-identity members as name pairs in the lattice's pair order:
     ``lat.pairs`` selected by the mask's bits, lowest first."""
     lat = s.lattice
-    return list(map(list, lat._select(lat._label_index, s.mask & ~lat.identity_mask)))
+    return NamePairs(lat, s.mask & ~lat.identity_mask)
 
 
 def structure_to_dict(m: ModelStruct) -> dict:

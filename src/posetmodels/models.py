@@ -189,7 +189,18 @@ def _generated_by(rel: RelStruct, j: MorphClass) -> tuple[MorphClass, MorphClass
 
 
 def construct_terminal(rel: RelStruct) -> ModelStruct:
-    """The terminal structure: fibrations are the right complement of W_c."""
+    """The terminal structure T: fibrations are the right complement of W_c.
+
+    T has the greatest cofibrations of any structure over W.  Let m be one,
+    with cofibrations C_m, fibrations F_m, acyclic cofibrations
+    AC_m = C_m & W and acyclic fibrations AF_m = F_m & W.  AC_m = lc(F_m)
+    is closed under pushouts and lies in W, so every pushout of a member
+    lies in W: AC_m <= W_c.  The right complement reverses inclusion, so
+    F_m = rc(AC_m) >= rc(W_c) = F_T and AF_m >= AF_T, and the left
+    complement reverses it again: C_m = lc(AF_m) <= lc(AF_T) = C_T.
+    Dually, ``construct_terminal(rel.op()).op()``, with cofibrations
+    lc(W_f), has the least.
+    """
     # memoised on rel: recognize_finite built it already
     recognition_report(rel).require(lambda c: RecognitionFailed(c.name, c.witness))
     cof, fib = _generated_by(rel, compute_Wc(rel))

@@ -217,6 +217,18 @@ def test_zigzag_and_reduce_commands(tmp_path, two_structures):
                               ["Bp", "C"], ["C", "C"], ["top", "top"]]
 
 
+@pytest.mark.parametrize("value", ["0", "3", str(2**70), "x"])
+def test_centers_find_takes_no_limit(tmp_path, capsys, value):
+    # find returns one map, so a limit on it is an input error, whatever its value or position
+    path = write_fixture(tmp_path, "two-structures")
+    for argv in (["centers", "find", path, "--limit", value], ["centers", "--limit", value, "find", path]):
+        assert run(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInput: posetmodels centers") and err.count("\n") == 1, err
+    code, out = run(["centers", "find", path])
+    assert code == 0 and parse_report(out).decision == "found"
+
+
 def test_centers_enumerate_limit_zero(tmp_path):
     # YES: the limit keeps no map, but the truncated enumeration saw one
     code, out = run(["centers", "enumerate", "--limit", "0", write_fixture(tmp_path, "two-structures")])

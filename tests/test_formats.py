@@ -1,13 +1,20 @@
 """The report and instance emitter against ``json.dumps(obj, indent=2)``."""
 
+import copy
 import json
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmodels import construct_terminal, load
-from posetmodels.formats import _render, class_name_pairs
+from posetmodels import MorphClass, build_lattice, construct_terminal, load, recognize_finite
+from posetmodels.formats import NamePairs, ReportFile, _render, class_name_pairs, print_report, structure_to_dict
+
+from helpers import all_weak, on_grid_path
+from test_grid import _wide
+from test_lattice import _grid
 
 # every code point, lone surrogates included, with the characters JSON
 # escapes drawn often
@@ -67,5 +74,72 @@ def test_class_name_pairs_keep_the_lattice_pair_order():
         m = construct_terminal(load(name))
         for s in (m.we, m.cof, m.fib):
             for side in (s, s.op()):
-                assert class_name_pairs(side) == [list(side.lattice.pair_names(p))
-                                                  for p in side.nonidentity_pairs()]
+                assert class_name_pairs(side) == tuple(map(side.lattice.pair_names, side.nonidentity_pairs()))
+
+
+def _agrees_with_json(pairs: NamePairs) -> None:
+    """`pairs` renders at every nesting depth 0-4 as json.dumps renders its
+    list form there, json.dumps without indent reads it as that list, and it
+    copies and pickles."""
+    plain = [list(p) for p in pairs]
+    assert json.dumps(pairs) == json.dumps(plain)
+    assert copy.deepcopy(pairs) == pickle.loads(pickle.dumps(pairs)) == pairs  # as a plain tuple
+    for depth in range(5):
+        pad = "  " * depth
+        assert _render(pairs, pad) == json.dumps(plain, indent=2).replace("\n", "\n" + pad)
+
+
+FIXTURES = ("two-structures", "forced", "s2of3-fail", "trunc-1", "trunc-2", "trunc-3", "trunc-4", "chain-3",
+            "chain-8")
+
+
+def test_class_name_pairs_render_as_their_list_form():
+    """Every class of each fixture's terminal structure (W alone where there
+    is none), on both op() sides."""
+    for name in FIXTURES:
+        rel = load(name)
+        decision = recognize_finite(rel)
+        classes = (decision.structure.we, decision.structure.cof, decision.structure.fib) if decision.yes \
+            else (rel.weq,)
+        for s in classes:
+            for side in (s, s.op()):
+                _agrees_with_json(class_name_pairs(side))
+
+
+def test_class_name_pairs_render_on_both_kits():
+    # a grid-kit lattice and a pair-kit one, every pair in W and random classes
+    rng = random.Random(7)
+    for lat in (build_lattice(*_grid(4, 5)), _wide(40)):
+        assert on_grid_path(lat) == (lat.n == 20)
+        for side in (lat, lat.op()):
+            _agrees_with_json(class_name_pairs(all_weak(side).weq))
+            for _ in range(5):
+                _agrees_with_json(class_name_pairs(MorphClass(side, rng.getrandbits(len(side.pairs)))))
+
+
+def test_the_identity_class_renders_as_an_empty_list():
+    lat = build_lattice(*_grid(2, 3))
+    for side in (lat, lat.op()):
+        pairs = class_name_pairs(MorphClass.identities(side))
+        assert pairs == () and _render(pairs, "    ") == "[]" and json.dumps(pairs) == "[]"
+
+
+def test_labels_that_json_escapes_render_as_json_spells_them():
+    names = ['"', "\\", "caf\u00e9", "\x07", "\u2028", "\U0001f600", "a/b"]
+    lat = build_lattice(names, zip(names, names[1:]))
+    for side in (lat, lat.op()):
+        _agrees_with_json(class_name_pairs(all_weak(side).weq))
+
+
+def test_reports_on_one_lattice_share_its_pair_texts_read_only():
+    m = construct_terminal(load("trunc-3"))
+
+    def report():
+        return print_report(ReportFile(["recognize", "trunc-3.json"], "yes", structures=[structure_to_dict(m)]))
+    first = report()
+    texts = {key: value for key, value in m.lattice._memo.items() if key[0] == "pair_texts"}
+    assert len(texts) == 1
+    assert report() == first and all(m.lattice._memo[key] is value for key, value in texts.items())
+    assert first == json.dumps({"version": 1, "command": ["recognize", "trunc-3.json"], "decision": "yes",
+                                "witnesses": [], "structures": [structure_to_dict(m)], "centers": []},
+                               indent=2) + "\n"

@@ -271,4 +271,4 @@ def test_the_instance_boundary_takes_under_one_python_step_per_two_pairs():
         rel = validate_relative(lat, inst.weq, add_identities=inst.add_identities)
         out.append(class_name_pairs(rel.weq))
     assert line_events(boundary) < npairs / 2
-    assert len(lat.pairs) == npairs and out == [[list(p) for p in weq]]
+    assert len(lat.pairs) == npairs and out == [tuple(weq)]

@@ -22,6 +22,7 @@ from posetmodels import (
     construct_genMC,
     construct_newcofib,
     construct_newfib_dual,
+    construct_terminal,
     decide_by_enumeration,
     enumerate_centers,
     enumerate_model_structures,
@@ -149,12 +150,23 @@ def test_chain_counts_match_their_closed_forms(n):
     assert (wfs, admitting, structures) == (math.comb(2 * n, n) // (n + 1), 2 ** (n - 1), math.comb(2 * n - 1, n))
 
 
+def _check_extreme_cofibrations(rel, ms) -> None:
+    """The terminal structure has the greatest cofibrations of the structures
+    `ms` over `rel`, its dual the least (construct_terminal's proof), and
+    both are among them."""
+    if ms:
+        top, bottom = construct_terminal(rel), construct_terminal(rel.op()).op()
+        assert all(bottom.cof <= m.cof <= top.cof for m in ms)
+        assert {_masks(top), _masks(bottom)} <= set(map(_masks, ms))
+
+
 def test_zigzag_and_reduce_every_structure_of_at_most_five_elements():
     structures, pairs = [], []
     for n in range(1, 6):
         found = connected = 0
         for rel in _instances(n):
             ms = enumerate_model_structures(rel)
+            _check_extreme_cofibrations(rel, ms)
             found += len(ms)
             connected += _reduce_and_connect(rel, ms, (False, True), reference=True)
         structures.append(found)
@@ -210,6 +222,7 @@ def test_every_six_element_instance():
             assert construct_from_centers(rel, chi).verified and construct_from_centers_dual(rel, chi).verified
             maps += 1
         ms = enumerate_model_structures(rel, max_generators=15)
+        _check_extreme_cofibrations(rel, ms)
         for m in ms:
             chi = extract_centers(m)
             assert construct_newcofib(m, chi).verified and construct_newfib_dual(m, chi).verified
