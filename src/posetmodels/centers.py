@@ -79,7 +79,10 @@ def validate_centers(rel: RelStruct, chi: CenterMap) -> Report:
     so it lies in W iff it lies in W.op().
     """
     key = ("validate_centers", chi.chi)
-    report = rel._memo.get(key)
+    try:
+        report = rel._memo.get(key)
+    except TypeError:  # a value that does not hash, such as a list, is no int: not well formed
+        return _check_centers(rel, chi)
     if report is None:
         report = rel.op()._memo.get(key) or _check_centers(rel, chi)
         if report.ok:

@@ -39,7 +39,7 @@ from .errors import (
     S2OF3Failed,
 )
 from .lattice import Dualizable, Pair, _memoised, iter_bits, low_bit
-from .relative import RelStruct, _least_triple, check_s2of3, compute_Wc, recognition_report
+from .relative import RelStruct, _least_triple, _require_on, check_s2of3, compute_Wc, recognition_report
 from .report import Check, Report
 
 
@@ -50,6 +50,8 @@ class ModelStruct(Dualizable):
     __slots__ = ("rel", "cof", "fib", "report", "_op", "_memo", "__weakref__")
 
     def __init__(self, rel: RelStruct, cof: MorphClass, fib: MorphClass, report: Report | None = None):
+        if cof.lattice is not rel.lattice or fib.lattice is not rel.lattice:
+            _require_on(rel.lattice, cof=cof, fib=fib)
         self.rel = rel
         self.cof = cof
         self.fib = fib
@@ -171,10 +173,8 @@ def _witnesses_from_op(rel: RelStruct, chi: CenterMap | None = None):
     """Re-raise a failure of a construction run on ``rel.op()`` with its witness on `rel`."""
     try:
         yield
-    except JNotInW as e:
-        raise JNotInW(e.pair.op()) from None
-    except HypothesisFailed as e:
-        raise HypothesisFailed(e.which, e.witness.op()) from None
+    except (JNotInW, HypothesisFailed) as e:  # each Pair of the witness, reversed
+        raise type(e)(*(a.op() if isinstance(a, Pair) else a for a in e.args)) from None
     except S2OF3Failed:  # the least triple is not op-conjugate: recompute it
         raise S2OF3Failed(check_s2of3(rel).witness) from None
     except InvalidCenters:

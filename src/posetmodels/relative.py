@@ -7,7 +7,7 @@ subclasses of W, and the finite recognition decision.
 from __future__ import annotations
 
 from .classes import MorphClass, is_pushout_closed, subcategory_check
-from .errors import InternalCheckFailed, MissingIdentities, NotCompositionClosed
+from .errors import InternalCheckFailed, MismatchedBase, MissingIdentities, NotCompositionClosed
 from .lattice import Dualizable, FiniteLattice, _memoised, iter_bits, low_bit
 from .report import Check, Record, Report
 
@@ -28,6 +28,8 @@ class RelStruct(Dualizable):
     """
 
     def __init__(self, lattice: FiniteLattice, weq: MorphClass):
+        if weq.lattice is not lattice:
+            _require_on(lattice, weq=weq)
         self.lattice = lattice
         self.weq = weq
         rows, cols = weq.rows, weq.cols
@@ -70,6 +72,13 @@ class RelStruct(Dualizable):
 
     def component(self, x: int) -> tuple[int, ...]:
         return self.components[self.component_of[x]]
+
+
+def _require_on(lattice: FiniteLattice, **classes: MorphClass) -> None:
+    """Each class lives on `lattice`, or one equal to it; else name the first that does not."""
+    for name, cls in classes.items():
+        if cls.lattice != lattice:
+            raise MismatchedBase(f"{name} lives on a different lattice than its structure")
 
 
 def validate_relative(lattice: FiniteLattice, pairs, add_identities: bool = False) -> RelStruct:

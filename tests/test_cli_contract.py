@@ -1,8 +1,10 @@
 """The command line's contract on malformed instance files and arguments.
 
-Each run of ``validate`` and ``recognize`` on a mutated fixture, and each
-run with a bad flag value, an unknown flag or a missing positional, either
-ends in a report (exit 0 or 1) that ``parse_report`` reads back, or in one
+Each run of ``validate`` and ``recognize`` on a mutated fixture, each run
+of a command that reads a full structure on a structure file with mutated
+``cof`` and ``fib`` fields, and each run with a bad flag value, an unknown
+flag or a missing positional, either ends in a report (exit 0 or 1) that
+``parse_report`` reads back, or a DOT graph from ``export-dot``, or in one
 diagnostic line on stderr (exit 2): never a traceback, never a usage
 block, and never an internal check that fails.
 """
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetmodels import fixture
+from posetmodels import fixture, load, recognize_finite
 from posetmodels.cli import run_cli
 from posetmodels.formats import instance_to_dict, parse_report, print_instance
 
@@ -26,10 +28,10 @@ VALUES = (None, True, 0, 1, 1.5, "a", [], {}, ["a"], [["a", "b"]], {"addIdentiti
 LABELS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
 
 
-def _mutate(data, draw):
-    """One mutation of the labels or pairs of an instance dict, in place."""
+def _mutate(data, draw, fields=("leq", "weq")):
+    """One mutation of the labels or of the pairs of one of `fields` of an instance dict, in place."""
     kind = draw(st.sampled_from(("unknown", "duplicate", "rename", "cycle", "no join", "pair", "length")))
-    elements, pairs = data["elements"], data[draw(st.sampled_from(("leq", "weq")))]
+    elements, pairs = data["elements"], data[draw(st.sampled_from(fields))]
     some = st.sampled_from(elements)
     if kind == "unknown":  # a label no element has, or an existing one, on either end
         pairs.append(draw(st.permutations([draw(LABELS), draw(some)])))
@@ -37,7 +39,7 @@ def _mutate(data, draw):
         elements.append(draw(some))
     elif kind == "rename":  # one label renamed everywhere, so it may clash with another
         old, new = draw(some), draw(LABELS)
-        for k in ("elements", "leq", "weq"):
+        for k in data.keys() & {"elements", "leq", "weq", "cof", "fib"}:
             data[k] = [[new if x == old else x for x in v] if isinstance(v, list) else new if v == old else v
                        for v in data[k]]
     elif kind == "cycle" and pairs:  # a pair reversed
@@ -54,12 +56,12 @@ def _mutate(data, draw):
         pairs[i] = draw(st.sampled_from((p[:1], [*p, *p[:1]], [], *p[:1])))
 
 
-@st.composite
-def mutated_instances(draw):
-    data = json.loads(json.dumps(instance_to_dict(fixture(draw(st.sampled_from(FIXTURES))))))
+def _mutated_text(draw, data, fields, mutated):
+    """`data` after up to three mutations of the pairs of `mutated`, then
+    perhaps one of `fields` dropped or retyped, as JSON text."""
     for _ in range(draw(st.integers(0, 3))):  # before any field is dropped or retyped
-        _mutate(data, draw)
-    field = draw(st.sampled_from(FIELDS))
+        _mutate(data, draw, mutated)
+    field = draw(st.sampled_from(fields))
     edit = draw(st.sampled_from(("drop", "retype", "keep", "keep", "keep", "keep")))  # most keep their fields
     if edit == "drop":
         data.pop(field, None)
@@ -68,8 +70,15 @@ def mutated_instances(draw):
     return json.dumps(data, ensure_ascii=draw(st.booleans()))
 
 
+@st.composite
+def mutated_instances(draw):
+    data = json.loads(json.dumps(instance_to_dict(fixture(draw(st.sampled_from(FIXTURES))))))
+    return _mutated_text(draw, data, FIELDS, ("leq", "weq"))
+
+
 DECISIONS = {"validate": ("valid",), "recognize": ("yes", "no"), "centers": ("found", "absent"),
-             "enumerate": ("yes", "no"), "synthesize": ("synthesized", "failed")}
+             "enumerate": ("yes", "no"), "synthesize": ("synthesized", "failed"), "verify": ("verified", "failed"),
+             "reduce": ("reduced", "failed"), "zigzag": ("equivalent", "failed")}
 
 
 def _holds(argv) -> int:
@@ -81,6 +90,8 @@ def _holds(argv) -> int:
     assert "library bug" not in out + err
     if code == 2:
         assert out == "" and err.count("\n") == 1 and err.startswith("error: ") and err.endswith("\n"), err
+    elif argv[0] == "export-dot":
+        assert code == 0 and err == "" and out.startswith("digraph hasse {\n") and out.endswith("}\n"), (code, err)
     else:
         assert code in (0, 1) and err == "", (code, err)
         assert parse_report(out).decision in DECISIONS[argv[0]]
@@ -94,6 +105,40 @@ def test_every_run_is_a_report_or_one_diagnostic_line(tmp_path_factory, text):
     path.write_text(text, encoding="utf-8")
     for command in ("validate", "recognize"):
         _holds([command, str(path)])
+
+
+def _structure_dict(name: str) -> dict:
+    """The instance dict of fixture `name` with its terminal structure's
+    cof and fib; on a NO fixture, every pair a cofibration and none a
+    fibration, which is no structure."""
+    data = instance_to_dict(fixture(name))
+    decision = recognize_finite(load(name))
+    if decision.yes:
+        data["cof"], data["fib"] = ([list(p) for p in c.name_pairs() if p[0] != p[1]]
+                                    for c in (decision.structure.cof, decision.structure.fib))
+    else:
+        data["cof"], data["fib"] = data["leq"], []
+    return data
+
+
+STRUCTURES = {name: _structure_dict(name) for name in ("two-structures", "forced", "s2of3-fail", "chain-3")}
+
+
+@st.composite
+def mutated_structures(draw):
+    data = json.loads(json.dumps(STRUCTURES[draw(st.sampled_from(sorted(STRUCTURES)))]))
+    return _mutated_text(draw, data, ("cof", "fib"), ("cof", "fib"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_structures())
+def test_every_run_on_a_structure_file_is_a_report_or_one_diagnostic_line(tmp_path_factory, text):
+    file = tmp_path_factory.getbasetemp() / "structure.json"
+    file.write_text(text, encoding="utf-8")
+    path = str(file)
+    for argv in (["verify", path], ["reduce", path], ["zigzag", path, path],
+                 ["synthesize", path, "--method", "newcofib"], ["export-dot", path]):
+        _holds(argv)
 
 
 # enumerate with both caps at 10^20 takes up to ~150 ms on these; on larger fixtures far longer

@@ -38,6 +38,7 @@ from posetmodels.errors import (
     HypothesisFailed,
     InvalidInput,
     JNotInW,
+    MismatchedBase,
     NotComparable,
     NotWeakEquivalence,
     RecognitionFailed,
@@ -127,6 +128,25 @@ def test_verify_rejects_bad_we(s2of3_fail):
     lat = s2of3_fail.lattice
     m = ModelStruct(s2of3_fail, MorphClass.all_morphisms(lat), MorphClass.all_morphisms(lat))
     assert not verify_model(m).ok
+
+
+def test_classes_on_another_lattice_are_a_mismatched_base(two_structures):
+    # chain-4 has six elements too, so the masks fit, but the classes do
+    # not describe a structure on it; a lattice equal to the structure's,
+    # built separately, is accepted
+    t = construct_terminal(two_structures)
+    chain = load("chain-4")
+    for name, args in (("cof", (t.cof, chain.weq)), ("fib", (chain.weq, t.fib))):
+        with pytest.raises(MismatchedBase, match=f"^{name} lives on a different lattice"):
+            ModelStruct(chain, *args)
+    with pytest.raises(MismatchedBase, match="^weq lives on a different lattice"):
+        RelStruct(chain.lattice, two_structures.weq)
+    with pytest.raises(MismatchedBase, match="^cof lives on a different lattice"):
+        ModelStruct(two_structures.op(), t.cof, t.fib.op())  # the primal side is not its opposite
+    twin = load("two-structures")
+    assert twin.lattice is not two_structures.lattice
+    m = ModelStruct(twin, t.cof, t.fib)
+    assert verify_model(m).ok and RelStruct(twin.lattice, two_structures.weq) == two_structures
 
 
 def test_construct_terminal(two_structures):

@@ -198,7 +198,7 @@ def test_passing_checks_make_no_pair_scan(monkeypatch):
 
 def test_non_int_center_values_fail_well_formedness(two_structures):
     n = two_structures.lattice.n
-    for values in [(0.0,) * n, (True,) * n]:
+    for values in [(0.0,) * n, (True,) * n, ([0],) + (0,) * (n - 1)]:  # a list cannot key the memo
         report = validate_centers(two_structures, CenterMap(values))
         assert not report.ok and report.witness_check().name == "well_formed"
 
